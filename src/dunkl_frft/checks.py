@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import UsageError
 from .polyengine import (
     GaussPoly,
     HermiteBasis,
@@ -84,10 +85,16 @@ class CheckResult:
 
 
 def tolerance_scale():
+    """The DUNKL_FRFT_TOL multiplier (default 1.0); a value that is not a
+    finite number > 0 is a UsageError."""
+    raw = os.environ.get("DUNKL_FRFT_TOL", "1.0")
     try:
-        return float(os.environ.get("DUNKL_FRFT_TOL", "1.0"))
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise UsageError(f"DUNKL_FRFT_TOL must be a finite number > 0, got {raw!r}")
+    return scale
 
 
 def _tol(x, scale=None):
@@ -658,6 +665,7 @@ SUITES = {
 
 
 def run_suite(name, seed=DEFAULT_SEED, tol_scale=None):
+    tol_scale = tolerance_scale() if tol_scale is None else tol_scale
     if name == "all":
         out = []
         for key in SUITES:

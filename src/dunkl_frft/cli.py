@@ -4,7 +4,9 @@ job configs with CSV/JSON outputs.
 
 Every run writes the fully-resolved config (defaults materialized) next to
 its results, stamped with the library version; identical (config, seed)
-pairs produce byte-identical files in single-threaded mode.
+pairs produce byte-identical files when the BLAS library runs on one
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1;
+``--threads`` does not set them).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .checks import SUITES, run_suite
 from .errors import DunklError, UsageError
 from .polyengine import GaussPoly, HermiteExpansion, MultiPoly
 from .quadrature import build_grid
-from .semigroup import GroupSampler, resolvent_apply, spectral_projection
+from .semigroup import GroupSampler, difference_quotient, resolvent_apply, spectral_projection
 from .specfun import Multiplicity, laguerre_eval
 from .transform import (
     TransformPlan,
@@ -87,21 +89,32 @@ def _field(obj, key, kind, default=None, required=False, choices=None):
         return default
     value = obj[key]
     try:
-        if kind is float:
-            value = float(value)
-        elif kind is int:
-            value = int(value)
-        elif kind is str:
-            value = str(value)
-        elif kind is list and not isinstance(value, list):
+        if kind in (float, int, str):
+            value = kind(value)
+        elif not isinstance(value, kind):
             raise TypeError
-        elif kind is dict and not isinstance(value, dict):
-            raise TypeError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config field '{key}': expected {kind.__name__}, got {value!r}")
     if choices is not None and value not in choices:
         raise UsageError(f"config field '{key}': must be one of {choices}, got {value!r}")
     return value
+
+
+def _parse(value, key, convert):
+    """convert(value) for a structured config value; a value of the wrong
+    shape or type is a UsageError naming the field."""
+    try:
+        return convert(value)
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError):
+        raise UsageError(f"config field '{key}': malformed value {value!r}") from None
+
+
+def _float_list(values):
+    return [float(v) for v in values]
+
+
+def _float_array(values):
+    return np.asarray(values, dtype=float)
 
 
 def parse_config(obj):
@@ -120,11 +133,7 @@ def parse_config(obj):
         if "n" in grid_spec:
             obj.setdefault("n", grid_spec["n"])
     command = _field(obj, "command", str, required=True, choices=COMMANDS)
-    mu = _field(obj, "mu", list, required=True)
-    try:
-        mu = [float(m) for m in mu]
-    except (TypeError, ValueError):
-        raise UsageError(f"config field 'mu': expected a list of numbers, got {mu!r}")
+    mu = _parse(_field(obj, "mu", list, required=True), "mu", _float_list)
     known = {f for f in JobConfig.__dataclass_fields__} | {"version"}
     for key in obj:
         if key not in known:
@@ -173,14 +182,14 @@ def build_function(spec, plan):
     kind = _field(spec, "kind", str, required=True,
                   choices=("hermite_combo", "gauss_poly", "gaussian", "laguerre_gaussian", "samples"))
     if kind == "hermite_combo":
-        terms = _field(spec, "terms", list, required=True)
         table = {}
-        for t in terms:
-            nu = tuple(int(v) for v in t["nu"])
-            table[nu] = table.get(nu, 0.0) + complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
+        for t in _field(spec, "terms", list, required=True):
+            nu, c = _parse(t, "function.terms", _combo_term)
+            table[nu] = table.get(nu, 0.0) + c
         return HermiteExpansion.from_terms(plan.basis, table)
     if kind == "gauss_poly":
-        poly = MultiPoly.from_json(_field(spec, "poly", dict, required=True))
+        raw = _field(spec, "poly", dict, required=True)
+        poly = _parse(raw, "function.poly", MultiPoly.from_json)
         if poly.dim != plan.mult.dim:
             raise UsageError(f"config field 'function.poly': dim {poly.dim} != {plan.mult.dim}")
         return GaussPoly(poly)
@@ -196,20 +205,25 @@ def build_function(spec, plan):
             laguerre_eval(m, order, np.sum(np.asarray(pts) ** 2, axis=-1))
             * np.exp(-0.5 * np.sum(np.asarray(pts) ** 2, axis=-1))
         )
-    values_re = np.asarray(_field(spec, "values_re", list, required=True), dtype=float)
-    values_im = np.asarray(spec.get("values_im", np.zeros_like(values_re)), dtype=float)
-    vals = values_re + 1j * values_im
-    if vals.shape != (plan.grid.nodes.shape[0],):
-        raise UsageError(
-            f"config field 'function.values_re': {vals.shape[0]} samples for a grid "
-            f"of {plan.grid.nodes.shape[0]} nodes"
-        )
-    return vals
+    npts = plan.grid.nodes.shape[0]
+    parts = {}
+    for key, required in (("values_re", True), ("values_im", False)):
+        raw = _field(spec, key, list, required=required, default=[0.0] * npts)
+        parts[key] = _parse(raw, f"function.{key}", _float_array)
+        if parts[key].shape != (npts,):
+            raise UsageError(f"config field 'function.{key}': need {npts} samples, one per grid node")
+    return parts["values_re"] + 1j * parts["values_im"]
+
+
+def _combo_term(term):
+    nu = tuple(int(v) for v in term["nu"])
+    return nu, complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
 
 
 def _radial_profile(spec):
-    kind = _field(spec or {"kind": "gaussian"}, "kind", str, default="gaussian",
-                  choices=("gaussian", "laguerre_gaussian"))
+    if spec is None:
+        raise UsageError("config field 'function' is required for this command")
+    kind = _field(spec, "kind", str, default="gaussian", choices=("gaussian", "laguerre_gaussian"))
     if kind == "gaussian":
         a = _field(spec, "a", float, default=0.5)
         return lambda y: np.exp(-a * np.asarray(y) ** 2)
@@ -221,26 +235,27 @@ def _radial_profile(spec):
 def _output_points(cfg, plan):
     spec = cfg.outputs or {}
     if "points" in spec:
-        pts = np.asarray(spec["points"], dtype=float)
+        pts = _parse(spec["points"], "outputs.points", _float_array)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] != plan.mult.dim:
             raise UsageError(f"config field 'outputs.points': need shape (m, {plan.mult.dim})")
         return pts
     if "linspace" in spec:
-        lo, hi, count = spec["linspace"]
-        axis = np.linspace(float(lo), float(hi), int(count))
-        if plan.mult.dim == 1:
-            return axis[:, None]
-        mesh = np.meshgrid(*([axis] * plan.mult.dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-    if spec.get("grid", False):
+        axis = _parse(spec["linspace"], "outputs.linspace", _linspace)
+    elif spec.get("grid", False):
         return plan.grid.nodes
-    axis = np.linspace(-3.0, 3.0, 25)
+    else:
+        axis = np.linspace(-3.0, 3.0, 25)
     if plan.mult.dim == 1:
         return axis[:, None]
     mesh = np.meshgrid(*([axis] * plan.mult.dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _linspace(spec):
+    lo, hi, count = _float_list(spec)
+    return np.linspace(lo, hi, int(count))
 
 
 def _csv_lines(header_cols, rows, cfg):
@@ -312,8 +327,8 @@ def _cmd_kernel(cfg, out_dir, fmt):
         raise UsageError("config field 'outputs.pairs' is required for the kernel command")
     dim = plan.mult.dim
     rows = []
-    for pair in pairs:
-        arr = np.asarray(pair, dtype=float)
+    for pair in _parse(pairs, "outputs.pairs", list):
+        arr = _parse(pair, "outputs.pairs", _float_array)
         if arr.shape != (2 * dim,):
             raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
         x, y = arr[:dim], arr[dim:]
@@ -352,7 +367,9 @@ def _cmd_hankel(cfg, out_dir, fmt):
         raise UsageError("config field 'order' is required for the hankel command")
     psi = _radial_profile(cfg.function)
     spec = cfg.outputs or {}
-    radii = np.asarray(spec.get("radii", np.linspace(0.0, 4.0, 17)), dtype=float)
+    radii = _parse(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii", _float_array)
+    if radii.ndim != 1:
+        raise UsageError("config field 'outputs.radii': expected a list of radii")
     vals = fractional_hankel(psi, cfg.order, plan, radii)
     rows = [[float(x), float(np.real(v)), float(np.imag(v))] for x, v in zip(radii, vals)]
     _emit(cfg, out_dir, fmt, ["x", "re", "im"], rows)
@@ -371,10 +388,10 @@ def _cmd_projection(cfg, out_dir, fmt):
     f = build_function(cfg.function, plan)
     sampler = GroupSampler(plan, q=cfg.q_nodes)
     rows = []
-    for n in cfg.projections:
-        proj = spectral_projection(f, int(n), sampler)
+    for n in _parse(cfg.projections, "projections", lambda v: [int(k) for k in v]):
+        proj = spectral_projection(f, n, sampler)
         for row in _coefficient_rows(proj):
-            rows.append([int(n)] + row)
+            rows.append([n] + row)
     cols = ["n"] + [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, rows)
     return 0
@@ -384,8 +401,8 @@ def _cmd_resolvent(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     f = build_function(cfg.function, plan)
     sampler = GroupSampler(plan, q=cfg.q_nodes)
-    lam_re, lam_im = (list(cfg.resolvent_lambda) + [0.0])[:2]
-    res = resolvent_apply(f, complex(float(lam_re), float(lam_im)), sampler)
+    lam = _parse(cfg.resolvent_lambda, "resolvent_lambda", lambda v: complex(*_float_list(v)))
+    res = resolvent_apply(f, lam, sampler)
     cols = [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, _coefficient_rows(res))
     return 0
@@ -414,7 +431,7 @@ def _cmd_convergence(cfg, out_dir, fmt):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     if cfg.vary == "r":
-        values = cfg.values or [1.0 - 2.0**-j for j in range(3, 13)]
+        values = _parse(cfg.values or [1.0 - 2.0**-j for j in range(3, 13)], "values", _float_list)
         samples = rng.uniform(-2.0, 2.0, size=(12, 2, plan.mult.dim))
         for r in values:
             worst = 0.0
@@ -424,13 +441,11 @@ def _cmd_convergence(cfg, out_dir, fmt):
             rows.append([float(r), worst])
         cols = ["r", "kernel_residual"]
     else:
-        from .semigroup import difference_quotient
-
-        values = cfg.values or [0.4 * 2.0**-j for j in range(8)]
+        values = _parse(cfg.values or [0.4 * 2.0**-j for j in range(8)], "values", _float_list)
         f = build_function(cfg.function, plan)
         if not isinstance(f, HermiteExpansion):
             raise UsageError("config field 'function': alpha convergence needs a hermite_combo")
-        for a, resid in difference_quotient(f, [float(v) for v in values], plan):
+        for a, resid in difference_quotient(f, values, plan):
             rows.append([a, resid])
         cols = ["alpha", "quotient_residual"]
     for row in rows:
@@ -455,8 +470,8 @@ def run(config, out_dir="out", fmt="csv", threads=1, seed=None):
     """Execute a job config; returns the process exit status.
 
     0 on success, 1 when a check suite reports failures, 2 on usage errors.
-    Execution is single-threaded regardless of ``threads`` (the flag is
-    accepted for interface stability; 1 is the reproducibility contract).
+    ``threads`` is accepted for interface stability and changes nothing;
+    byte-identical outputs need the BLAS thread variables set to 1.
     """
     try:
         cfg = config if isinstance(config, JobConfig) else parse_config(config)
@@ -481,7 +496,7 @@ def main(argv=None):
     parser.add_argument("--out", default="out", help="Output directory (default: out).")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
     parser.add_argument("--threads", type=int, default=1,
-                        help="Accepted for compatibility; execution is single-threaded.")
+                        help="Accepted for compatibility; does not set BLAS threads.")
     parser.add_argument("--seed", type=int, default=None, help="Override the config seed.")
     args = parser.parse_args(argv)
     try:

@@ -427,17 +427,6 @@ def hermite_operator(f, mult):
     return GaussPoly(f.dunkl_laplacian(mult).poly - rsq * f.poly)
 
 
-def eval_function(f, x):
-    """Evaluate a MultiPoly or GaussPoly (or any callable) at points x."""
-    if isinstance(f, (MultiPoly, GaussPoly)):
-        return f(np.asarray(x, dtype=float))
-    return f(np.asarray(x, dtype=float))
-
-
-def _axis_multiplicity(mult, j):
-    return Multiplicity([mult.mu_exact[j]])
-
-
 def _pochhammer(base, count):
     """(base)_count = base (base+1) ... (base+count-1), exact on Fractions."""
     out = Fraction(1)

@@ -106,9 +106,9 @@ def resolvent_apply(f, lam, sampler, min_distance=0.1):
     and the quadrature conditioning degrades.  On eigenfunctions the result
     is h_nu / (lam - i |nu|)."""
     lam = complex(lam)
-    if _distance_to_int_times_i(lam) < min_distance:
+    if not cmath.isfinite(lam) or _distance_to_int_times_i(lam) < min_distance:
         raise DomainError(
-            f"lambda = {lam} is within {min_distance} of i*Z; resolvent refused"
+            f"lambda = {lam} is not finite or within {min_distance} of i*Z; resolvent refused"
         )
     base = sampler.expand(f)
     degrees = sorted({sum(nu) for nu in base.basis.indices})
@@ -174,8 +174,8 @@ def difference_quotient(f, alpha_seq, plan):
     out = []
     for a in alpha_seq:
         a = float(a)
-        if a == 0.0:
-            raise DomainError("difference quotient needs nonzero orders")
+        if a == 0.0 or not math.isfinite(a):
+            raise DomainError(f"difference quotient needs finite nonzero orders, got {a!r}")
         resid_sq = 0.0
         for nu, c in zip(base.basis.indices, base.coeffs):
             n = sum(nu)

@@ -77,7 +77,7 @@ class Multiplicity:
     def __init__(self, mu):
         try:
             values = [Fraction(m) for m in mu]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"multiplicity entries must be numeric: {mu!r}") from exc
         if len(values) < 1:
             raise DomainError("multiplicity vector must have N >= 1 entries")
@@ -140,7 +140,7 @@ def _jhat_series(nu, u):
         term = term * q / ((n + 1.0) * (n + 1.0 + nu))
         total = total + term
         scale = max(scale, float(np.max(np.abs(total))) if total.size else 1.0)
-        if n >= 2 and float(np.max(np.abs(term))) < _SERIES_RELTOL * scale:
+        if n >= 2 and float(np.max(np.abs(term), initial=0.0)) < _SERIES_RELTOL * scale:
             return total
     raise RangeError("normalized_ibessel series failed to converge (argument too large)")
 

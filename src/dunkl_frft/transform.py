@@ -3,6 +3,8 @@
 Spectral route: phase-weighted Hermite expansion (the definition).
 Integral route: oscillatory kernel against the weighted measure.
 Smoothed route: closed-form Mehler kernel of the regularized transform.
+The integral kernel is the Mehler kernel at r = 1, so both routes share one
+kernel builder.
 
 Also here: the fractional Hankel reduction, the Bochner factorization, the
 Master / Hecke formulas, the radial Funk-Hecke check and the bilinear /
@@ -28,7 +30,14 @@ from .polyengine import (
     heat_exp_poly,
 )
 from .quadrature import QuadGrid, build_grid, jacobi_halfline
-from .specfun import U_MAX_DEFAULT, BesselOrder, dunkl_kernel_1d, gamma_fn, normalized_ibessel
+from .specfun import (
+    U_MAX_DEFAULT,
+    BesselOrder,
+    dunkl_kernel_1d,
+    dunkl_kernel_prod,
+    gamma_fn,
+    normalized_ibessel,
+)
 
 REGIME_IDENTITY = "identity"
 REGIME_PARITY = "parity"
@@ -106,10 +115,13 @@ class TransformPlan:
             return None
         ahat = 1.0 if s > 0 else -1.0
         g = self.order_exponent
+        scale = (2.0 * abs(s)) ** g
+        if scale == 0.0:
+            raise RangeError(f"prefactor A_alpha overflows at |sin alpha| = {abs(s):.3g}")
         return (
             self.mult.mehta_constant
             * cmath.exp(1j * g * (ahat * math.pi / 2.0 - self.alpha))
-            / (2.0 * abs(s)) ** g
+            / scale
         )
 
     def hankel_prefactor(self, order):
@@ -167,23 +179,49 @@ def _as_points(xs, dim):
 # kernels
 
 
+def _mehler_form(plan, r):
+    """(zscale, gcoef, pref) with K_a(r,x,y) = pref exp(-gcoef (|x|^2+|y|^2)) K(zscale x, y)
+    at smoothing r in (0, 1] (see kernel_smoothed).  At r = 1 they are taken exactly as
+    the integral route's i/sin a, (i/2) cot a and A_a, so zscale x stays purely
+    imaginary (real Bessel J path, |K| <= 1)."""
+    if r == 1.0:
+        s = math.sin(plan.alpha)
+        return 1j / s, 0.5j * (math.cos(plan.alpha) / s), plan.prefactor
+    w = r * r * cmath.exp(2j * plan.alpha)
+    denom = 1.0 - w
+    zscale = 2.0 * r * cmath.exp(1j * plan.alpha) / denom
+    gcoef = (1.0 + w) / (2.0 * denom)
+    return zscale, gcoef, plan.mult.mehta_constant * denom ** (-plan.order_exponent)
+
+
+def _smoothing(plan, r, op):
+    r = plan.r if r is None else float(r)
+    if not (0.0 < r < 1.0):
+        raise UsageError(f"{op} needs 0 < r < 1, got {r!r}")
+    return r
+
+
+def _kernel_parts(plan, x, y, r, u_max):
+    """(pref, gauss, kern) with K_a(r,x,y) = pref * gauss * kern pointwise."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    zscale, gcoef, pref = _mehler_form(plan, r)
+    if u_max is None:
+        u_max = _auto_u_max(abs(zscale) * np.max(np.abs(x)) * np.max(np.abs(y)))
+    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=u_max)
+    gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
+    return pref, gauss, kern
+
+
 def kernel_alpha(plan, x, y, u_max=None):
     """Integral kernel K_alpha(x, y) = e^{-(i/2) cot(a) (|x|^2+|y|^2)} K(ix/sin a, y).
 
-    Defined whenever sin(alpha) != 0; |K_alpha| <= 1 pointwise.
+    Defined whenever sin(alpha) != 0; |K_alpha| <= 1 pointwise.  This is the
+    Mehler kernel at r = 1 without its prefactor A_alpha.
     """
     _require_kernel_regime(plan, "kernel_alpha", reject_near_singular=False)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = math.sin(plan.alpha)
-    cot = math.cos(plan.alpha) / s
-    if u_max is None:
-        u_max = _auto_u_max(np.max(np.abs(x)) * np.max(np.abs(y)) / abs(s))
-    out = np.ones(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
-    for j, order in enumerate(plan.mult.orders):
-        out = out * dunkl_kernel_1d(order, 1j * x[..., j] / s, y[..., j], u_max=u_max)
-    phase = np.exp(-0.5j * cot * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
-    return out * phase
+    _, gauss, kern = _kernel_parts(plan, x, y, 1.0, u_max)
+    return kern * gauss
 
 
 def kernel_smoothed(plan, x, y, r=None, u_max=None):
@@ -196,22 +234,9 @@ def kernel_smoothed(plan, x, y, r=None, u_max=None):
     finite for every alpha including 0 and pi.  Principal branch of the
     power (safe: Re(1 - r^2 e^{2ia}) >= 1 - r^2 > 0 for r < 1).
     """
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r < 1.0):
-        raise UsageError(f"kernel_smoothed needs 0 < r < 1, got {r!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = r * r * cmath.exp(2j * plan.alpha)
-    denom = 1.0 - w
-    zscale = 2.0 * r * cmath.exp(1j * plan.alpha) / denom
-    if u_max is None:
-        u_max = _auto_u_max(abs(zscale) * np.max(np.abs(x)) * np.max(np.abs(y)))
-    out = np.ones(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
-    for j, order in enumerate(plan.mult.orders):
-        out = out * dunkl_kernel_1d(order, zscale * x[..., j], y[..., j], u_max=u_max)
-    gauss = np.exp(-(1.0 + w) / (2.0 * denom) * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
-    pref = plan.mult.mehta_constant * denom ** (-plan.order_exponent)
-    return pref * gauss * out
+    r = _smoothing(plan, r, "kernel_smoothed")
+    pref, gauss, kern = _kernel_parts(plan, x, y, r, u_max)
+    return pref * gauss * kern
 
 
 def kernel_smoothed_bound(plan, x, y, r=None):
@@ -220,21 +245,13 @@ def kernel_smoothed_bound(plan, x, y, r=None):
 
         exp(2 r^2 (1-r^2) cos^2(a) |x|^2 / ((r^4 - 2 r^2 cos 2a + 1)(r^2+1))).
     """
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r < 1.0):
-        raise UsageError(f"bound needs 0 < r < 1, got {r!r}")
+    r = _smoothing(plan, r, "kernel_smoothed_bound")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = plan.alpha
-    w = r * r * cmath.exp(2j * a)
-    denom = 1.0 - w
-    zscale = 2.0 * r * cmath.exp(1j * a) / denom
-    kern = np.ones(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
-    for j, order in enumerate(plan.mult.orders):
-        kern = kern * dunkl_kernel_1d(
-            order, zscale * x[..., j], y[..., j], u_max=_auto_u_max(abs(zscale) * 64.0)
-        )
-    gauss = np.exp(-(1.0 + w) / (2.0 * denom) * np.sum(y * y, axis=-1))
+    zscale, gcoef, _ = _mehler_form(plan, r)
+    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=_auto_u_max(abs(zscale) * 64.0))
+    gauss = np.exp(-gcoef * np.sum(y * y, axis=-1))
     lhs = np.abs(gauss * kern)
     xsq = np.sum(x * x, axis=-1)
     dd = r**4 - 2.0 * r * r * math.cos(2.0 * a) + 1.0
@@ -362,59 +379,11 @@ def _contract_points(mats, tensor):
     return np.einsum(f"{parts},{letters}->z", *mats, tensor, optimize=True)
 
 
-def _integral_axis_matrices(plan, per_axis_outputs, u_max):
-    s = math.sin(plan.alpha)
-    cot = math.cos(plan.alpha) / s
-    if u_max is None:
-        needed = max(
-            float(np.max(np.abs(out_j)) if out_j.size else 0.0)
-            * float(np.max(np.abs(plan.grid.axes_nodes[j])))
-            / abs(s)
-            for j, out_j in enumerate(per_axis_outputs)
-        )
-        u_max = _auto_u_max(needed)
-    mats = []
-    for j, order in enumerate(plan.mult.orders):
-        xk = np.asarray(per_axis_outputs[j], dtype=float)[:, None]
-        yk = plan.grid.axes_nodes[j][None, :]
-        kern = dunkl_kernel_1d(order, 1j * xk / s, yk, u_max=u_max)
-        phase = np.exp(-0.5j * cot * (xk * xk + yk * yk))
-        mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
-    return mats
-
-
-def fdt_integral(f, plan, xs, u_max=None):
-    """Integral-route transform D_k^a f(x) = A_a * integral f(y) K_a(x,y) w_k(y) dy
-    at output points xs (shape (m, N)).
-
-    Requires the generic regime; near alpha in pi*Z the kernel frequency
-    outruns any fixed grid and the call refuses, pointing at the spectral
-    route.  The Bessel ceiling is raised automatically to match the grid
-    box and output points (the grid's resolution, not the series range, is
-    the binding constraint on this route).
-    """
-    _require_kernel_regime(plan, "fdt_integral")
-    xs = _as_points(xs, plan.mult.dim)
-    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
-    mats = _integral_axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], u_max)
-    return plan.prefactor * _contract_points(mats, tensor)
-
-
-def fdt_integral_on_grid(f, plan, u_max=None):
-    """Integral-route transform evaluated at every grid node (flattened),
-    using the tensor structure of both grids."""
-    _require_kernel_regime(plan, "fdt_integral")
-    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
-    mats = _integral_axis_matrices(plan, list(plan.grid.axes_nodes), u_max)
-    return (plan.prefactor * _contract_grid(mats, tensor)).ravel()
-
-
-def _smoothed_axis_matrices(plan, per_axis_outputs, r, u_max):
-    a = plan.alpha
-    w = r * r * cmath.exp(2j * a)
-    denom = 1.0 - w
-    zscale = 2.0 * r * cmath.exp(1j * a) / denom
-    gcoef = (1.0 + w) / (2.0 * denom)
+def _axis_matrices(plan, per_axis_outputs, r, u_max):
+    """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
+    kernel at smoothing r against the grid, and its prefactor.  Unless given, the
+    Bessel ceiling is raised to match the grid box and output points."""
+    zscale, gcoef, pref = _mehler_form(plan, r)
     if u_max is None:
         needed = max(
             abs(zscale)
@@ -430,30 +399,53 @@ def _smoothed_axis_matrices(plan, per_axis_outputs, r, u_max):
         kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=u_max)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
         mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
-    return mats, plan.mult.mehta_constant * denom ** (-plan.order_exponent)
+    return mats, pref
+
+
+def _kernel_transform(f, plan, xs, r, u_max):
+    """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
+    points xs (shape (m, N)), or at every grid node (flattened) when xs is
+    None, using the tensor structure of both grids."""
+    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
+    if xs is None:
+        mats, pref = _axis_matrices(plan, list(plan.grid.axes_nodes), r, u_max)
+        return (pref * _contract_grid(mats, tensor)).ravel()
+    mats, pref = _axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r, u_max)
+    return pref * _contract_points(mats, tensor)
+
+
+def fdt_integral(f, plan, xs, u_max=None):
+    """Integral-route transform D_k^a f(x) = A_a * integral f(y) K_a(x,y) w_k(y) dy
+    at output points xs (shape (m, N)).
+
+    Requires the generic regime; near alpha in pi*Z the kernel frequency
+    outruns any fixed grid and the call refuses, pointing at the spectral
+    route.  The Bessel ceiling is raised automatically to match the grid
+    box and output points (the grid's resolution, not the series range, is
+    the binding constraint on this route).
+    """
+    _require_kernel_regime(plan, "fdt_integral")
+    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), 1.0, u_max)
+
+
+def fdt_integral_on_grid(f, plan, u_max=None):
+    """Integral-route transform evaluated at every grid node (flattened)."""
+    _require_kernel_regime(plan, "fdt_integral")
+    return _kernel_transform(f, plan, None, 1.0, u_max)
 
 
 def fdt_smoothed(f, plan, xs, r=None, u_max=None):
     """Smoothed transform D_{k,r}^a f(x) = integral K_a(r,x,y) f(y) w_k(y) dy
     via the Mehler closed form (0 < r < 1)."""
     _require_kernel_regime(plan, "fdt_smoothed")
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r < 1.0):
-        raise UsageError(f"fdt_smoothed needs 0 < r < 1, got {r!r}")
-    xs = _as_points(xs, plan.mult.dim)
-    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
-    mats, pref = _smoothed_axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r, u_max)
-    return pref * _contract_points(mats, tensor)
+    r = _smoothing(plan, r, "fdt_smoothed")
+    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), r, u_max)
 
 
 def fdt_smoothed_on_grid(f, plan, r=None, u_max=None):
+    """Smoothed transform evaluated at every grid node (flattened)."""
     _require_kernel_regime(plan, "fdt_smoothed")
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r < 1.0):
-        raise UsageError(f"fdt_smoothed needs 0 < r < 1, got {r!r}")
-    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
-    mats, pref = _smoothed_axis_matrices(plan, list(plan.grid.axes_nodes), r, u_max)
-    return (pref * _contract_grid(mats, tensor)).ravel()
+    return _kernel_transform(f, plan, None, _smoothing(plan, r, "fdt_smoothed"), u_max)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +555,7 @@ def funk_hecke_radial(mult, x, circle, u_max=None):
     d_k = float(np.sum(circle.weights * wk))
     if u_max is None:
         u_max = _auto_u_max(float(np.max(np.abs(x))))
-    kern = np.ones(circle.size, dtype=complex)
-    for j, order in enumerate(mult.orders):
-        kern = kern * dunkl_kernel_1d(order, 1j * x[j], pts[:, j], u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 1j * x, pts, u_max=u_max)
     return complex(np.sum(circle.weights * wk * kern) / d_k)
 
 
@@ -604,21 +594,14 @@ def gaussian_bilinear_check(mult, z, w, a_const, grid, u_max=None):
     if u_max is None:
         biggest = 2.0 * max(float(np.max(np.abs(z))), float(np.max(np.abs(w)))) * grid.box
         u_max = _auto_u_max(biggest)
-    kern = np.ones(grid.nodes.shape[0], dtype=complex)
-    for j, order in enumerate(mult.orders):
-        kern = kern * dunkl_kernel_1d(order, 2.0 * z[j], grid.nodes[:, j], u_max=u_max)
-        kern = kern * dunkl_kernel_1d(order, 2.0 * w[j], grid.nodes[:, j], u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes, u_max=u_max)
+    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes, u_max=u_max)
     gauss = np.exp(-a_const * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * kern * gauss)
     rhs = cmath.exp((_quadratic_sum(z) + _quadratic_sum(w)) / a_const) * a_const ** (
         -(mult.gamma_index + 0.5 * mult.dim)
     )
-    kern_rhs = 1.0
-    for j, order in enumerate(mult.orders):
-        kern_rhs = kern_rhs * dunkl_kernel_1d(
-            order, 2.0 * z[j] / a_const * w[j], 1.0, u_max=u_max
-        )
-    rhs = rhs * kern_rhs
+    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w, u_max=u_max)
     return abs(lhs - rhs)
 
 
@@ -643,9 +626,7 @@ def gaussian_moment_check(p, mult, omega, xs, grid, u_max=None):
         raise UsageError("x must be an N-vector")
     if u_max is None:
         u_max = _auto_u_max(2.0 * float(np.max(np.abs(xs))) * grid.box)
-    kern = np.ones(grid.nodes.shape[0], dtype=complex)
-    for j, order in enumerate(mult.orders):
-        kern = kern * dunkl_kernel_1d(order, 2.0 * xs[j], grid.nodes[:, j], u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes, u_max=u_max)
     pvals = p(grid.nodes)
     gauss = np.exp(-omega * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * pvals * kern * gauss)

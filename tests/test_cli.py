@@ -92,6 +92,29 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    combo = {"kind": "hermite_combo", "terms": [{"nu": [0], "re": 1.0}]}
+    cases = [
+        ({"command": "hankel", "mu": [0.5], "order": 0.5}, "'function'"),
+        ({"command": "projection", "mu": [0.5], "M": 4, "function": combo,
+          "projections": [0, "two"]}, "'projections'"),
+        ({"command": "transform", "mu": [0.5], "M": 4,
+          "function": {"kind": "hermite_combo", "terms": [3]}}, "'function.terms'"),
+        ({"command": "transform", "mu": [0.5], "M": 4,
+          "function": {"kind": "hermite_combo", "terms": [{"re": 1.0}]}}, "'function.terms'"),
+        ({"command": "transform", "mu": [0.5], "M": 4,
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1, "terms": [True]}}},
+         "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
+          "outputs": {"linspace": [-1, 1]}}, "'outputs.linspace'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
+          "outputs": {"points": [[0.0], [1.0, 2.0]]}}, "'outputs.points'"),
+        ({"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": [0.5, "x"]}, "'values'"),
+    ]
+    for cfg, field_name in cases:
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2, cfg
+        assert field_name in capsys.readouterr().err
+
 
 def test_missing_config_file(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
@@ -267,3 +290,8 @@ def test_tolerance_env_scaling(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 1
     monkeypatch.setenv("DUNKL_FRFT_TOL", "1.0")
     assert main(["--config", str(path), "--out", str(tmp_path / "out2")]) == 0
+    # a malformed scale is a usage error, not a silent 1.0
+    for bad in ("abc", "nan", "inf", "0", "-1"):
+        monkeypatch.setenv("DUNKL_FRFT_TOL", bad)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out3")]) == 2
+        assert "DUNKL_FRFT_TOL" in capsys.readouterr().err

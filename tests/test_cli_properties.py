@@ -1,0 +1,126 @@
+"""Property test of the CLI contract: any config shape exits 0, 1 or 2.
+
+Sizes (M, n, q_nodes, output counts) are capped small on purpose: the
+property under test is shape handling, not problem size.
+"""
+
+import math
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dunkl_frft.cli import COMMANDS, run  # noqa: E402
+
+SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+# No digit strings: a size field must never parse to a large integer.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    SPECIAL,
+    st.integers(-3, 3),
+    st.floats(-3.0, 3.0),
+    st.text(alphabet="ab/ ", max_size=3),
+    st.lists(st.booleans(), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "nu"]), st.integers(-1, 1), max_size=2),
+)
+NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0), SPECIAL)
+
+
+def mostly(valid):
+    """Draws from valid, with one draw in sixteen replaced by junk."""
+    return st.integers(0, 15).flatmap(lambda i: JUNK if i == 0 else valid)
+
+
+def listed(items, max_size=3, min_size=0):
+    return mostly(st.lists(mostly(items), min_size=min_size, max_size=max_size))
+
+
+TERM = st.fixed_dictionaries(
+    {"nu": listed(st.integers(0, 3))}, optional={"re": mostly(NUMBERS), "im": mostly(NUMBERS)}
+)
+MONOMIAL = st.fixed_dictionaries(
+    {"exp": listed(st.integers(-1, 2))},
+    optional={"re": mostly(st.sampled_from(["1", "-1/2", "1/0", "x"]))},
+)
+FUNCTIONS = mostly(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("hermite_combo"), "terms": listed(TERM)}),
+        st.fixed_dictionaries({"kind": st.just("gaussian")}, optional={"a": mostly(NUMBERS)}),
+        st.fixed_dictionaries(
+            {"kind": st.just("laguerre_gaussian")},
+            optional={"m": mostly(st.integers(-1, 3)), "order": mostly(NUMBERS)},
+        ),
+        st.fixed_dictionaries(
+            {"kind": st.just("samples"), "values_re": listed(NUMBERS)},
+            optional={"values_im": listed(NUMBERS)},
+        ),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("gauss_poly"),
+                "poly": mostly(
+                    st.fixed_dictionaries(
+                        {"dim": mostly(st.integers(0, 2)), "terms": listed(MONOMIAL, 2)}
+                    )
+                ),
+            }
+        ),
+        st.fixed_dictionaries({"kind": JUNK}),
+    )
+)
+POINTS = listed(st.lists(NUMBERS, min_size=1, max_size=3))
+OUTPUTS = mostly(
+    st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "points": POINTS,
+                "linspace": listed(st.integers(-3, 5), 4),
+                "grid": mostly(st.booleans()),
+                "pairs": listed(st.lists(NUMBERS, max_size=4)),
+                "radii": mostly(st.one_of(listed(st.floats(0.0, 4.0)), POINTS)),
+            },
+        ),
+        POINTS,
+    )
+)
+CONFIGS = st.fixed_dictionaries(
+    {
+        "command": st.sampled_from([c for c in COMMANDS if c != "check"]),
+        "mu": listed(st.sampled_from([0.0, 0.5, 1.5]), 2, 1),
+        "M": mostly(st.integers(0, 4)),
+        "n": mostly(st.sampled_from([20, 24])),
+        "q_nodes": mostly(st.integers(10, 16)),
+        "function": FUNCTIONS,
+    },
+    optional={
+        "alpha": mostly(st.floats(-4.0, 4.0)),
+        "r": mostly(st.floats(0.05, 1.0)),
+        "route": mostly(st.sampled_from(["spectral", "integral", "smoothed"])),
+        "L": mostly(st.sampled_from([6.0, 8.0])),
+        "s_min": mostly(st.floats(0.0, 0.3)),
+        "outputs": OUTPUTS,
+        "order": mostly(st.floats(-0.5, 2.5)),
+        "vary": mostly(st.sampled_from(["r", "alpha"])),
+        "values": listed(st.floats(0.05, 0.95)),
+        "projections": listed(st.integers(-1, 5)),
+        "resolvent_lambda": listed(NUMBERS),
+        "seed": mostly(st.integers(0, 99)),
+    },
+)
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(config=CONFIGS)
+def test_run_exits_cleanly_on_any_config_shape(config):
+    with tempfile.TemporaryDirectory() as out:
+        assert run(config, out_dir=out) in (0, 1, 2)

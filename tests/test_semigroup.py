@@ -120,7 +120,8 @@ class TestResolvent:
     def test_refusal_near_spectrum(self, context):
         mult, plan, sampler = context
         f = plan.basis.function((0,))
-        for lam in (0.05 + 1.0j, 2.0j + 0.0, 0.0 + 0.98j):
+        near = (0.05 + 1.0j, 2.0j + 0.0, 0.0 + 0.98j)
+        for lam in near + (complex(math.inf, 0.5), complex(1.0, math.nan)):
             with pytest.raises(DomainError):
                 resolvent_apply(f, lam, sampler)
 
@@ -231,8 +232,9 @@ class TestDifferenceQuotient:
 
     def test_zero_order_rejected(self, context):
         mult, plan, _ = context
-        with pytest.raises(DomainError):
-            difference_quotient(plan.basis.function((0,)), [0.0], plan)
+        for bad in (0.0, math.inf):
+            with pytest.raises(DomainError):
+                difference_quotient(plan.basis.function((0,)), [bad], plan)
 
 
 class TestEigenDecomposition:

@@ -119,6 +119,7 @@ class TestNormalizedIBessel:
         out = normalized_ibessel(BesselOrder(0.3), u)
         assert out.shape == u.shape
         assert out[0, 0] == 1.0 + 0.0j
+        assert normalized_ibessel(BesselOrder(0.3), np.zeros((0, 3))).shape == (0, 3)
 
     def test_bad_order(self):
         with pytest.raises(DomainError):
@@ -274,6 +275,8 @@ class TestMultiplicity:
             Multiplicity([])
         with pytest.raises(DomainError):
             Multiplicity([-0.1])
+        with pytest.raises(DomainError):
+            Multiplicity([0.5, math.inf])
 
     def test_weight(self):
         mult = Multiplicity([0.5, 1.0])

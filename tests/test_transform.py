@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from dunkl_frft.errors import DomainError, UsageError
+from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import GaussPoly, HermiteExpansion, MultiPoly, heat_exp_poly
 from dunkl_frft.quadrature import build_grid, circle_grid
 from dunkl_frft.specfun import BesselOrder, Multiplicity, laguerre_eval
@@ -23,6 +23,7 @@ from dunkl_frft.transform import (
     fdt_integral,
     fdt_integral_on_grid,
     fdt_smoothed,
+    fdt_smoothed_on_grid,
     fdt_spectral,
     fractional_hankel,
     funk_hecke_radial,
@@ -81,6 +82,25 @@ class TestTransformPlan:
                     1j * cmath.exp(-1j * alpha) / (2.0 * math.sin(alpha))
                 ) ** g
                 assert plan.prefactor == pytest.approx(alt, rel=1e-13)
+
+    def test_prefactor_is_mehler_power_at_r_one(self):
+        # A_alpha = c_k (1 - e^{2ia})^{-(gamma + N/2)} on the principal branch,
+        # sign(sin a) included: the integral kernel is the Mehler kernel at r = 1
+        for mu in ([0.0], [0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            grid = build_grid(mult, n=24)
+            for alpha in (0.3, 1.2, 2.8, -0.3, -1.2, -2.8, math.pi / 2, -math.pi / 2):
+                plan = TransformPlan(mult, alpha, grid=grid)
+                mehler = mult.mehta_constant * (1.0 - cmath.exp(2j * alpha)) ** (
+                    -plan.order_exponent
+                )
+                assert abs(mehler - plan.prefactor) <= 1e-14 * abs(plan.prefactor)
+
+    def test_prefactor_underflow_refused(self):
+        # (2|sin a|)^(gamma + N/2) underflows to 0 far inside the near-singular regime
+        plan = TransformPlan(Multiplicity([1.5]), 1e-300)
+        with pytest.raises(RangeError):
+            _ = plan.prefactor
 
     def test_periodic_plans_identical(self):
         mult = Multiplicity([0.5])
@@ -315,6 +335,17 @@ class TestIntegralRoute:
             assert norm <= fnorm + 1e-9
             ref = fdt_spectral(f, plan, r=r)
             assert grid_l2(plan.grid, ref(plan.grid.nodes) - smooth) <= 1e-6
+
+    def test_smoothed_on_grid_matches_points(self):
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, L=6.0, n=16), M=4)
+            nu = (1,) + (2,) * (mult.dim - 1)
+            f = HermiteExpansion.from_terms(plan.basis, {(0,) * mult.dim: 1.0, nu: 0.5j})
+            for r in (0.5, 0.9):
+                on_grid = fdt_smoothed_on_grid(f, plan, r=r)
+                at_nodes = fdt_smoothed(f, plan, plan.grid.nodes, r=r)
+                assert np.max(np.abs(on_grid - at_nodes)) <= 1e-12
 
     def test_smoothed_converges_to_transform(self):
         mult = Multiplicity([0.5])
