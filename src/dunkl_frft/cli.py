@@ -5,8 +5,7 @@ job configs with CSV/JSON outputs.
 Every run writes the fully-resolved config (defaults materialized) next to
 its results, stamped with the library version; identical (config, seed)
 pairs produce byte-identical files when the BLAS library runs on one
-thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1;
-``--threads`` does not set them).
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import cmath
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES, run_suite
-from .errors import DunklError, UsageError
+from .errors import CalibrationError, DomainError, DunklError, UsageError
 from .polyengine import GaussPoly, HermiteExpansion, MultiPoly
 from .quadrature import build_grid
 from .semigroup import GroupSampler, difference_quotient, resolvent_apply, spectral_projection
-from .specfun import Multiplicity, laguerre_eval
+from .specfun import BesselOrder, Multiplicity, laguerre_eval
 from .transform import (
     TransformPlan,
     fdt_integral,
@@ -37,6 +37,7 @@ from .transform import (
     kernel_alpha,
     kernel_smoothed,
     kernel_spectral,
+    normalize_alpha,
 )
 
 COMMANDS = (
@@ -109,6 +110,17 @@ def _parse(value, key, convert):
         raise UsageError(f"config field '{key}': malformed value {value!r}") from None
 
 
+@contextmanager
+def _refused(*keys):
+    """A library refusal of a config value becomes a UsageError naming the
+    config fields the value came from."""
+    try:
+        yield
+    except (DomainError, CalibrationError) as exc:
+        names = " and ".join(f"'{k}'" for k in keys)
+        raise UsageError(f"config field{'s' * (len(keys) > 1)} {names}: {exc}") from None
+
+
 def _float_list(values):
     return [float(v) for v in values]
 
@@ -164,9 +176,16 @@ def parse_config(obj):
 
 
 def _make_plan(cfg):
-    mult = Multiplicity(cfg.mu)
-    grid = build_grid(mult, L=cfg.L, n=cfg.n)
-    return TransformPlan(mult, cfg.alpha, grid=grid, r=cfg.r, M=cfg.M, s_min=cfg.s_min)
+    with _refused("mu"):
+        mult = Multiplicity(cfg.mu)
+    with _refused("L", "n"):
+        grid = build_grid(mult, L=cfg.L, n=cfg.n)
+    with _refused("alpha"):
+        normalize_alpha(cfg.alpha)
+    if cfg.M is not None and cfg.M < 0:
+        raise UsageError(f"config field 'M': must be >= 0, got {cfg.M}")
+    with _refused("r"):
+        return TransformPlan(mult, cfg.alpha, grid=grid, r=cfg.r, M=cfg.M, s_min=cfg.s_min)
 
 
 def build_function(spec, plan):
@@ -290,7 +309,7 @@ def _emit(cfg, out_dir, fmt, header_cols, rows, extra=None):
             "version": __version__,
             "config": cfg.to_json(),
             "columns": header_cols,
-            "rows": [[v if not isinstance(v, float) else v for v in row] for row in rows],
+            "rows": rows,
         }
         if extra:
             payload["summary"] = extra
@@ -365,12 +384,14 @@ def _cmd_hankel(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     if cfg.order is None:
         raise UsageError("config field 'order' is required for the hankel command")
+    with _refused("order"):
+        order = BesselOrder(cfg.order)
     psi = _radial_profile(cfg.function)
     spec = cfg.outputs or {}
     radii = _parse(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii", _float_array)
     if radii.ndim != 1:
         raise UsageError("config field 'outputs.radii': expected a list of radii")
-    vals = fractional_hankel(psi, cfg.order, plan, radii)
+    vals = fractional_hankel(psi, order, plan, radii)
     rows = [[float(x), float(np.real(v)), float(np.imag(v))] for x, v in zip(radii, vals)]
     _emit(cfg, out_dir, fmt, ["x", "re", "im"], rows)
     return 0
@@ -386,7 +407,8 @@ def _coefficient_rows(expansion):
 def _cmd_projection(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     f = build_function(cfg.function, plan)
-    sampler = GroupSampler(plan, q=cfg.q_nodes)
+    with _refused("q_nodes"):
+        sampler = GroupSampler(plan, q=cfg.q_nodes)
     rows = []
     for n in _parse(cfg.projections, "projections", lambda v: [int(k) for k in v]):
         proj = spectral_projection(f, n, sampler)
@@ -400,7 +422,8 @@ def _cmd_projection(cfg, out_dir, fmt):
 def _cmd_resolvent(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     f = build_function(cfg.function, plan)
-    sampler = GroupSampler(plan, q=cfg.q_nodes)
+    with _refused("q_nodes"):
+        sampler = GroupSampler(plan, q=cfg.q_nodes)
     lam = _parse(cfg.resolvent_lambda, "resolvent_lambda", lambda v: complex(*_float_list(v)))
     res = resolvent_apply(f, lam, sampler)
     cols = [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
@@ -466,12 +489,11 @@ _DISPATCH = {
 }
 
 
-def run(config, out_dir="out", fmt="csv", threads=1, seed=None):
+def run(config, out_dir="out", fmt="csv", seed=None):
     """Execute a job config; returns the process exit status.
 
     0 on success, 1 when a check suite reports failures, 2 on usage errors.
-    ``threads`` is accepted for interface stability and changes nothing;
-    byte-identical outputs need the BLAS thread variables set to 1.
+    Byte-identical outputs need the BLAS thread variables set to 1.
     """
     try:
         cfg = config if isinstance(config, JobConfig) else parse_config(config)
@@ -495,8 +517,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="Path to the JSON job config.")
     parser.add_argument("--out", default="out", help="Output directory (default: out).")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
-    parser.add_argument("--threads", type=int, default=1,
-                        help="Accepted for compatibility; does not set BLAS threads.")
     parser.add_argument("--seed", type=int, default=None, help="Override the config seed.")
     args = parser.parse_args(argv)
     try:
@@ -507,7 +527,7 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    return run(obj, out_dir=args.out, fmt=args.format, threads=args.threads, seed=args.seed)
+    return run(obj, out_dir=args.out, fmt=args.format, seed=args.seed)
 
 
 if __name__ == "__main__":

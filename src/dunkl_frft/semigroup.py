@@ -22,7 +22,7 @@ from .errors import DomainError, UsageError
 from .polyengine import GaussPoly, MultiPoly, RationalComplex
 from .quadrature import gauss_legendre
 from .specfun import Multiplicity
-from .transform import TransformPlan, fdt_integral, fdt_integral_on_grid, hermite_expand
+from .transform import TransformPlan, _as_points, fdt_integral, fdt_integral_on_grid, hermite_expand
 
 
 class GroupSampler:
@@ -98,18 +98,16 @@ def _s_line_integral(lam, degrees, upper):
     return out
 
 
-def resolvent_apply(f, lam, sampler, min_distance=0.1):
+def resolvent_apply(f, lam, sampler):
     """Resolvent R(lam, T) f = (1 - e^{-2 pi lam})^{-1}
     integral_0^{2pi} e^{-lam s} D_k^s f ds.
 
-    Refuses lam within ``min_distance`` of i*Z where the prefactor blows up
-    and the quadrature conditioning degrades.  On eigenfunctions the result
-    is h_nu / (lam - i |nu|)."""
+    Refuses lam within 0.1 of i*Z, where the prefactor blows up and the
+    quadrature conditioning degrades.  On eigenfunctions the result is
+    h_nu / (lam - i |nu|)."""
     lam = complex(lam)
-    if not cmath.isfinite(lam) or _distance_to_int_times_i(lam) < min_distance:
-        raise DomainError(
-            f"lambda = {lam} is not finite or within {min_distance} of i*Z; resolvent refused"
-        )
+    if not cmath.isfinite(lam) or _distance_to_int_times_i(lam) < 0.1:
+        raise DomainError(f"lambda = {lam} is not finite or within 0.1 of i*Z; resolvent refused")
     base = sampler.expand(f)
     degrees = sorted({sum(nu) for nu in base.basis.indices})
     integrals = _s_line_integral(lam, degrees, 2.0 * math.pi)
@@ -135,7 +133,7 @@ def generator_exact(f, mult):
     return GaussPoly(poly)
 
 
-def generator_integral(f, mult, grid, xs, u_max=None, diagnostics=False):
+def generator_integral(f, mult, grid, xs, diagnostics=False):
     """Generator realized by two numerical Dunkl transforms (alpha = -pi/2):
 
         T f(x) = -i (gamma + N/2) f(x) + (i/2) |x|^2 f(x)
@@ -146,13 +144,11 @@ def generator_integral(f, mult, grid, xs, u_max=None, diagnostics=False):
     of the inner transform, |(|D_k f| - |f|)| / |f| in L2 on the grid: an
     underresolved grid shows up there instead of passing silently."""
     plan = TransformPlan(mult, -0.5 * math.pi, grid=grid, M=0)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None] if mult.dim == 1 else xs[None, :]
+    xs = _as_points(xs, mult.dim)
     fvals = grid.values(f).astype(complex)
-    first = fdt_integral_on_grid(fvals, plan, u_max=u_max)
+    first = fdt_integral_on_grid(fvals, plan)
     weighted = np.sum(grid.nodes**2, axis=-1) * first
-    second = fdt_integral(weighted, plan, -xs, u_max=u_max)
+    second = fdt_integral(weighted, plan, -xs)
     fx = np.asarray(f(xs), dtype=complex)
     g = mult.gamma_index + 0.5 * mult.dim
     out = -1j * g * fx + 0.5j * np.sum(xs * xs, axis=-1) * fx + 0.5j * second

@@ -21,6 +21,10 @@ from .errors import DomainError, RangeError, UsageError
 # Callers that know their quadrature geometry may raise it explicitly.
 U_MAX_DEFAULT = 80.0
 
+# The ceiling the library's own kernels pass: there |K| <= 1 and the
+# quadrature grid, not the range of the Bessel series, sets the accuracy.
+U_MAX_KERNEL = math.inf
+
 # Below this magnitude the direct power series is used (it is cheap and
 # suffers no cancellation there); above, the Amos-backed Bessel routines
 # take over.  Chosen so the worst-case alternating-series amplification at
@@ -196,7 +200,9 @@ def normalized_ibessel(order, u, u_max=U_MAX_DEFAULT):
     nu = order.nu
     u_arr = np.asarray(u, dtype=complex)
     amax = float(np.max(np.abs(u_arr))) if u_arr.size else 0.0
-    if not math.isfinite(amax) or amax > u_max:
+    if not math.isfinite(amax):
+        raise RangeError(f"normalized_ibessel: argument is not finite (|u| = {amax})")
+    if amax > u_max:
         raise RangeError(
             f"normalized_ibessel: |u| = {amax:.3g} exceeds u_max = {u_max:.3g}; "
             "shrink the quadrature box or raise u_max explicitly"

@@ -31,7 +31,7 @@ from .polyengine import (
 )
 from .quadrature import QuadGrid, build_grid, jacobi_halfline
 from .specfun import (
-    U_MAX_DEFAULT,
+    U_MAX_KERNEL,
     BesselOrder,
     dunkl_kernel_1d,
     dunkl_kernel_prod,
@@ -131,8 +131,11 @@ class TransformPlan:
         if s == 0.0:
             raise UsageError("no integral kernel exists at alpha in {0, pi}")
         ahat = 1.0 if s > 0 else -1.0
+        scale = (2.0 * abs(s)) ** (nu + 1.0)
+        if scale == 0.0:
+            raise RangeError(f"prefactor B_nu overflows at |sin alpha| = {abs(s):.3g}")
         return cmath.exp(1j * (nu + 1.0) * (ahat * math.pi / 2.0 - self.alpha)) / (
-            gamma_fn(nu + 1.0) * (2.0 * abs(s)) ** (nu + 1.0)
+            gamma_fn(nu + 1.0) * scale
         )
 
     def with_alpha(self, alpha):
@@ -201,30 +204,28 @@ def _smoothing(plan, r, op):
     return r
 
 
-def _kernel_parts(plan, x, y, r, u_max):
+def _kernel_parts(plan, x, y, r):
     """(pref, gauss, kern) with K_a(r,x,y) = pref * gauss * kern pointwise."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     zscale, gcoef, pref = _mehler_form(plan, r)
-    if u_max is None:
-        u_max = _auto_u_max(abs(zscale) * np.max(np.abs(x)) * np.max(np.abs(y)))
-    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=u_max)
+    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
     gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
     return pref, gauss, kern
 
 
-def kernel_alpha(plan, x, y, u_max=None):
+def kernel_alpha(plan, x, y):
     """Integral kernel K_alpha(x, y) = e^{-(i/2) cot(a) (|x|^2+|y|^2)} K(ix/sin a, y).
 
     Defined whenever sin(alpha) != 0; |K_alpha| <= 1 pointwise.  This is the
     Mehler kernel at r = 1 without its prefactor A_alpha.
     """
     _require_kernel_regime(plan, "kernel_alpha", reject_near_singular=False)
-    _, gauss, kern = _kernel_parts(plan, x, y, 1.0, u_max)
+    _, gauss, kern = _kernel_parts(plan, x, y, 1.0)
     return kern * gauss
 
 
-def kernel_smoothed(plan, x, y, r=None, u_max=None):
+def kernel_smoothed(plan, x, y, r=None):
     """Mehler closed form of the smoothed kernel,
 
         K_a(r,x,y) = c_k (1 - r^2 e^{2ia})^{-(gamma+N/2)}
@@ -235,7 +236,7 @@ def kernel_smoothed(plan, x, y, r=None, u_max=None):
     power (safe: Re(1 - r^2 e^{2ia}) >= 1 - r^2 > 0 for r < 1).
     """
     r = _smoothing(plan, r, "kernel_smoothed")
-    pref, gauss, kern = _kernel_parts(plan, x, y, r, u_max)
+    pref, gauss, kern = _kernel_parts(plan, x, y, r)
     return pref * gauss * kern
 
 
@@ -250,7 +251,7 @@ def kernel_smoothed_bound(plan, x, y, r=None):
     y = np.asarray(y, dtype=float)
     a = plan.alpha
     zscale, gcoef, _ = _mehler_form(plan, r)
-    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=_auto_u_max(abs(zscale) * 64.0))
+    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
     gauss = np.exp(-gcoef * np.sum(y * y, axis=-1))
     lhs = np.abs(gauss * kern)
     xsq = np.sum(x * x, axis=-1)
@@ -274,10 +275,6 @@ def kernel_spectral(plan, x, y, r=None, M=None):
             nu, x
         ) * basis.eval_index(nu, y)
     return out
-
-
-def _auto_u_max(needed):
-    return max(U_MAX_DEFAULT, 1.0000001 * float(needed))
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +337,8 @@ def hermite_expand(f, plan):
 
 def fdt_spectral(f, plan, r=None):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
-    (times r^|nu| when a smoothing r < 1 is requested) plus the
-    reconstructing expansion."""
-    r = 1.0 if r is None else float(r)
+    times r^|nu| (r defaults to plan.r) plus the reconstructing expansion."""
+    r = plan.r if r is None else float(r)
     if not (0.0 < r <= 1.0):
         raise UsageError(f"smoothing must lie in (0, 1], got {r!r}")
     base = hermite_expand(f, plan)
@@ -379,89 +375,79 @@ def _contract_points(mats, tensor):
     return np.einsum(f"{parts},{letters}->z", *mats, tensor, optimize=True)
 
 
-def _axis_matrices(plan, per_axis_outputs, r, u_max):
+def _axis_matrices(plan, per_axis_outputs, r):
     """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
-    kernel at smoothing r against the grid, and its prefactor.  Unless given, the
-    Bessel ceiling is raised to match the grid box and output points."""
+    kernel at smoothing r against the grid, and its prefactor."""
     zscale, gcoef, pref = _mehler_form(plan, r)
-    if u_max is None:
-        needed = max(
-            abs(zscale)
-            * float(np.max(np.abs(out_j)) if out_j.size else 0.0)
-            * float(np.max(np.abs(plan.grid.axes_nodes[j])))
-            for j, out_j in enumerate(per_axis_outputs)
-        )
-        u_max = _auto_u_max(needed)
     mats = []
     for j, order in enumerate(plan.mult.orders):
         xk = np.asarray(per_axis_outputs[j], dtype=float)[:, None]
         yk = plan.grid.axes_nodes[j][None, :]
-        kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=u_max)
+        kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
         mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
     return mats, pref
 
 
-def _kernel_transform(f, plan, xs, r, u_max):
+def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
     None, using the tensor structure of both grids."""
     tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
     if xs is None:
-        mats, pref = _axis_matrices(plan, list(plan.grid.axes_nodes), r, u_max)
+        mats, pref = _axis_matrices(plan, list(plan.grid.axes_nodes), r)
         return (pref * _contract_grid(mats, tensor)).ravel()
-    mats, pref = _axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r, u_max)
+    mats, pref = _axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r)
     return pref * _contract_points(mats, tensor)
 
 
-def fdt_integral(f, plan, xs, u_max=None):
+def fdt_integral(f, plan, xs):
     """Integral-route transform D_k^a f(x) = A_a * integral f(y) K_a(x,y) w_k(y) dy
     at output points xs (shape (m, N)).
 
     Requires the generic regime; near alpha in pi*Z the kernel frequency
     outruns any fixed grid and the call refuses, pointing at the spectral
-    route.  The Bessel ceiling is raised automatically to match the grid
-    box and output points (the grid's resolution, not the series range, is
-    the binding constraint on this route).
+    route.  No Bessel ceiling applies: |K_a| <= 1, so the grid's resolution,
+    not the series range, is the binding constraint on this route.
     """
     _require_kernel_regime(plan, "fdt_integral")
-    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), 1.0, u_max)
+    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), 1.0)
 
 
-def fdt_integral_on_grid(f, plan, u_max=None):
+def fdt_integral_on_grid(f, plan):
     """Integral-route transform evaluated at every grid node (flattened)."""
     _require_kernel_regime(plan, "fdt_integral")
-    return _kernel_transform(f, plan, None, 1.0, u_max)
+    return _kernel_transform(f, plan, None, 1.0)
 
 
-def fdt_smoothed(f, plan, xs, r=None, u_max=None):
+def fdt_smoothed(f, plan, xs, r=None):
     """Smoothed transform D_{k,r}^a f(x) = integral K_a(r,x,y) f(y) w_k(y) dy
     via the Mehler closed form (0 < r < 1)."""
     _require_kernel_regime(plan, "fdt_smoothed")
     r = _smoothing(plan, r, "fdt_smoothed")
-    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), r, u_max)
+    return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), r)
 
 
-def fdt_smoothed_on_grid(f, plan, r=None, u_max=None):
+def fdt_smoothed_on_grid(f, plan, r=None):
     """Smoothed transform evaluated at every grid node (flattened)."""
     _require_kernel_regime(plan, "fdt_smoothed")
-    return _kernel_transform(f, plan, None, _smoothing(plan, r, "fdt_smoothed"), u_max)
+    return _kernel_transform(f, plan, None, _smoothing(plan, r, "fdt_smoothed"))
 
 
 # ---------------------------------------------------------------------------
 # fractional Hankel / Bochner / Master
 
 
-def fractional_hankel(psi, order, plan, x, length=None, n=220, u_max=None):
+def fractional_hankel(psi, order, plan, x):
     """Fractional Hankel transform of a radial profile psi on [0, inf),
 
         H_nu^a psi(x) = 2 B_nu * integral_0^inf e^{-(i/2)(x^2+y^2) cot a}
                         j_nu(x y / sin a) psi(y) y^(2 nu + 1) dy,
 
     evaluated at radii x >= 0.  The y^(2 nu + 1) factor is folded into a
-    Gauss-Jacobi rule in t = y^2, so the rule is spectrally accurate for
-    Gaussian-dominated psi.  The default interval runs past the grid box
-    because the radial integrand decays only like exp(-y^2/2).
+    220-node Gauss-Jacobi rule in t = y^2, so the rule is spectrally accurate
+    for Gaussian-dominated psi.  The interval [0, box + 4] runs past the grid
+    box because the radial integrand decays only like exp(-y^2/2).
     """
     _require_kernel_regime(plan, "fractional_hankel")
     if not isinstance(order, BesselOrder):
@@ -469,16 +455,14 @@ def fractional_hankel(psi, order, plan, x, length=None, n=220, u_max=None):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0):
         raise DomainError("fractional_hankel radii must be >= 0")
-    length = plan.grid.box + 4.0 if length is None else float(length)
-    t, wt = jacobi_halfline(n, order.nu, length * length)
+    length = plan.grid.box + 4.0
+    t, wt = jacobi_halfline(220, order.nu, length * length)
     y = np.sqrt(t)
     wt = 0.5 * wt
     s = math.sin(plan.alpha)
     cot = math.cos(plan.alpha) / s
-    if u_max is None:
-        u_max = _auto_u_max(float(np.max(xs, initial=0.0)) * length / abs(s))
     psi_vals = np.asarray(psi(y), dtype=complex)
-    kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=u_max)
+    kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=U_MAX_KERNEL)
     phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))
     vals = 2.0 * plan.hankel_prefactor(order) * np.sum(
         kern * phase * (wt * psi_vals)[None, :], axis=1
@@ -538,7 +522,7 @@ def master_formula_lhs_input(p, mult):
     return GaussPoly(heat_exp_poly(p, Fraction(-1, 4), mult))
 
 
-def funk_hecke_radial(mult, x, circle, u_max=None):
+def funk_hecke_radial(mult, x, circle):
     """Circle average (1/d_k) * integral_{S^1} K(ix, y) w_k(y) dsigma(y) for
     N = 2; equals j_lambda(|x|) with lambda = gamma + N/2 - 1.
 
@@ -553,19 +537,15 @@ def funk_hecke_radial(mult, x, circle, u_max=None):
     pts = circle.points
     wk = mult.weight(pts)
     d_k = float(np.sum(circle.weights * wk))
-    if u_max is None:
-        u_max = _auto_u_max(float(np.max(np.abs(x))))
-    kern = dunkl_kernel_prod(mult, 1j * x, pts, u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 1j * x, pts, u_max=U_MAX_KERNEL)
     return complex(np.sum(circle.weights * wk * kern) / d_k)
 
 
-def radial_bessel(mult, radius, u_max=None):
+def radial_bessel(mult, radius):
     """j_lambda(radius) (the normalized Bessel function at the radial
     index), the right-hand side of the radial Funk-Hecke identity."""
     order = BesselOrder(mult.lambda_index)
-    if u_max is None:
-        u_max = _auto_u_max(float(np.max(np.abs(radius))))
-    return normalized_ibessel(order, 1j * np.asarray(radius, dtype=float), u_max=u_max)
+    return normalized_ibessel(order, 1j * np.asarray(radius, dtype=float), u_max=U_MAX_KERNEL)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +557,7 @@ def _quadratic_sum(v):
     return complex(np.sum(v * v))
 
 
-def gaussian_bilinear_check(mult, z, w, a_const, grid, u_max=None):
+def gaussian_bilinear_check(mult, z, w, a_const, grid):
     """Residual of the bilinear Gaussian identity
 
         c_k * integral K(2z,x) K(2w,x) e^{-A|x|^2} w_k(x) dx
@@ -591,21 +571,18 @@ def gaussian_bilinear_check(mult, z, w, a_const, grid, u_max=None):
     w = np.asarray(w, dtype=complex)
     if z.shape != (mult.dim,) or w.shape != (mult.dim,):
         raise UsageError("z and w must be N-vectors")
-    if u_max is None:
-        biggest = 2.0 * max(float(np.max(np.abs(z))), float(np.max(np.abs(w)))) * grid.box
-        u_max = _auto_u_max(biggest)
-    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes, u_max=u_max)
-    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes, u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes, u_max=U_MAX_KERNEL)
+    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes, u_max=U_MAX_KERNEL)
     gauss = np.exp(-a_const * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * kern * gauss)
     rhs = cmath.exp((_quadratic_sum(z) + _quadratic_sum(w)) / a_const) * a_const ** (
         -(mult.gamma_index + 0.5 * mult.dim)
     )
-    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w, u_max=u_max)
+    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w, u_max=U_MAX_KERNEL)
     return abs(lhs - rhs)
 
 
-def gaussian_moment_check(p, mult, omega, xs, grid, u_max=None):
+def gaussian_moment_check(p, mult, omega, xs, grid):
     """Residual of the Gaussian moment identity for homogeneous p
     of degree n:
 
@@ -624,9 +601,7 @@ def gaussian_moment_check(p, mult, omega, xs, grid, u_max=None):
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (mult.dim,):
         raise UsageError("x must be an N-vector")
-    if u_max is None:
-        u_max = _auto_u_max(2.0 * float(np.max(np.abs(xs))) * grid.box)
-    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes, u_max=u_max)
+    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes, u_max=U_MAX_KERNEL)
     pvals = p(grid.nodes)
     gauss = np.exp(-omega * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * pvals * kern * gauss)

@@ -1,5 +1,6 @@
 """CLI front end: job configs, outputs, exit codes, reproducibility."""
 
+import cmath
 import json
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from dunkl_frft.cli import main, parse_config, run
 from dunkl_frft.errors import UsageError
+from dunkl_frft.polyengine import HermiteBasis
+from dunkl_frft.specfun import Multiplicity
 
 
 def read_csv(path):
@@ -62,6 +65,28 @@ def test_reproducible_outputs(tmp_path):
     ).read_bytes()
 
 
+def test_spectral_route_honours_r(tmp_path):
+    # D^a_{k,r} h_2 = r^2 e^{2ia} h_2: the spectral route uses the config's r
+    alpha = math.pi / 3
+    cfg = {
+        "command": "transform",
+        "mu": [0.5],
+        "alpha": alpha,
+        "route": "spectral",
+        "r": 0.5,
+        "M": 4,
+        "function": {"kind": "hermite_combo", "terms": [{"nu": [2], "re": 1.0}]},
+        "outputs": {"linspace": [-2, 2, 9]},
+    }
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = read_csv(tmp_path / "out" / "result.csv")
+    h2 = HermiteBasis(Multiplicity([0.5]), 4).function((2,))
+    want = 0.25 * cmath.exp(2j * alpha) * h2(data[:, :1])
+    assert np.max(np.abs(data[:, 1] + 1j * data[:, 2] - want)) <= 1e-10
+
+
 def test_check_command_passes(tmp_path, capsys):
     cfg = {"command": "check", "mu": [0.5], "suite": "master_formula"}
     path = tmp_path / "job.json"
@@ -109,6 +134,20 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
         ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
           "outputs": {"points": [[0.0], [1.0, 2.0]]}}, "'outputs.points'"),
         ({"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": [0.5, "x"]}, "'values'"),
+        ({"command": "transform", "mu": [], "function": combo}, "'mu'"),
+        ({"command": "transform", "mu": [-0.5], "function": combo}, "'mu'"),
+        ({"command": "transform", "mu": [0.5], "L": -1, "function": combo}, "'L'"),
+        ({"command": "transform", "mu": [0.5], "n": 6, "function": combo}, "'n'"),
+        ({"command": "transform", "mu": [0.5], "L": 1, "n": 8, "function": combo},
+         "'L' and 'n'"),
+        ({"command": "transform", "mu": [0.5], "r": 0, "function": combo}, "'r'"),
+        ({"command": "transform", "mu": [0.5], "alpha": "inf", "function": combo}, "'alpha'"),
+        ({"command": "transform", "mu": [0.5], "M": -1, "route": "spectral",
+          "function": combo}, "'M'"),
+        ({"command": "projection", "mu": [0.5], "M": 4, "q_nodes": 4, "function": combo},
+         "'q_nodes'"),
+        ({"command": "hankel", "mu": [0.5], "order": -1.0,
+          "function": {"kind": "gaussian"}}, "'order'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunkl_frft import semigroup
 from dunkl_frft.errors import DomainError, UsageError
 from dunkl_frft.polyengine import (
     GaussPoly,
@@ -187,6 +188,18 @@ class TestGeneratorIntegral:
         xs = np.linspace(-2, 2, 9)[:, None]
         got = generator_integral(h2, mult, plan.grid, xs)
         assert np.max(np.abs(got - 2j * h2(xs))) <= 1e-7
+
+    def test_probe_shape_guard(self, context, monkeypatch):
+        # a wrong-shaped probe is refused before either transform runs
+        mult, plan, _ = context
+        h0 = plan.basis.function((0,))
+
+        def no_transform(*args):
+            raise AssertionError("a transform ran before the shape check")
+
+        monkeypatch.setattr(semigroup, "fdt_integral_on_grid", no_transform)
+        with pytest.raises(UsageError, match="shape"):
+            generator_integral(h0, mult, plan.grid, np.zeros((3, 2)))
 
     def test_classical_gaussian_polynomial(self):
         # mu = 0: matches the classical harmonic-oscillator action computed

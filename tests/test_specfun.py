@@ -113,6 +113,9 @@ class TestNormalizedIBessel:
             normalized_ibessel(BesselOrder(0.5), 81.0)
         val = normalized_ibessel(BesselOrder(0.5), 81.0, u_max=100.0)
         assert np.isfinite(val.real)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(RangeError, match="not finite"):
+                normalized_ibessel(BesselOrder(0.5), bad, u_max=math.inf)
 
     def test_array_shape(self):
         u = np.array([[0.0, 1.0j], [2.0, 5.0 + 1.0j]])

@@ -31,6 +31,7 @@ from dunkl_frft.transform import (
     gaussian_moment_check,
     kernel_alpha,
     kernel_smoothed,
+    kernel_smoothed_bound,
     kernel_spectral,
     master_formula_lhs_input,
     master_formula_rhs,
@@ -101,6 +102,8 @@ class TestTransformPlan:
         plan = TransformPlan(Multiplicity([1.5]), 1e-300)
         with pytest.raises(RangeError):
             _ = plan.prefactor
+        with pytest.raises(RangeError):
+            plan.hankel_prefactor(2.0)
 
     def test_periodic_plans_identical(self):
         mult = Multiplicity([0.5])
@@ -205,6 +208,16 @@ class TestKernelSmoothed:
         plan = TransformPlan(mult, 0.9, grid=build_grid(mult, n=24))
         with pytest.raises(UsageError):
             kernel_smoothed(plan, np.array([1.0]), np.array([1.0]), r=1.0)
+
+    def test_bound_holds_beyond_bessel_default_range(self):
+        # |u| = 87.3 here, past the direct-caller ceiling of 80; the kernel and
+        # its majorization are both evaluated rather than refused
+        mult = Multiplicity([0.5, 1.0])
+        plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), r=0.5)
+        x = np.array([10.0, 1.0])
+        assert np.isfinite(complex(kernel_smoothed(plan, x, x)))
+        lhs, rhs = kernel_smoothed_bound(plan, x, x)
+        assert lhs <= rhs
 
 
 class TestKernelSpectral:
