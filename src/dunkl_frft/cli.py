@@ -182,6 +182,8 @@ def _make_plan(cfg):
         grid = build_grid(mult, L=cfg.L, n=cfg.n)
     with _refused("alpha"):
         normalize_alpha(cfg.alpha)
+    with _refused("s_min"):
+        normalize_alpha(cfg.alpha, cfg.s_min)
     if cfg.M is not None and cfg.M < 0:
         raise UsageError(f"config field 'M': must be >= 0, got {cfg.M}")
     with _refused("r"):

@@ -427,28 +427,26 @@ def hermite_operator(f, mult):
     return GaussPoly(f.dunkl_laplacian(mult).poly - rsq * f.poly)
 
 
-def _pochhammer(base, count):
-    """(base)_count = base (base+1) ... (base+count-1), exact on Fractions."""
-    out = Fraction(1)
-    for i in range(count):
-        out *= base + i
-    return out
-
-
 def _poly_weighted_norm_sq(poly_1d, mu_exact):
     """norm^2 of (poly * exp(-t^2/2)) in L^2(|t|^(2 mu) dt).
 
     The Gaussian moments Gamma(s + mu + 1/2) share the factor Gamma(mu+1/2);
-    the remaining Pochhammer ratios are summed exactly in rationals so the
-    heavy sign cancellation at high degree costs no precision.
+    the remaining Pochhammer ratios (base)_s are tabulated once and summed
+    exactly in rationals so the heavy sign cancellation at high degree costs
+    no precision.  Re(ca conj cb) is symmetric in (a, b), so each unordered
+    pair is taken once and the off-diagonal ones doubled.
     """
     base = mu_exact + Fraction(1, 2)
+    items = sorted((a, c) for (a,), c in poly_1d.terms.items())
+    pochhammer = [Fraction(1)]
+    for i in range(items[-1][0]):
+        pochhammer.append(pochhammer[-1] * (base + i))
     total = Fraction(0)
-    items = list(poly_1d.terms.items())
-    for (a,), ca in items:
-        for (b,), cb in items:
+    for i, (a, ca) in enumerate(items):
+        for b, cb in items[i:]:
             if (a + b) % 2 == 0:
-                total += (ca * cb.conjugate()).re * _pochhammer(base, (a + b) // 2)
+                term = (ca.re * cb.re + ca.im * cb.im) * pochhammer[(a + b) // 2]
+                total += term if a == b else 2 * term
     return float(total) * gamma_fn(float(base))
 
 

@@ -54,8 +54,12 @@ def normalize_alpha(alpha, s_min=DEFAULT_S_MIN):
     The group is 2*pi-periodic, so alpha and alpha + 2*pi yield identical
     plans.  Regimes: identity (alpha == 0 mod 2*pi), parity (alpha == pi),
     near-singular (0 < |sin alpha| < s_min, integral route refused) and
-    generic.
+    generic.  s_min must lie in (0, 1]: a value <= 0 or nan would switch the
+    near-singular refusal off.
     """
+    s_min = float(s_min)
+    if not 0.0 < s_min <= 1.0:
+        raise DomainError(f"s_min must lie in (0, 1], got {s_min!r}")
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
@@ -341,8 +345,9 @@ def fdt_spectral(f, plan, r=None):
     r = plan.r if r is None else float(r)
     if not (0.0 < r <= 1.0):
         raise UsageError(f"smoothing must lie in (0, 1], got {r!r}")
-    base = hermite_expand(f, plan)
-    norm_sq = float(plan.grid.norm_l2(f) ** 2)
+    fvals = plan.grid.values(f)
+    base = hermite_expand(fvals, plan)
+    norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
     phased = base.map_coeffs(lambda n, c: (r**n) * cmath.exp(1j * n * plan.alpha) * c)
     return SpectralTransform(
         expansion=phased,
@@ -377,15 +382,23 @@ def _contract_points(mats, tensor):
 
 def _axis_matrices(plan, per_axis_outputs, r):
     """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
-    kernel at smoothing r against the grid, and its prefactor."""
+    kernel at smoothing r against the grid, and its prefactor.
+
+    Each axis is built once per distinct output coordinate and its rows
+    gathered back, bit-identically to a per-point build: the Bessel layer's
+    data-dependent choices (series stop, J path, series/Amos split) depend
+    only on the set of arguments, and the kernel at x = -0.0 and 0.0 is 1.
+    """
     zscale, gcoef, pref = _mehler_form(plan, r)
     mats = []
     for j, order in enumerate(plan.mult.orders):
-        xk = np.asarray(per_axis_outputs[j], dtype=float)[:, None]
+        coords = np.asarray(per_axis_outputs[j], dtype=float)
+        xk, rows = np.unique(coords, return_inverse=True)
+        xk = xk[:, None]
         yk = plan.grid.axes_nodes[j][None, :]
         kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
-        mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
+        mats.append((kern * phase * plan.grid.axes_weights[j][None, :])[rows])
     return mats, pref
 
 

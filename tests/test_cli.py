@@ -142,6 +142,9 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
          "'L' and 'n'"),
         ({"command": "transform", "mu": [0.5], "r": 0, "function": combo}, "'r'"),
         ({"command": "transform", "mu": [0.5], "alpha": "inf", "function": combo}, "'alpha'"),
+        ({"command": "transform", "mu": [0.5], "s_min": -1, "function": combo}, "'s_min'"),
+        ({"command": "transform", "mu": [0.5], "s_min": 0, "function": combo}, "'s_min'"),
+        ({"command": "transform", "mu": [0.5], "s_min": "nan", "function": combo}, "'s_min'"),
         ({"command": "transform", "mu": [0.5], "M": -1, "route": "spectral",
           "function": combo}, "'M'"),
         ({"command": "projection", "mu": [0.5], "M": 4, "q_nodes": 4, "function": combo},

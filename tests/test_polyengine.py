@@ -150,6 +150,16 @@ class TestHermiteBasis:
         expected = t * np.exp(-0.5 * t * t) / math.sqrt(gamma_fn(mu + 1.5))
         assert basis.eval_axis(0, 1, t) == pytest.approx(expected, abs=1e-14)
 
+    def test_norms_match_laguerre_form(self):
+        # The monic p_n = exp(-Delta_k/4) t^n is (-1)^k k! t^[n odd] L_k^(mu-1/2+[n odd])(t^2)
+        # with k = n // 2, so |p_n e^{-t^2/2}|^2 = k! Gamma(k + mu + 1/2 + [n odd]).
+        for mu in (0.0, 0.3, 0.5, 1.5):
+            basis = HermiteBasis(Multiplicity([mu]), 30)
+            for (n,), inv_norm in zip(basis.indices, basis.norms):
+                k, odd = divmod(n, 2)
+                expected = math.factorial(k) * math.gamma(k + mu + 0.5 + odd)
+                assert inv_norm**-2 == pytest.approx(expected, rel=1e-12), (mu, n)
+
     def test_even_degree_closed_form(self):
         # heat construction against the Laguerre closed form, degrees <= 8
         t = np.linspace(-3, 3, 21)

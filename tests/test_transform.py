@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dunkl_frft import transform
 from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import GaussPoly, HermiteExpansion, MultiPoly, heat_exp_poly
 from dunkl_frft.quadrature import build_grid, circle_grid
@@ -68,6 +69,16 @@ class TestNormalizeAlpha:
     def test_non_finite(self):
         with pytest.raises(DomainError):
             normalize_alpha(math.inf)
+
+    def test_s_min_validated(self):
+        # s_min <= 0 or nan would switch the near-singular refusal off
+        mult = Multiplicity([0.0])
+        for s_min in (-1.0, 0.0, math.nan, math.inf, 1.5):
+            with pytest.raises(DomainError, match="s_min"):
+                normalize_alpha(0.01, s_min)
+            with pytest.raises(DomainError, match="s_min"):
+                TransformPlan(mult, 0.01, s_min=s_min)
+        assert TransformPlan(mult, 0.01, s_min=1.0).regime == REGIME_NEAR_SINGULAR
 
 
 class TestTransformPlan:
@@ -384,6 +395,51 @@ class TestIntegralRoute:
         assert np.max(np.abs(got_minus - (-1j) * h1(xs))) <= 1e-9
         assert np.max(np.abs(got_plus - (+1j) * h1(xs))) <= 1e-9
         assert np.max(np.abs(got_plus - got_minus)) > 0.1
+
+
+class TestAxisDedup:
+    """Point outputs are built once per distinct coordinate on each axis."""
+
+    @staticmethod
+    def _plan():
+        mult = Multiplicity([0.3, 0.7])
+        return TransformPlan(mult, math.pi / 3, grid=build_grid(mult, L=6.0, n=16), M=4)
+
+    @staticmethod
+    def _f(pts):
+        return np.exp(-0.4 * np.sum(pts * pts, axis=-1)) * (1.0 + 0.3 * pts[..., 0])
+
+    def test_mesh_builds_one_row_per_distinct_coordinate(self, monkeypatch):
+        rows = []
+        original = transform.dunkl_kernel_1d
+
+        def recording(order, z, y, **kw):
+            rows.append(np.shape(z)[0])
+            return original(order, z, y, **kw)
+
+        monkeypatch.setattr(transform, "dunkl_kernel_1d", recording)
+        plan = self._plan()
+        lin = np.linspace(-5.0, 5.0, 25)
+        mesh = np.stack(np.meshgrid(lin, lin, indexing="ij"), axis=-1).reshape(-1, 2)
+        fdt_integral(self._f, plan, mesh)
+        fdt_smoothed(self._f, plan, mesh, r=0.6)
+        assert rows == [25] * 4
+
+    def test_grid_nodes_match_on_grid(self):
+        plan = self._plan()
+        at_nodes = fdt_integral(self._f, plan, plan.grid.nodes)
+        on_grid = fdt_integral_on_grid(self._f, plan)
+        assert np.max(np.abs(at_nodes - on_grid)) <= 1e-12
+
+    def test_repeated_points_bitwise_equal(self):
+        plan = self._plan()
+        xs = np.array(
+            [[0.0, 1.5], [-0.0, 1.5], [2.0, -0.0], [2.0, 0.0], [-0.0, -0.0], [0.0, 0.0],
+             [0.7, -3.1], [0.7, -3.1]]
+        )
+        for out in (fdt_integral(self._f, plan, xs), fdt_smoothed(self._f, plan, xs, r=0.6)):
+            for i in range(0, len(xs), 2):
+                assert out[i].tobytes() == out[i + 1].tobytes(), xs[i]
 
 
 class TestFractionalHankel:
