@@ -457,11 +457,27 @@ def hermite_poly_1d(n, mu_exact):
     return heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), axis)
 
 
+def _hermite_family_1d(mu_exact, max_degree):
+    """(exact polynomials, norms, normalized float coefficients) of the 1-D
+    family at multiplicity mu for degrees 0..max_degree."""
+    polys, norms, floats = [], [], []
+    for n in range(max_degree + 1):
+        poly = hermite_poly_1d(n, mu_exact)
+        norm = math.sqrt(_poly_weighted_norm_sq(poly, mu_exact))
+        polys.append(poly)
+        norms.append(norm)
+        coeffs = np.zeros(n + 1)
+        for (a,), c in poly.terms.items():
+            coeffs[a] = float(c.re) / norm
+        floats.append(coeffs)
+    return polys, norms, floats
+
+
 class HermiteBasis:
     """Orthonormal generalized Hermite functions h_nu for |nu| <= max_degree.
 
-    One-dimensional families are built per axis by applying the heat
-    exponential exp(-Delta_k/4) to monomials and normalizing in
+    One-dimensional families are built once per distinct mu_j by applying
+    the heat exponential exp(-Delta_k/4) to monomials and normalizing in
     L^2(|t|^(2 mu_j) dt); the leading coefficient stays positive.  The
     N-dimensional h_nu are tensor products, orthonormal under w_k and
     eigenfunctions of the Dunkl transform with eigenvalue (-i)^|nu|.
@@ -473,23 +489,12 @@ class HermiteBasis:
             raise DomainError("max_degree must be >= 0")
         self.mult = mult
         self.max_degree = int(max_degree)
-        self._axis_polys = []
-        self._axis_norms = []
-        self._axis_float = []
-        for j in range(mult.dim):
-            polys, norms, floats = [], [], []
-            for n in range(self.max_degree + 1):
-                poly = hermite_poly_1d(n, mult.mu_exact[j])
-                norm = math.sqrt(_poly_weighted_norm_sq(poly, mult.mu_exact[j]))
-                polys.append(poly)
-                norms.append(norm)
-                coeffs = np.zeros(n + 1)
-                for (a,), c in poly.terms.items():
-                    coeffs[a] = float(c.re) / norm
-                floats.append(coeffs)
-            self._axis_polys.append(polys)
-            self._axis_norms.append(norms)
-            self._axis_float.append(floats)
+        families = {
+            mu: _hermite_family_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
+        }
+        self._axis_polys = [families[mu][0] for mu in mult.mu_exact]
+        self._axis_norms = [families[mu][1] for mu in mult.mu_exact]
+        self._axis_float = [families[mu][2] for mu in mult.mu_exact]
         self.indices = tuple(
             sorted(_graded_indices(mult.dim, self.max_degree), key=lambda nu: (sum(nu), nu))
         )

@@ -62,6 +62,12 @@ class QuadGrid:
     (npts,) are the flattened tensor product in row-major (first axis
     slowest) order.  Summation is numpy's pairwise reduction, deterministic
     at a fixed thread count of 1.
+
+    Every axis is mirror-symmetric by construction (``build_grid`` places
+    the negative panel as the exact negated reverse of the positive one, and
+    its weights as their reverse): ``axes_nodes[j][::-1] == -axes_nodes[j]``
+    and ``axes_weights[j][::-1] == axes_weights[j]`` bit for bit.  The kernel
+    routes rely on this to build only the |x| rows of each axis factor.
     """
 
     mult: Multiplicity

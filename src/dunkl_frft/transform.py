@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +49,12 @@ REGIME_NEAR_SINGULAR = "near-singular"
 DEFAULT_S_MIN = 0.05
 _TWO_PI = 2.0 * math.pi
 
+# Bytes of prepared operators one plan keeps (keys included).  An operator
+# larger than this is built and returned but not kept.
+_OPERATOR_CACHE_BYTES = 32 << 20
+
+OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses entries nbytes")
+
 
 def normalize_alpha(alpha, s_min=DEFAULT_S_MIN):
     """Canonical representative of the order in (-pi, pi] plus regime tag.
@@ -75,13 +83,65 @@ def normalize_alpha(alpha, s_min=DEFAULT_S_MIN):
     return a, REGIME_GENERIC
 
 
+class _OperatorCache:
+    """Least-recently-used map from a key to prepared arrays, bounded by
+    their bytes plus the key's (``_OPERATOR_CACHE_BYTES``).
+
+    Only the bookkeeping runs under the lock: two threads that miss the same
+    key both build it, and the later insert replaces the earlier one.
+    Stored arrays are made read-only, because every caller shares them.
+    """
+
+    def __init__(self):
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+        self._nbytes = 0
+
+    def get(self, key, build):
+        """The list of arrays stored under key, made by ``build()`` on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return entry[0]
+            self._misses += 1
+        value = build()
+        nbytes = sum(arr.nbytes for arr in value)
+        nbytes += sum(len(part) for part in key if isinstance(part, bytes))
+        budget = _OPERATOR_CACHE_BYTES
+        if nbytes > budget:
+            return value
+        for arr in value:
+            arr.setflags(write=False)
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._nbytes -= old[1]
+            self._entries[key] = (value, nbytes)
+            self._nbytes += nbytes
+            while self._nbytes > budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self._nbytes -= dropped
+        return value
+
+    def info(self):
+        with self._lock:
+            return OperatorCacheInfo(self._hits, self._misses, len(self._entries), self._nbytes)
+
+
 class TransformPlan:
     """Prepared context for one transform order: canonical alpha, regime,
     smoothing r, spectral truncation M, quadrature grid and the integral
     prefactor.
 
-    The Hermite basis is built lazily and cached; plans are immutable in
-    use and safe to share.
+    The Hermite basis is built lazily.  The plan also holds a bounded
+    cache of the operators it prepares (kernel axis factors per (r,
+    output axes), Hermite analysis matrices), filled by the first call
+    that needs each one.  Its bookkeeping is locked and the cached arrays
+    are read-only, so a plan stays safe to share between threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -96,6 +156,12 @@ class TransformPlan:
         if self.grid.mult.mu != mult.mu:
             raise UsageError("grid was built for a different multiplicity")
         self._basis = None
+        self._operators = _OperatorCache()
+
+    def operator_cache_info(self):
+        """(hits, misses, entries, nbytes) of the plan's operator cache, like
+        ``functools`` ``cache_info``; nbytes counts arrays and keys held."""
+        return self._operators.info()
 
     @property
     def basis(self):
@@ -325,16 +391,20 @@ class SpectralTransform:
 
 
 def hermite_expand(f, plan):
-    """Coefficients <f, h_nu> for |nu| <= plan.M by tensor quadrature."""
+    """Coefficients <f, h_nu> for |nu| <= plan.M by tensor quadrature; the
+    weighted analysis matrices are kept in the plan's operator cache."""
     grid = plan.grid
     basis = plan.basis
     fvals = grid.values(f).astype(complex)
     tensor = grid.to_tensor(fvals)
-    mats = [
-        basis.axis_matrix(j, grid.axes_nodes[j]) * grid.axes_weights[j][None, :]
-        for j in range(grid.dim)
-    ]
-    full = _contract_grid(mats, tensor)
+
+    def build():
+        return [
+            basis.axis_matrix(j, grid.axes_nodes[j]) * grid.axes_weights[j][None, :]
+            for j in range(grid.dim)
+        ]
+
+    full = _contract_grid(plan._operators.get(("analysis",), build), tensor)
     coeffs = np.array([full[nu] for nu in basis.indices], dtype=complex)
     return HermiteExpansion(basis, coeffs)
 
@@ -384,21 +454,43 @@ def _axis_matrices(plan, per_axis_outputs, r):
     """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
     kernel at smoothing r against the grid, and its prefactor.
 
-    Each axis is built once per distinct output coordinate and its rows
-    gathered back, bit-identically to a per-point build: the Bessel layer's
-    data-dependent choices (series stop, J path, series/Amos split) depend
-    only on the set of arguments, and the kernel at x = -0.0 and 0.0 is 1.
+    Each axis is built once per distinct |x|, the orbit representatives of
+    the reflection x -> -x, and kept in the plan's operator cache under (r,
+    the bytes of each output axis).  A call gathers its rows in one take;
+    the row for x < 0 is the |x| row with its columns reversed.  That is
+    bit-identical to a per-point build:
+
+    - the grid axis and its weights are mirror images by construction
+      (see ``QuadGrid``), so reversing the columns maps y to -y exactly;
+    - K_nu depends on (x, y) only through u = zscale x y, which flips sign
+      exactly, and jhat_nu sees u only through u^2 (series) or folded into
+      Re u >= 0 (Amos); the phase sees only x^2 and y^2;
+    - the Bessel layer's data-dependent choices (series stop, J path,
+      series/Amos split) depend only on the set of |u|, which the |x| rows
+      cover, and the kernel at x = -0.0 and 0.0 is 1.
     """
     zscale, gcoef, pref = _mehler_form(plan, r)
-    mats = []
-    for j, order in enumerate(plan.mult.orders):
-        coords = np.asarray(per_axis_outputs[j], dtype=float)
-        xk, rows = np.unique(coords, return_inverse=True)
-        xk = xk[:, None]
-        yk = plan.grid.axes_nodes[j][None, :]
-        kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
-        phase = np.exp(-gcoef * (xk * xk + yk * yk))
-        mats.append((kern * phase * plan.grid.axes_weights[j][None, :])[rows])
+    coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
+
+    def build():
+        halves, gathers = [], []
+        for j, order in enumerate(plan.mult.orders):
+            xa, rows = np.unique(np.abs(coords[j]), return_inverse=True)
+            xk = xa[:, None]
+            yk = plan.grid.axes_nodes[j][None, :]
+            kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
+            phase = np.exp(-gcoef * (xk * xk + yk * yk))
+            halves.append(kern * phase * plan.grid.axes_weights[j][None, :])
+            gathers.append(rows + (coords[j] < 0) * len(xa))
+        return halves + gathers
+
+    key = ("kernel", r) + tuple(c.tobytes() for c in coords)
+    entry = plan._operators.get(key, build)
+    dim = len(coords)
+    mats = [
+        np.concatenate([half, half[:, ::-1]])[rows]
+        for half, rows in zip(entry[:dim], entry[dim:])
+    ]
     return mats, pref
 
 

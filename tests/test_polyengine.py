@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunkl_frft import polyengine
 from dunkl_frft.errors import RangeError, UsageError
 from dunkl_frft.polyengine import (
     GaussPoly,
@@ -159,6 +160,24 @@ class TestHermiteBasis:
                 k, odd = divmod(n, 2)
                 expected = math.factorial(k) * math.gamma(k + mu + 0.5 + odd)
                 assert inv_norm**-2 == pytest.approx(expected, rel=1e-12), (mu, n)
+
+    def test_one_family_per_distinct_mu(self, monkeypatch):
+        calls = []
+        original = polyengine.hermite_poly_1d
+
+        def counting(n, mu_exact):
+            calls.append((n, mu_exact))
+            return original(n, mu_exact)
+
+        monkeypatch.setattr(polyengine, "hermite_poly_1d", counting)
+        basis = HermiteBasis(Multiplicity([0.5, 0.5]), 16)
+        assert len(calls) == 17
+        monkeypatch.undo()
+        single = HermiteBasis(Multiplicity([0.5]), 16)
+        for j in range(2):
+            for n in range(17):
+                assert basis._axis_norms[j][n] == single._axis_norms[0][n]
+                assert basis._axis_float[j][n].tobytes() == single._axis_float[0][n].tobytes()
 
     def test_even_degree_closed_form(self):
         # heat construction against the Laguerre closed form, degrees <= 8

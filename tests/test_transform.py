@@ -3,6 +3,8 @@ Master/Hecke, Funk-Hecke and the Gaussian integral identities."""
 
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -423,7 +425,8 @@ class TestAxisDedup:
         mesh = np.stack(np.meshgrid(lin, lin, indexing="ij"), axis=-1).reshape(-1, 2)
         fdt_integral(self._f, plan, mesh)
         fdt_smoothed(self._f, plan, mesh, r=0.6)
-        assert rows == [25] * 4
+        # one row per distinct |x|: the x < 0 rows are mirrored, not built
+        assert rows == [np.unique(np.abs(lin)).size] * 4
 
     def test_grid_nodes_match_on_grid(self):
         plan = self._plan()
@@ -440,6 +443,183 @@ class TestAxisDedup:
         for out in (fdt_integral(self._f, plan, xs), fdt_smoothed(self._f, plan, xs, r=0.6)):
             for i in range(0, len(xs), 2):
                 assert out[i].tobytes() == out[i + 1].tobytes(), xs[i]
+
+
+class TestOperatorCache:
+    """The plan keeps its kernel axis factors on the |x| rows and its
+    Hermite analysis matrices, and a cached call returns the same bits."""
+
+    _plan = staticmethod(TestAxisDedup._plan)
+    _f = staticmethod(TestAxisDedup._f)
+
+    @staticmethod
+    def _outputs(plan):
+        rng = np.random.default_rng(17)
+        return {
+            "signed zeros": np.array([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0], [-2.0, -0.0]]),
+            "random": rng.uniform(-4.0, 4.0, size=(13, 2)),
+            "grid nodes": plan.grid.nodes,
+        }
+
+    @staticmethod
+    def _parent_style(plan, f, xs, r):
+        """The per-point build: every output row through the Bessel layer."""
+        zscale, gcoef, pref = transform._mehler_form(plan, r)
+        mats = []
+        for j, order in enumerate(plan.mult.orders):
+            xk = xs[:, j][:, None]
+            yk = plan.grid.axes_nodes[j][None, :]
+            kern = transform.dunkl_kernel_1d(order, zscale * xk, yk, u_max=math.inf)
+            phase = np.exp(-gcoef * (xk * xk + yk * yk))
+            mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
+        tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
+        return pref * transform._contract_points(mats, tensor)
+
+    def test_repeat_call_builds_nothing(self, monkeypatch):
+        plan = self._plan()
+        xs = self._outputs(plan)["random"]
+        first = fdt_integral(self._f, plan, xs)
+        assert plan.operator_cache_info()[:3] == (0, 1, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel rebuilt on a cache hit")
+
+        monkeypatch.setattr(transform, "dunkl_kernel_1d", refuse)
+        again = fdt_integral(self._f, plan, xs.copy())
+        assert again.tobytes() == first.tobytes()
+        info = plan.operator_cache_info()
+        assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+        assert info.nbytes > 0
+
+    def test_cached_fresh_and_parent_style_agree(self):
+        plan = self._plan()
+        for name, xs in self._outputs(plan).items():
+            for r in (1.0, 0.6):
+                route = (lambda p: fdt_integral(self._f, p, xs)) if r == 1.0 else (
+                    lambda p: fdt_smoothed(self._f, p, xs, r=r)
+                )
+                fresh = route(self._plan())
+                route(plan)
+                cached = route(plan)
+                parent = self._parent_style(plan, self._f, xs, r)
+                assert cached.tobytes() == fresh.tobytes(), (name, r)
+                assert cached.tobytes() == parent.tobytes(), (name, r)
+        on_grid = fdt_integral_on_grid(self._f, plan)
+        assert fdt_integral_on_grid(self._f, plan).tobytes() == on_grid.tobytes()
+        assert on_grid.tobytes() == fdt_integral_on_grid(self._f, self._plan()).tobytes()
+
+    def test_with_alpha_shares_no_operators(self):
+        plan = self._plan()
+        xs = self._outputs(plan)["random"]
+        fdt_integral(self._f, plan, xs)
+        other = plan.with_alpha(-2.0 * math.pi / 5.0)
+        assert other.operator_cache_info() == (0, 0, 0, 0)
+        fdt_integral(self._f, other, xs)
+        assert other.operator_cache_info()[:3] == (0, 1, 1)
+        assert plan.operator_cache_info()[:3] == (0, 1, 1)
+
+    def test_budget_evicts_least_recent_and_skips_oversized(self, monkeypatch):
+        plan = self._plan()
+        sets = [np.array([[0.5 * k + 0.25, -0.5 * k - 0.25]]) for k in range(3)]
+        fdt_integral(self._f, plan, sets[0])
+        one = plan.operator_cache_info().nbytes
+        builds = []
+        original = transform.dunkl_kernel_1d
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "dunkl_kernel_1d", counting)
+        monkeypatch.setattr(transform, "_OPERATOR_CACHE_BYTES", 2 * one)
+        fdt_integral(self._f, plan, sets[1])
+        fdt_integral(self._f, plan, sets[0])  # hit: sets[1] is now least recent
+        fdt_integral(self._f, plan, sets[2])  # evicts sets[1]
+        assert plan.operator_cache_info()[1:] == (3, 2, 2 * one)
+        builds.clear()
+        fdt_integral(self._f, plan, sets[0])
+        fdt_integral(self._f, plan, sets[2])
+        assert builds == []
+        fdt_integral(self._f, plan, sets[1])
+        assert len(builds) == plan.mult.dim
+
+        small = self._plan()
+        monkeypatch.setattr(transform, "_OPERATOR_CACHE_BYTES", one - 1)
+        got = fdt_integral(self._f, small, sets[0])
+        assert small.operator_cache_info() == (0, 1, 0, 0)
+        assert got.tobytes() == fdt_integral(self._f, self._plan(), sets[0]).tobytes()
+
+    def test_analysis_matrices_shared_by_spectral_and_sampler(self, monkeypatch):
+        from dunkl_frft.polyengine import HermiteBasis
+        from dunkl_frft.semigroup import GroupSampler
+
+        plan = self._plan()
+        first = fdt_spectral(self._f, plan).base_coefficients
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis matrix rebuilt on a cache hit")
+
+        monkeypatch.setattr(HermiteBasis, "axis_matrix", refuse)
+        again = fdt_spectral(self._f, plan).base_coefficients
+        sampled = GroupSampler(plan, q=16).expand(self._f).coeffs
+        assert again.tobytes() == first.tobytes() == sampled.tobytes()
+        assert plan.operator_cache_info()[:3] == (2, 1, 1)
+        monkeypatch.undo()
+        fresh = fdt_spectral(self._f, self._plan()).base_coefficients
+        assert fresh.tobytes() == first.tobytes()
+
+    @staticmethod
+    def _run_threads(work, workers):
+        errors = []
+
+        def guarded(seed):
+            try:
+                work(seed)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=guarded, args=(s,)) for s in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_threads_share_one_plan(self, monkeypatch):
+        plan = self._plan()
+        sets = list(self._outputs(plan).values())[:2] + [np.array([[1.0, -3.0]])]
+        want = [fdt_integral(self._f, self._plan(), xs).tobytes() for xs in sets]
+        fdt_integral(self._f, plan, sets[0])
+        # room for about two entries, so the threads also evict
+        monkeypatch.setattr(transform, "_OPERATOR_CACHE_BYTES", 2 * plan.operator_cache_info().nbytes)
+
+        def work(seed):
+            for k in range(12):
+                i = (seed + k) % len(sets)
+                assert fdt_integral(self._f, plan, sets[i]).tobytes() == want[i]
+
+        self._run_threads(work, 6)
+
+    def test_bookkeeping_under_contention(self, monkeypatch):
+        monkeypatch.setattr(transform, "_OPERATOR_CACHE_BYTES", 4 * 8)
+        cache = transform._OperatorCache()
+        calls, workers = 6000, 8
+
+        def work(seed):
+            for k in range(calls):
+                cache.get(("k", (7 * seed + k) % 9), lambda: [np.zeros(1)])
+
+        self._run_threads(work, workers)
+        info = cache.info()
+        assert info.hits + info.misses == workers * calls
+        assert info.nbytes == sum(size for _, size in cache._entries.values()) <= 4 * 8
+        assert info.entries == len(cache._entries)
 
 
 class TestFractionalHankel:
