@@ -129,6 +129,14 @@ def _float_array(values):
     return np.asarray(values, dtype=float)
 
 
+def _coordinates(value, key):
+    """Output coordinates of a config field: a float array, all finite."""
+    arr = _parse(value, key, _float_array)
+    if not np.all(np.isfinite(arr)):
+        raise UsageError(f"config field '{key}': coordinates must be finite, got {value!r}")
+    return arr
+
+
 def parse_config(obj):
     if not isinstance(obj, dict):
         raise UsageError("config root: expected a JSON object")
@@ -256,14 +264,15 @@ def _radial_profile(spec):
 def _output_points(cfg, plan):
     spec = cfg.outputs or {}
     if "points" in spec:
-        pts = _parse(spec["points"], "outputs.points", _float_array)
+        pts = _coordinates(spec["points"], "outputs.points")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] != plan.mult.dim:
             raise UsageError(f"config field 'outputs.points': need shape (m, {plan.mult.dim})")
         return pts
     if "linspace" in spec:
-        axis = _parse(spec["linspace"], "outputs.linspace", _linspace)
+        bounds = _coordinates(spec["linspace"], "outputs.linspace")
+        axis = _parse(bounds, "outputs.linspace", _linspace)
     elif spec.get("grid", False):
         return plan.grid.nodes
     else:
@@ -349,7 +358,7 @@ def _cmd_kernel(cfg, out_dir, fmt):
     dim = plan.mult.dim
     rows = []
     for pair in _parse(pairs, "outputs.pairs", list):
-        arr = _parse(pair, "outputs.pairs", _float_array)
+        arr = _coordinates(pair, "outputs.pairs")
         if arr.shape != (2 * dim,):
             raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
         x, y = arr[:dim], arr[dim:]
@@ -390,7 +399,7 @@ def _cmd_hankel(cfg, out_dir, fmt):
         order = BesselOrder(cfg.order)
     psi = _radial_profile(cfg.function)
     spec = cfg.outputs or {}
-    radii = _parse(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii", _float_array)
+    radii = _coordinates(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii")
     if radii.ndim != 1:
         raise UsageError("config field 'outputs.radii': expected a list of radii")
     vals = fractional_hankel(psi, order, plan, radii)

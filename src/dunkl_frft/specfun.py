@@ -1,7 +1,7 @@
 """Scalar special functions for the Z2^N Dunkl setting.
 
 Everything here is pure and reentrant: gamma, the normalized modified
-Bessel series ``jhat``, Laguerre polynomials, and the one-dimensional /
+Bessel function ``jhat``, Laguerre polynomials, and the one-dimensional /
 product Dunkl kernels built from them.  All kernel-style functions accept
 numpy arrays and broadcast elementwise.
 """
@@ -22,16 +22,8 @@ from .errors import DomainError, RangeError, UsageError
 U_MAX_DEFAULT = 80.0
 
 # The ceiling the library's own kernels pass: there |K| <= 1 and the
-# quadrature grid, not the range of the Bessel series, sets the accuracy.
+# quadrature grid, not the range of the Bessel evaluator, sets the accuracy.
 U_MAX_KERNEL = math.inf
-
-# Below this magnitude the direct power series is used (it is cheap and
-# suffers no cancellation there); above, the Amos-backed Bessel routines
-# take over.  Chosen so the worst-case alternating-series amplification at
-# the cutoff stays ~1e2 (three digits lost at most).
-_SERIES_CUTOFF = 8.0
-_SERIES_RELTOL = 1e-15
-_SERIES_MAX_TERMS = 200
 
 
 def gamma_fn(x):
@@ -133,67 +125,29 @@ class Multiplicity:
         return out
 
 
-def _jhat_series(nu, u):
-    """Direct power series for jhat_nu; only safe for moderate |u|."""
-    u = np.asarray(u, dtype=complex)
-    q = u * u / 4.0
-    term = np.ones_like(q)
-    total = np.ones_like(q)
-    scale = 1.0
-    for n in range(_SERIES_MAX_TERMS):
-        term = term * q / ((n + 1.0) * (n + 1.0 + nu))
-        total = total + term
-        scale = max(scale, float(np.max(np.abs(total))) if total.size else 1.0)
-        if n >= 2 and float(np.max(np.abs(term), initial=0.0)) < _SERIES_RELTOL * scale:
-            return total
-    raise RangeError("normalized_ibessel series failed to converge (argument too large)")
-
-
-def _jhat_amos(nu, u):
-    """jhat via Amos Bessel routines: Gamma(nu+1) (w/2)^(-nu) I_nu(w).
-
-    Uses the evenness jhat(-u) = jhat(u) to keep Re(w) >= 0, away from the
-    principal branch cuts of the power and of I_nu.  Negative orders go
-    through the contiguous relation
-
-        jhat_nu = jhat_{nu+1} + (u^2/4) jhat_{nu+2} / ((nu+1)(nu+2)),
-
-    because the Amos reflection formula for I_{-|nu|} cancels badly at
-    complex arguments; the two raised orders are positive and the relation
-    runs in the stable (decreasing-magnitude) direction.
-    """
-    u = np.asarray(u, dtype=complex)
-    if nu == -0.5:
-        # jhat_{-1/2}(u) = cosh(u); avoids the 1/sqrt prefactor entirely.
-        return np.cosh(u)
-    if nu < 0.0:
-        return _jhat_amos(nu + 1.0, u) + (u * u / 4.0) / (
-            (nu + 1.0) * (nu + 2.0)
-        ) * _jhat_amos(nu + 2.0, u)
-    flip = (u.real < 0) | ((u.real == 0) & (u.imag < 0))
-    w = np.where(flip, -u, u)
-    imag_axis = bool(np.all(w.real == 0))
-    if imag_axis:
-        # w = i t, t >= 0: jhat(it) = Gamma(nu+1) (t/2)^(-nu) J_nu(t), all real.
-        t = w.imag
-        vals = np.where(t > 0, _sp.jv(nu, t), 1.0)
-        pref = np.where(t > 0, np.power(np.where(t > 0, t, 1.0) / 2.0, -nu), 1.0)
-        return (math.gamma(nu + 1.0) * pref * vals).astype(complex)
-    body = _sp.iv(nu, w)
-    pref = np.power(w / 2.0, -nu)
-    return math.gamma(nu + 1.0) * pref * body
+def _hyp0f1_real(b, z):
+    """0F1(; b; z) at real z <= 0.  Below b = 1 scipy would call J at the
+    negative order b - 1, which loses digits, so the contiguous relation
+    0F1(b) = 0F1(b+1) + z 0F1(b+2) / (b (b+1)) raises both orders above 1."""
+    if b < 1.0:
+        return _sp.hyp0f1(b + 1.0, z) + z / (b * (b + 1.0)) * _sp.hyp0f1(b + 2.0, z)
+    return _sp.hyp0f1(b, z)
 
 
 def normalized_ibessel(order, u, u_max=U_MAX_DEFAULT):
     """Normalized entire Bessel-type function
 
-        jhat_nu(u) = Gamma(nu+1) * sum_{n>=0} (u/2)^(2n) / (n! Gamma(n+nu+1)).
+        jhat_nu(u) = 0F1(; nu+1; u^2/4) = Gamma(nu+1) sum_n (u/2)^(2n) / (n! Gamma(n+nu+1)).
 
     Even and entire in u, with jhat_nu(0) = 1 and jhat_nu(i x) equal to the
-    classical normalized spherical Bessel function j_nu(x).  Accepts scalar
-    or array u (complex); |u| above ``u_max`` raises RangeError, which
-    signals the caller to shrink its quadrature box (or pass a larger
-    ceiling after checking its own resolution).
+    classical normalized spherical Bessel function j_nu(x).  Evaluated per
+    element through scipy's 0F1 (D. E. Amos's routines, ACM TOMS 12(3),
+    1986): the real-argument 0F1 at -t^2/4 on the imaginary axis u = i t,
+    the complex 0F1 elsewhere and cosh u at nu = -1/2, so each value depends
+    only on its own argument.  Accepts scalar or array u (complex); |u|
+    above ``u_max`` raises RangeError, which signals the caller to shrink
+    its quadrature box (or pass a larger ceiling after checking its own
+    resolution).
     """
     if not isinstance(order, BesselOrder):
         order = BesselOrder(order)
@@ -207,16 +161,16 @@ def normalized_ibessel(order, u, u_max=U_MAX_DEFAULT):
             f"normalized_ibessel: |u| = {amax:.3g} exceeds u_max = {u_max:.3g}; "
             "shrink the quadrature box or raise u_max explicitly"
         )
-    small = np.abs(u_arr) <= _SERIES_CUTOFF
-    if np.all(small):
-        out = _jhat_series(nu, u_arr)
-    elif not np.any(small):
-        out = _jhat_amos(nu, u_arr)
+    if nu == -0.5:
+        out = np.cosh(u_arr)
     else:
         out = np.empty(u_arr.shape, dtype=complex)
-        out[small] = _jhat_series(nu, u_arr[small])
-        out[~small] = _jhat_amos(nu, u_arr[~small])
-    if np.isscalar(u) or np.ndim(u) == 0:
+        axis = u_arr.real == 0.0
+        t = u_arr.imag[axis]
+        out[axis] = _hyp0f1_real(nu + 1.0, -(t * t) / 4.0)
+        rest = u_arr[~axis]
+        out[~axis] = _sp.hyp0f1(nu + 1.0, rest * rest / 4.0)
+    if u_arr.ndim == 0:
         return complex(out)
     return out
 
@@ -255,10 +209,13 @@ def dunkl_kernel_1d(order, z, y, u_max=U_MAX_DEFAULT):
     if not isinstance(order, BesselOrder):
         order = BesselOrder(order)
     u = np.asarray(z, dtype=complex) * np.asarray(y, dtype=complex)
-    first = normalized_ibessel(order, u, u_max=u_max)
-    second = normalized_ibessel(order.shift(1), u, u_max=u_max)
-    out = first + u / (2.0 * (order.nu + 1.0)) * second
-    if np.ndim(u) == 0:
+    # a scalar takes numpy's array loops too: its scalar complex product
+    # rounds differently, and each value should not depend on the call shape
+    flat = np.ravel(u)
+    first = normalized_ibessel(order, flat, u_max=u_max)
+    second = normalized_ibessel(order.shift(1), flat, u_max=u_max)
+    out = (first + flat / (2.0 * (order.nu + 1.0)) * second).reshape(np.shape(u))
+    if out.ndim == 0:
         return complex(out)
     return out
 

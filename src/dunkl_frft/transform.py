@@ -245,6 +245,8 @@ def _as_points(xs, dim):
         xs = xs[:, None] if dim == 1 else xs[None, :]
     if xs.ndim != 2 or xs.shape[1] != dim:
         raise UsageError(f"output points must have shape (m, {dim}), got {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("output points must be finite")
     return xs
 
 
@@ -256,7 +258,7 @@ def _mehler_form(plan, r):
     """(zscale, gcoef, pref) with K_a(r,x,y) = pref exp(-gcoef (|x|^2+|y|^2)) K(zscale x, y)
     at smoothing r in (0, 1] (see kernel_smoothed).  At r = 1 they are taken exactly as
     the integral route's i/sin a, (i/2) cot a and A_a, so zscale x stays purely
-    imaginary (real Bessel J path, |K| <= 1)."""
+    imaginary (real-argument Bessel path, |K| <= 1)."""
     if r == 1.0:
         s = math.sin(plan.alpha)
         return 1j / s, 0.5j * (math.cos(plan.alpha) / s), plan.prefactor
@@ -463,11 +465,9 @@ def _axis_matrices(plan, per_axis_outputs, r):
     - the grid axis and its weights are mirror images by construction
       (see ``QuadGrid``), so reversing the columns maps y to -y exactly;
     - K_nu depends on (x, y) only through u = zscale x y, which flips sign
-      exactly, and jhat_nu sees u only through u^2 (series) or folded into
-      Re u >= 0 (Amos); the phase sees only x^2 and y^2;
-    - the Bessel layer's data-dependent choices (series stop, J path,
-      series/Amos split) depend only on the set of |u|, which the |x| rows
-      cover, and the kernel at x = -0.0 and 0.0 is 1.
+      exactly, and jhat_nu sees u only through u^2; the phase sees only x^2
+      and y^2;
+    - each Bessel value depends only on its own argument.
     """
     zscale, gcoef, pref = _mehler_form(plan, r)
     coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
@@ -513,7 +513,7 @@ def fdt_integral(f, plan, xs):
     Requires the generic regime; near alpha in pi*Z the kernel frequency
     outruns any fixed grid and the call refuses, pointing at the spectral
     route.  No Bessel ceiling applies: |K_a| <= 1, so the grid's resolution,
-    not the series range, is the binding constraint on this route.
+    not the Bessel range, is the binding constraint on this route.
     """
     _require_kernel_regime(plan, "fdt_integral")
     return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), 1.0)

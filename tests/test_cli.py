@@ -151,6 +151,19 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
          "'q_nodes'"),
         ({"command": "hankel", "mu": [0.5], "order": -1.0,
           "function": {"kind": "gaussian"}}, "'order'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": combo, "outputs": {"points": [[math.nan]]}}, "'outputs.points'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": combo, "outputs": {"points": [[math.inf]]}}, "'outputs.points'"),
+        ({"command": "transform", "mu": [0.5], "function": combo,
+          "outputs": {"points": [[0.0], [math.nan]]}}, "'outputs.points'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": combo, "outputs": {"linspace": [-math.inf, 1.0, 5]}},
+         "'outputs.linspace'"),
+        ({"command": "kernel", "mu": [0.5], "M": 4, "route": "spectral",
+          "outputs": {"pairs": [[0.5, math.nan]]}}, "'outputs.pairs'"),
+        ({"command": "hankel", "mu": [0.5], "order": 0.5, "function": {"kind": "gaussian"},
+          "outputs": {"radii": [1.0, math.nan]}}, "'outputs.radii'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))

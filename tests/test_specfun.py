@@ -96,9 +96,17 @@ class TestNormalizedIBessel:
             ref = mp_jhat(nu, u, terms=200)
             got = normalized_ibessel(BesselOrder(nu), u)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+        # the imaginary axis below order 0, where 0F1 needs the contiguous
+        # relation, down to an argument whose square underflows
+        for nu in (-0.45, -0.2, -0.05):
+            for t in [0.0, 1e-300, 12.0, *rng.uniform(0.0, 80.0, 8)]:
+                ref = mp_jhat(nu, 1j * t, terms=200)
+                got = normalized_ibessel(BesselOrder(nu), 1j * t, u_max=80.0)
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_series_scipy_crossover_consistent(self):
-        # same function on both sides of the internal switch at |u| = 8
+        # no internal switch at |u| = 8: values just inside and outside that
+        # circle both match the series oracle
         for nu in (-0.5, 0.0, 0.8):
             for phase in np.linspace(0, 2 * math.pi, 9):
                 lo = 7.9 * complex(math.cos(phase), math.sin(phase))
@@ -107,6 +115,22 @@ class TestNormalizedIBessel:
                 ref_hi = mp_jhat(nu, hi, terms=60)
                 assert abs(normalized_ibessel(BesselOrder(nu), lo) - ref_lo) <= 1e-12 * abs(ref_lo)
                 assert abs(normalized_ibessel(BesselOrder(nu), hi) - ref_hi) <= 1e-12 * abs(ref_hi)
+
+    def test_elementwise(self):
+        # each value depends only on its own argument: an array call equals
+        # per-element scalar calls bit for bit
+        u = np.array(
+            [0.0, 1e-9j, 3.0j, -3.0j, 7.9j, -7.9j, 8.1j, -8.1j, 30.0j, -30.0j,
+             2.5, -9.0, 1.0 + 2.0j, -6.0 - 7.0j, 4.0 - 9.0j, 12.0 + 0.5j]
+        )
+        for nu in (-0.5, -0.2, 0.0, 0.5, 1.7):
+            for fn, args in (
+                (normalized_ibessel, lambda v: (BesselOrder(nu), v)),
+                (dunkl_kernel_1d, lambda v: (BesselOrder(nu), v, 1.0)),
+            ):
+                whole = fn(*args(u))
+                single = np.array([fn(*args(v)) for v in u])
+                assert whole.view(float).tobytes() == single.view(float).tobytes()
 
     def test_range_error_and_override(self):
         with pytest.raises(RangeError):

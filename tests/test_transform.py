@@ -341,6 +341,16 @@ class TestIntegralRoute:
         with pytest.raises(UsageError):
             fdt_integral(plan.basis.function((0,)), plan, np.array([[0.0]]))
 
+    def test_non_finite_points_refused(self):
+        mult = Multiplicity([0.5])
+        plan = TransformPlan(mult, math.pi / 3, M=4)
+        f = plan.basis.function((0,))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                fdt_integral(f, plan, np.array([[0.0], [bad]]))
+            with pytest.raises(DomainError, match="finite"):
+                fdt_smoothed(f, plan, np.array([[bad]]), r=0.5)
+
     def test_route_agreement_single_combo(self):
         mult = Multiplicity([0.5])
         plan = TransformPlan(mult, -math.pi / 3, M=24)
