@@ -427,43 +427,32 @@ def hermite_operator(f, mult):
     return GaussPoly(f.dunkl_laplacian(mult).poly - rsq * f.poly)
 
 
-def _poly_weighted_norm_sq(poly_1d, mu_exact):
-    """norm^2 of (poly * exp(-t^2/2)) in L^2(|t|^(2 mu) dt).
-
-    The Gaussian moments Gamma(s + mu + 1/2) share the factor Gamma(mu+1/2);
-    the remaining Pochhammer ratios (base)_s are tabulated once and summed
-    exactly in rationals so the heavy sign cancellation at high degree costs
-    no precision.  Re(ca conj cb) is symmetric in (a, b), so each unordered
-    pair is taken once and the off-diagonal ones doubled.
-    """
-    base = mu_exact + Fraction(1, 2)
-    items = sorted((a, c) for (a,), c in poly_1d.terms.items())
-    pochhammer = [Fraction(1)]
-    for i in range(items[-1][0]):
-        pochhammer.append(pochhammer[-1] * (base + i))
-    total = Fraction(0)
-    for i, (a, ca) in enumerate(items):
-        for b, cb in items[i:]:
-            if (a + b) % 2 == 0:
-                term = (ca.re * cb.re + ca.im * cb.im) * pochhammer[(a + b) // 2]
-                total += term if a == b else 2 * term
-    return float(total) * gamma_fn(float(base))
-
-
-def hermite_poly_1d(n, mu_exact):
-    """Exact polynomial part of the degree-n heat-regularized monomial,
-    exp(-Delta_k/4) t^n, for the one-dimensional multiplicity mu."""
-    axis = Multiplicity([mu_exact])
-    return heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), axis)
-
-
 def _hermite_family_1d(mu_exact, max_degree):
     """(exact polynomials, norms, normalized float coefficients) of the 1-D
-    family at multiplicity mu for degrees 0..max_degree."""
+    family at multiplicity mu for degrees 0..max_degree.
+
+    The polynomial parts p_n = exp(-Delta_k/4) t^n come from the exact ladder
+    p_0 = 1, p_(n+1) = t p_n - T p_n / 2: for Z2, [Delta_k, t] = 2T and
+    [Delta_k, T] = 0, so exp(-Delta_k/4) t exp(Delta_k/4) = t - T/2.  Since
+    p_n is t^n plus lower monomials, all orthogonal to it, its norm^2 in
+    L^2(|t|^(2 mu) dt) after the factor exp(-t^2/2) is <p_n, t^n>: one sum of
+    Gaussian moments Gamma(mu + 1/2) (mu + 1/2)_s, taken exactly in rationals
+    so the heavy sign cancellation at high degree costs no precision.
+    """
+    axis = Multiplicity([mu_exact])
+    base = mu_exact + Fraction(1, 2)
+    gamma_base = gamma_fn(float(base))
+    pochhammer = [Fraction(1)]
+    for i in range(max_degree):
+        pochhammer.append(pochhammer[-1] * (base + i))
+    half = Fraction(1, 2)
+    poly = MultiPoly.constant(1, 1)
     polys, norms, floats = [], [], []
     for n in range(max_degree + 1):
-        poly = hermite_poly_1d(n, mu_exact)
-        norm = math.sqrt(_poly_weighted_norm_sq(poly, mu_exact))
+        if n:
+            poly = poly.times_coordinate(0) - dunkl_derivative(poly, 0, axis) * half
+        moment = sum(c.re * pochhammer[(a + n) // 2] for (a,), c in poly.terms.items())
+        norm = math.sqrt(float(moment) * gamma_base)
         polys.append(poly)
         norms.append(norm)
         coeffs = np.zeros(n + 1)
@@ -476,11 +465,12 @@ def _hermite_family_1d(mu_exact, max_degree):
 class HermiteBasis:
     """Orthonormal generalized Hermite functions h_nu for |nu| <= max_degree.
 
-    One-dimensional families are built once per distinct mu_j by applying
-    the heat exponential exp(-Delta_k/4) to monomials and normalizing in
-    L^2(|t|^(2 mu_j) dt); the leading coefficient stays positive.  The
-    N-dimensional h_nu are tensor products, orthonormal under w_k and
-    eigenfunctions of the Dunkl transform with eigenvalue (-i)^|nu|.
+    One-dimensional families are built once per distinct mu_j: the heat
+    regularized monomials exp(-Delta_k/4) t^n, raised by the exact ladder of
+    ``_hermite_family_1d``, normalized in L^2(|t|^(2 mu_j) dt); the leading
+    coefficient stays positive.  The N-dimensional h_nu are tensor products,
+    orthonormal under w_k and eigenfunctions of the Dunkl transform with
+    eigenvalue (-i)^|nu|.
     Instances are immutable after construction.
     """
 
@@ -541,18 +531,11 @@ class HermiteBasis:
 
     def eval_axis(self, j, n, t):
         """Normalized 1-D Hermite function of degree n on axis j at points t."""
-        t = np.asarray(t, dtype=float)
-        coeffs = self._axis_float[j][n]
-        return np.polynomial.polynomial.polyval(t, coeffs) * np.exp(-0.5 * t * t)
+        return _gauss_rows(self._axis_float[j][n : n + 1], t)[0]
 
     def axis_matrix(self, j, t):
         """Matrix (max_degree+1, len(t)) of normalized 1-D values on axis j."""
-        t = np.asarray(t, dtype=float)
-        gauss = np.exp(-0.5 * t * t)
-        out = np.empty((self.max_degree + 1, t.size))
-        for n in range(self.max_degree + 1):
-            out[n] = np.polynomial.polynomial.polyval(t, self._axis_float[j][n]) * gauss
-        return out
+        return _gauss_rows(self._axis_float[j], t)
 
     def eval_index(self, nu, x):
         """h_nu at points x of shape (..., N)."""
@@ -561,6 +544,29 @@ class HermiteBasis:
         for j, n in enumerate(nu):
             out = out * self.eval_axis(j, n, x[..., j])
         return out
+
+
+# exp(-t^2/2) rounds to exactly 0.0 in double precision for |t| >= 40.
+_GAUSS_REACH = 40.0
+
+
+def _gauss_rows(coeff_rows, t):
+    """polyval(t, c) * exp(-t^2/2) for each coefficient vector c, stacked.
+
+    Points beyond _GAUSS_REACH are clipped to it first: the Gaussian is
+    already exactly 0.0 there, so the value stays 0.0, and the polynomial at
+    +-40 stays finite for degrees below about 190, where at a huge t it would
+    overflow into inf * 0 = nan.  When every point lies inside the reach, t
+    is used as given and no array is copied.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.size and max(-t.min(), t.max()) >= _GAUSS_REACH:
+        t = np.clip(t, -_GAUSS_REACH, _GAUSS_REACH)
+    gauss = np.exp(-0.5 * t * t)
+    out = np.empty((len(coeff_rows),) + t.shape)
+    for n, coeffs in enumerate(coeff_rows):
+        out[n] = np.polynomial.polynomial.polyval(t, coeffs) * gauss
+    return out
 
 
 def _graded_indices(dim, max_degree):

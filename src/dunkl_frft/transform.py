@@ -340,12 +340,18 @@ def kernel_spectral(plan, x, y, r=None, M=None):
     basis = plan.basis if M is None else HermiteBasis(plan.mult, M)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    tables = [
+        (basis.axis_matrix(j, x[..., j]), basis.axis_matrix(j, y[..., j]))
+        for j in range(basis.dim)
+    ]
     out = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
     for nu in basis.indices:
         n = sum(nu)
-        out = out + (r**n) * cmath.exp(1j * n * plan.alpha) * basis.eval_index(
-            nu, x
-        ) * basis.eval_index(nu, y)
+        hx = hy = 1.0
+        for (tx, ty), k in zip(tables, nu):
+            hx = hx * tx[k]
+            hy = hy * ty[k]
+        out = out + (r**n) * cmath.exp(1j * n * plan.alpha) * hx * hy
     return out
 
 
@@ -468,6 +474,10 @@ def _axis_matrices(plan, per_axis_outputs, r):
       exactly, and jhat_nu sees u only through u^2; the phase sees only x^2
       and y^2;
     - each Bessel value depends only on its own argument.
+
+    A coordinate so large that its row is not finite in double precision
+    (x^2 overflows in the phase, or a Bessel value overflows where the
+    Gaussian underflows) is refused with a RangeError naming it.
     """
     zscale, gcoef, pref = _mehler_form(plan, r)
     coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
@@ -478,9 +488,19 @@ def _axis_matrices(plan, per_axis_outputs, r):
             xa, rows = np.unique(np.abs(coords[j]), return_inverse=True)
             xk = xa[:, None]
             yk = plan.grid.axes_nodes[j][None, :]
-            kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
-            phase = np.exp(-gcoef * (xk * xk + yk * yk))
-            halves.append(kern * phase * plan.grid.axes_weights[j][None, :])
+            with np.errstate(over="ignore", invalid="ignore"):
+                kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
+                phase = np.exp(-gcoef * (xk * xk + yk * yk))
+                half = kern * phase * plan.grid.axes_weights[j][None, :]
+            finite = np.all(np.isfinite(half), axis=1)
+            if not finite.all():
+                x = float(coords[j][np.abs(coords[j]) == xa[~finite][0]][0])
+                route = "integral" if r == 1.0 else "smoothed"
+                raise RangeError(
+                    f"{route} route: output coordinate x{j} = {x!r} is out of range: "
+                    "its kernel row is not finite in double precision"
+                )
+            halves.append(half)
             gathers.append(rows + (coords[j] < 0) * len(xa))
         return halves + gathers
 

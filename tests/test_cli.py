@@ -3,10 +3,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dunkl_frft
 from dunkl_frft.cli import main, parse_config, run
 from dunkl_frft.errors import UsageError
 from dunkl_frft.polyengine import HermiteBasis
@@ -169,6 +174,55 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2, cfg
         assert field_name in capsys.readouterr().err
+
+
+def test_huge_finite_output_points(tmp_path, capsys):
+    # A finite coordinate beyond double range: the spectral route writes the
+    # underflowed value 0, the kernel routes refuse it by name and write no rows.
+    path = tmp_path / "job.json"
+    base = {"command": "transform", "mu": [0.5], "M": 4,
+            "function": {"kind": "gaussian", "a": 0.5}}
+    path.write_text(json.dumps(dict(base, route="spectral",
+                                    outputs={"points": [[1e200], [40.0]]})))
+    assert main(["--config", str(path), "--out", str(tmp_path / "spectral")]) == 0
+    data = read_csv(tmp_path / "spectral" / "result.csv")
+    assert data[0].tolist() == [1e200, 0.0, 0.0]
+    assert capsys.readouterr().err == ""
+    for route, r, huge in (("integral", 1.0, 1e200), ("smoothed", 0.9, 1e200),
+                           ("smoothed", 0.9, 1e20)):
+        out = tmp_path / f"{route}-{huge:g}"
+        path.write_text(json.dumps(dict(base, route=route, r=r,
+                                        outputs={"points": [[huge], [40.0]]})))
+        assert main(["--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{route} route" in err[0] and f"x0 = {huge!r}" in err[0]
+        assert not (out / "result.csv").exists()
+
+
+def test_jobs_do_not_import_scipy_linalg(tmp_path):
+    # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
+    # costs a fresh job about 50 ms; run in a clean interpreter.
+    jobs = [
+        {"command": "transform", "mu": [0.3, 0.7], "alpha": 1.0, "route": "spectral",
+         "function": {"kind": "gaussian", "a": 0.5}},
+        {"command": "transform", "mu": [0.3, 0.7], "alpha": 1.0,
+         "function": {"kind": "gaussian", "a": 0.5}},
+        {"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.7,
+         "function": {"kind": "gaussian"}},
+    ]
+    code = (
+        "import json, sys\n"
+        "from dunkl_frft.cli import run\n"
+        f"for i, job in enumerate(json.loads({json.dumps(json.dumps(jobs))})):\n"
+        f"    assert run(job, out_dir={str(tmp_path)!r} + f'/job{{i}}') == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -127,6 +127,50 @@ class TestHeatExp:
         assert out == MultiPoly(1, {(2,): 1, (0,): RationalComplex(0, 1)})
 
 
+def pairwise_norm_sq(poly_1d, mu_exact):
+    """|p e^{-t^2/2}|^2 in L^2(|t|^(2 mu) dt) by the independent pair sum
+    Gamma(mu + 1/2) sum_ab Re(c_a conj c_b) (mu + 1/2)_((a+b)/2) in exact
+    rationals, each unordered pair taken once and doubled."""
+    base = mu_exact + Fraction(1, 2)
+    items = sorted((a, c) for (a,), c in poly_1d.terms.items())
+    pochhammer = [Fraction(1)]
+    for i in range(items[-1][0]):
+        pochhammer.append(pochhammer[-1] * (base + i))
+    total = Fraction(0)
+    for i, (a, ca) in enumerate(items):
+        for b, cb in items[i:]:
+            if (a + b) % 2 == 0:
+                term = (ca.re * cb.re + ca.im * cb.im) * pochhammer[(a + b) // 2]
+                total += term if a == b else 2 * term
+    return float(total) * gamma_fn(float(base))
+
+
+class TestHermiteLadder:
+    """The family is raised by p_(n+1) = t p_n - T p_n / 2; the heat
+    exponential exp(-Delta_k/4) t^n stays the defining construction."""
+
+    MUS = (0, 0.3, 0.5, 1.7, Fraction(4, 7))
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_ladder_equals_heat_exponential(self, mu):
+        mult = Multiplicity([mu])
+        polys, _, _ = polyengine._hermite_family_1d(mult.mu_exact[0], 30)
+        for n, poly in enumerate(polys):
+            assert poly == heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), mult), n
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_norms_equal_pairwise_sum(self, mu):
+        mu_exact = Multiplicity([mu]).mu_exact[0]
+        polys, norms, floats = polyengine._hermite_family_1d(mu_exact, 30)
+        for n, (poly, norm, coeffs) in enumerate(zip(polys, norms, floats)):
+            want = math.sqrt(pairwise_norm_sq(poly, mu_exact))
+            assert norm == want, n
+            want_coeffs = np.zeros(n + 1)
+            for (a,), c in poly.terms.items():
+                want_coeffs[a] = float(c.re) / want
+            assert coeffs.tobytes() == want_coeffs.tobytes(), n
+
+
 class TestHermiteBasis:
     def test_ground_state_value(self):
         mult = Multiplicity([0.0])
@@ -162,16 +206,18 @@ class TestHermiteBasis:
                 assert inv_norm**-2 == pytest.approx(expected, rel=1e-12), (mu, n)
 
     def test_one_family_per_distinct_mu(self, monkeypatch):
-        calls = []
-        original = polyengine.hermite_poly_1d
+        builds = []
+        original = polyengine._hermite_family_1d
 
-        def counting(n, mu_exact):
-            calls.append((n, mu_exact))
-            return original(n, mu_exact)
+        def counting(mu_exact, max_degree):
+            builds.append(mu_exact)
+            return original(mu_exact, max_degree)
 
-        monkeypatch.setattr(polyengine, "hermite_poly_1d", counting)
+        monkeypatch.setattr(polyengine, "_hermite_family_1d", counting)
         basis = HermiteBasis(Multiplicity([0.5, 0.5]), 16)
-        assert len(calls) == 17
+        assert len(builds) == 1
+        HermiteBasis(Multiplicity([0.3, 0.7]), 4)
+        assert len(builds) == 3
         monkeypatch.undo()
         single = HermiteBasis(Multiplicity([0.5]), 16)
         for j in range(2):

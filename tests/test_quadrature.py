@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
 
+from dunkl_frft import quadrature
 from dunkl_frft.errors import DomainError, RangeError
 from dunkl_frft.polyengine import HermiteBasis
 from dunkl_frft.quadrature import (
@@ -136,6 +138,49 @@ class TestJacobiHalfline:
     def test_errors(self):
         with pytest.raises(DomainError):
             jacobi_halfline(10, -1.0, 1.0)
+
+
+def scipy_halfline(n, exponent, length):
+    """jacobi_halfline's rule built from scipy.special.roots_jacobi."""
+    x, w = scipy_special.roots_jacobi(n, 0.0, exponent)
+    return 0.5 * length * (x + 1.0), w * (0.5 * length) ** (exponent + 1.0)
+
+
+# 2 mu for every mu the tests, the check suites and the benchmark use (mu = 0
+# takes numpy's Gauss-Legendre rule, not Gauss-Jacobi), Hankel orders nu in
+# (-1, 3] and one exponent above scipy's betaln switch at 1000.
+GRID_MUS = (0.2, 0.3, 0.4, 0.5, 0.7, 0.75, 0.8, 0.9, 1.0, 1.1, 1.2, 1.5, 1.7, 2.0, 2.3, 4 / 7)
+GRID_EXPONENTS = tuple(2.0 * mu for mu in GRID_MUS)
+HANKEL_ORDERS = (-0.9, -0.5, -0.25, 0.25, 0.5, 0.7, 1.0, 1.3, 2.0, 2.35, 3.0)
+
+
+class TestJacobiHalflineMatchesScipy:
+    """The rule computes scipy's roots_jacobi without importing scipy.linalg;
+    it must agree with scipy bit for bit, n = 1 included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40, 80, 120, 220, 512])
+    def test_bitwise_equal(self, n):
+        for exponent in GRID_EXPONENTS + HANKEL_ORDERS + (1000.5,):
+            length = 2.0 if exponent > 1000 else 8.0
+            got = jacobi_halfline(n, exponent, length)
+            want = scipy_halfline(n, exponent, length)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (n, exponent)
+
+    def test_build_grid_bitwise_equal(self, monkeypatch):
+        cases = [([0.0], None), ([0.5], None), ([1.7], None), ([0.3, 0.7], None),
+                 ([0.5, 1.0], None), ([0.5], 80), ([0.3, 0.7], 40)]
+        grids = [build_grid(Multiplicity(mu), n=n) for mu, n in cases]
+        monkeypatch.setattr(
+            quadrature, "_gauss_jacobi", lambda n, beta: scipy_special.roots_jacobi(n, 0.0, beta)
+        )
+        for (mu, n), got in zip(cases, grids):
+            want = build_grid(Multiplicity(mu), n=n)
+            for name in ("axes_nodes", "axes_weights"):
+                for a, b in zip(getattr(got, name), getattr(want, name)):
+                    assert a.tobytes() == b.tobytes(), (mu, n, name)
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
 
 
 class TestCircleGrid:

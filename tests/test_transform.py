@@ -3,6 +3,7 @@ Master/Hecke, Funk-Hecke and the Gaussian integral identities."""
 
 import cmath
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -350,6 +351,29 @@ class TestIntegralRoute:
                 fdt_integral(f, plan, np.array([[0.0], [bad]]))
             with pytest.raises(DomainError, match="finite"):
                 fdt_smoothed(f, plan, np.array([[bad]]), r=0.5)
+
+    def test_huge_finite_points(self):
+        # Beyond double range the spectral route returns the underflowed
+        # value 0 and the kernel routes refuse the coordinate by name; the
+        # suite turns any RuntimeWarning into an error.
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            plan = TransformPlan(mult, math.pi / 3, M=4)
+            f = plan.basis.function((0,) * mult.dim)
+            near = np.full((1, mult.dim), 2.0)
+            for huge in (1e200, -1e200, 1e20):
+                xs = np.concatenate([near, np.full((1, mult.dim), huge)])
+                vals = fdt_spectral(f, plan)(xs)
+                assert vals[1] == 0.0
+                assert vals[0] == fdt_spectral(f, plan)(near)[0]
+            xs = np.array([[2.0] * mult.dim, [1e200] + [1.0] * (mult.dim - 1)])
+            with pytest.raises(RangeError, match=r"integral route: output coordinate x0 = 1e\+200"):
+                fdt_integral(f, plan, xs)
+            for huge in (1e200, 1e20):
+                xs = np.array([[2.0] * mult.dim, [1.0] * (mult.dim - 1) + [-huge]])
+                name = f"smoothed route: output coordinate x{mult.dim - 1} = {-huge!r}"
+                with pytest.raises(RangeError, match=re.escape(name)):
+                    fdt_smoothed(f, plan, xs, r=0.9)
 
     def test_route_agreement_single_combo(self):
         mult = Multiplicity([0.5])
