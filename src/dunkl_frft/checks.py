@@ -161,7 +161,7 @@ def check_dunkl_eigenrelation(seed=DEFAULT_SEED, tol_scale=None):
         for nu in basis.indices:
             h = basis.function(nu)
             got = fdt_integral_on_grid(h, plan)
-            want = (-1j) ** sum(nu) * h(plan.grid.nodes)
+            want = (-1j) ** sum(nu) * plan.grid.values(h)
             worst = max(worst, _grid_l2(plan.grid, got - want))
         out.append(CheckResult(f"dunkl-eigenrelation {label}", worst, _tol(1e-7, tol_scale)))
     return out
@@ -181,7 +181,7 @@ def check_unitary_group_laws(seed=DEFAULT_SEED, tol_scale=None):
 
     unit_worst = 0.0
     for f in combos:
-        fnorm = _grid_l2(grid, f(grid.nodes))
+        fnorm = _grid_l2(grid, grid.values(f))
         for a, plan in plans.items():
             tnorm = _grid_l2(grid, fdt_integral_on_grid(f, plan))
             unit_worst = max(unit_worst, abs(tnorm - fnorm))
@@ -218,15 +218,15 @@ def check_unitary_group_laws(seed=DEFAULT_SEED, tol_scale=None):
     for f in combos[:8]:
         flipped = fdt_spectral(f, plan0.with_alpha(math.pi))
         par_worst = max(
-            par_worst, _grid_l2(grid, flipped(grid.nodes) - f(-grid.nodes))
+            par_worst, _grid_l2(grid, grid.values(flipped) - f(-grid.nodes))
         )
     results.append(CheckResult("parity D^pi f = f(-x)", par_worst, _tol(1e-6, tol_scale)))
 
     adj_worst = 0.0
     for f, g in zip(combos[:4], combos[4:8]):
         a = 2.0 * math.pi / 5.0
-        lhs = np.sum(grid.weights * fdt_integral_on_grid(f, plans[a]) * np.conj(g(grid.nodes)))
-        rhs = np.sum(grid.weights * f(grid.nodes) * np.conj(fdt_integral_on_grid(g, plans[-a])))
+        lhs = np.sum(grid.weights * fdt_integral_on_grid(f, plans[a]) * np.conj(grid.values(g)))
+        rhs = np.sum(grid.weights * grid.values(f) * np.conj(fdt_integral_on_grid(g, plans[-a])))
         adj_worst = max(adj_worst, abs(lhs - rhs))
     results.append(CheckResult("adjoint <D^a f, g> = <f, D^-a g>", adj_worst, _tol(1e-8, tol_scale)))
     return results
@@ -254,12 +254,12 @@ def check_route_agreement(seed=DEFAULT_SEED, tol_scale=None):
             spectral = fdt_spectral(f, plan)
             integral = fdt_integral_on_grid(f, plan)
             spec_worst = max(
-                spec_worst, _grid_l2(grid, spectral(grid.nodes) - integral)
+                spec_worst, _grid_l2(grid, grid.values(spectral) - integral)
             )
             smooth_ref = fdt_spectral(f, plan, r=r_smooth)
             smooth = fdt_smoothed_on_grid(f, plan, r=r_smooth)
             smooth_worst = max(
-                smooth_worst, _grid_l2(grid, smooth_ref(grid.nodes) - smooth)
+                smooth_worst, _grid_l2(grid, grid.values(smooth_ref) - smooth)
             )
         results.append(
             CheckResult(f"route spectral-vs-integral {label}", spec_worst, _tol(1e-6, tol_scale))
@@ -379,13 +379,13 @@ def check_eigenbasis_2d(seed=DEFAULT_SEED, tol_scale=None):
         for m in range(5):
             a = n + gamma
             for p in ps:
-                pv = p(grid.nodes)
+                pv = grid.values(p)
 
                 def psi(nodes, _p=pv, _m=m, _a=a):
                     rsq = np.sum(nodes**2, axis=-1)
                     return _p * laguerre_eval(_m, _a, rsq) * np.exp(-0.5 * rsq)
 
-                vals = psi(grid.nodes)
+                vals = grid.values(psi)
                 norm = _grid_l2(grid, vals)
                 got = fdt_integral_on_grid(vals, plan)
                 want = cmath.exp(1j * plan.alpha * (n + 2 * m)) * vals
@@ -532,11 +532,11 @@ def check_spectral_theory(seed=DEFAULT_SEED, tol_scale=None):
         if math.hypot(lam.real, lam.imag - round(lam.imag)) >= 0.1:
             lams.append(lam)
     for f in combos[:2]:
-        fvals = f(grid.nodes)
+        fvals = grid.values(f)
         for lam in lams:
             res = resolvent_apply(f, lam, sampler)
             t_res = expansion_generator(res, mult)
-            back = lam * res(grid.nodes) - t_res(grid.nodes)
+            back = lam * grid.values(res) - grid.values(t_res)
             worst = max(worst, _grid_l2(grid, back - fvals))
     results.append(CheckResult("resolvent identity (lam - T) R(lam) = I", worst, _tol(1e-8, tol_scale)))
     return results
@@ -605,9 +605,9 @@ def check_semigroup_calculus(seed=DEFAULT_SEED, tol_scale=None):
     grid = plan.grid
     worst = 0.0
     for f in _random_combos(plan.basis, 3, 5, rng):
-        lhs = fdt_integral_on_grid(f, plan) - f(grid.nodes)
+        lhs = fdt_integral_on_grid(f, plan) - grid.values(f)
         integral = group_integral(f, plan.alpha, plan)
-        rhs = expansion_generator(integral, mult)(grid.nodes)
+        rhs = grid.values(expansion_generator(integral, mult))
         worst = max(worst, _grid_l2(grid, lhs - rhs))
     return [CheckResult("semigroup calculus D^a f - f = T int D^s f", worst, _tol(1e-8, tol_scale))]
 
@@ -640,8 +640,8 @@ def check_projection_algebra(seed=DEFAULT_SEED, tol_scale=None):
     worst = 0.0
     for f, g in ((combos[0], combos[1]), (combos[1], combos[2])):
         for n in range(3):
-            lhs = np.sum(grid.weights * spectral_projection(f, n, sampler)(grid.nodes) * np.conj(g(grid.nodes)))
-            rhs = np.sum(grid.weights * f(grid.nodes) * np.conj(spectral_projection(g, n, sampler)(grid.nodes)))
+            lhs = np.sum(grid.weights * grid.values(spectral_projection(f, n, sampler)) * np.conj(grid.values(g)))
+            rhs = np.sum(grid.weights * grid.values(f) * np.conj(grid.values(spectral_projection(g, n, sampler))))
             worst = max(worst, abs(lhs - rhs))
     results.append(CheckResult("<P_n f, g> = <f, P_n g>", worst, _tol(1e-9, tol_scale)))
     return results

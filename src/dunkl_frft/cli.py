@@ -336,7 +336,7 @@ def _cmd_transform(cfg, out_dir, fmt):
     points = _output_points(cfg, plan)
     if cfg.route == "spectral":
         result = fdt_spectral(f, plan)
-        values = result(points)
+        values = plan.grid.values(result) if points is plan.grid.nodes else result(points)
         extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack}
     elif cfg.route == "smoothed":
         values = fdt_smoothed(f, plan, points)

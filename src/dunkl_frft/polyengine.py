@@ -655,16 +655,40 @@ class HermiteExpansion:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.basis.dim:
+            raise UsageError(f"points have dim {x.shape[-1]}, expansion has dim {self.basis.dim}")
         tables = [self.basis.axis_matrix(j, x[..., j].ravel()) for j in range(self.basis.dim)]
-        flat = np.zeros(x[..., 0].size, dtype=complex)
+        flat = self._accumulate(tables, np.multiply, (x[..., 0].size,))
+        return flat.reshape(x.shape[:-1])
+
+    def tensor_values(self, axes):
+        """Values on the tensor product of the 1-D point sets ``axes``,
+        flattened row-major (first axis slowest), like a ``QuadGrid``'s nodes.
+
+        h_nu factors over the axes, so each axis table is built on its own
+        points only and the products are taken as outer products.  Every
+        element sees the same polyval inputs, products and sums in the same
+        order as in ``__call__`` on the flattened points, so the result is
+        bitwise equal to it.
+        """
+        if len(axes) != self.basis.dim:
+            raise UsageError(f"{len(axes)} axes given, expansion has dim {self.basis.dim}")
+        tables = [self.basis.axis_matrix(j, t) for j, t in enumerate(axes)]
+        shape = tuple(len(t) for t in axes)
+        return self._accumulate(tables, np.multiply.outer, shape).ravel()
+
+    def _accumulate(self, tables, combine, shape):
+        """sum_nu c_nu * combine(...combine(T_0[nu_0], T_1[nu_1])..., T_N-1[nu_N-1])
+        over the nonzero coefficients, in index order."""
+        out = np.zeros(shape, dtype=complex)
         for c, nu in zip(self.coeffs, self.basis.indices):
             if c == 0:
                 continue
             prod = tables[0][nu[0]]
             for j in range(1, self.basis.dim):
-                prod = prod * tables[j][nu[j]]
-            flat += c * prod
-        return flat.reshape(x.shape[:-1])
+                prod = combine(prod, tables[j][nu[j]])
+            out += c * prod
+        return out
 
     def map_coeffs(self, fn):
         """New expansion with coefficients fn(|nu|, c) per index."""

@@ -129,13 +129,21 @@ class QuadGrid:
         return tuple(len(t) for t in self.axes_nodes)
 
     def values(self, f):
-        """Evaluate f on the flattened nodes; f may already be an array."""
+        """Evaluate f on the flattened nodes; f may already be an array.
+
+        A function that offers ``tensor_values(axes)`` (a Hermite expansion)
+        is evaluated axis by axis on ``axes_nodes``, bitwise equal to
+        ``f(self.nodes)``; any other callable gets the flattened nodes.
+        """
         if isinstance(f, np.ndarray):
             if f.shape != (self.nodes.shape[0],):
                 raise UsageError(
                     f"value array has shape {f.shape}, grid has {self.nodes.shape[0]} nodes"
                 )
             return f
+        tensor_values = getattr(f, "tensor_values", None)
+        if tensor_values is not None:
+            return tensor_values(self.axes_nodes)
         return np.asarray(f(self.nodes))
 
     def integrate(self, f):

@@ -145,7 +145,7 @@ def generator_integral(f, mult, grid, xs, diagnostics=False):
     underresolved grid shows up there instead of passing silently."""
     plan = TransformPlan(mult, -0.5 * math.pi, grid=grid, M=0)
     xs = _as_points(xs, mult.dim)
-    fvals = grid.values(f).astype(complex)
+    fvals = np.asarray(grid.values(f), dtype=complex)
     first = fdt_integral_on_grid(fvals, plan)
     weighted = np.sum(grid.nodes**2, axis=-1) * first
     second = fdt_integral(weighted, plan, -xs)

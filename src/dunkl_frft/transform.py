@@ -139,8 +139,8 @@ class TransformPlan:
 
     The Hermite basis is built lazily.  The plan also holds a bounded
     cache of the operators it prepares (kernel axis factors per (r,
-    output axes), Hermite analysis matrices), filled by the first call
-    that needs each one.  Its bookkeeping is locked and the cached arrays
+    output axes), Hermite analysis matrices, fractional Hankel rules per
+    order), filled by the first call that needs each one.  Its bookkeeping is locked and the cached arrays
     are read-only, so a plan stays safe to share between threads.
     """
 
@@ -276,14 +276,38 @@ def _smoothing(plan, r, op):
     return r
 
 
-def _kernel_parts(plan, x, y, r):
-    """(pref, gauss, kern) with K_a(r,x,y) = pref * gauss * kern pointwise."""
+def _out_of_range(route, coordinate, value, what="kernel row"):
+    return RangeError(
+        f"{route} route: {coordinate} = {value!r} is out of range: "
+        f"its {what} is not finite in double precision"
+    )
+
+
+def _kernel_value(plan, x, y, r):
+    """K_a(r,x,y) pointwise: kern * gauss at r = 1 (the integral kernel, whose
+    prefactor A_a stays outside), pref * gauss * kern for 0 < r < 1.
+
+    A pair so large that its value is not finite (|x|^2 overflows in the
+    Gaussian, or a Bessel value overflows where the Gaussian underflows) is
+    refused with a RangeError naming the pair's largest coordinate.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     zscale, gcoef, pref = _mehler_form(plan, r)
-    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
-    gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
-    return pref, gauss, kern
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
+        gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
+        value = kern * gauss if r == 1.0 else pref * gauss * kern
+    bad = ~np.isfinite(value).ravel()
+    if bad.any():
+        dim = plan.mult.dim
+        pairs = np.concatenate(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2 * dim)
+        pair = pairs[np.argmax(bad)]
+        k = int(np.argmax(np.abs(pair)))
+        name = f"x{k}" if k < dim else f"y{k - dim}"
+        route = "integral" if r == 1.0 else "smoothed"
+        raise _out_of_range(route, f"kernel coordinate {name}", float(pair[k]), "kernel value")
+    return value
 
 
 def kernel_alpha(plan, x, y):
@@ -293,8 +317,7 @@ def kernel_alpha(plan, x, y):
     Mehler kernel at r = 1 without its prefactor A_alpha.
     """
     _require_kernel_regime(plan, "kernel_alpha", reject_near_singular=False)
-    _, gauss, kern = _kernel_parts(plan, x, y, 1.0)
-    return kern * gauss
+    return _kernel_value(plan, x, y, 1.0)
 
 
 def kernel_smoothed(plan, x, y, r=None):
@@ -308,8 +331,7 @@ def kernel_smoothed(plan, x, y, r=None):
     power (safe: Re(1 - r^2 e^{2ia}) >= 1 - r^2 > 0 for r < 1).
     """
     r = _smoothing(plan, r, "kernel_smoothed")
-    pref, gauss, kern = _kernel_parts(plan, x, y, r)
-    return pref * gauss * kern
+    return _kernel_value(plan, x, y, r)
 
 
 def kernel_smoothed_bound(plan, x, y, r=None):
@@ -373,6 +395,9 @@ class SpectralTransform:
     def __call__(self, x):
         return self.expansion(x)
 
+    def tensor_values(self, axes):
+        return self.expansion.tensor_values(axes)
+
     @property
     def coefficients(self):
         return self.expansion.coeffs
@@ -403,7 +428,7 @@ def hermite_expand(f, plan):
     weighted analysis matrices are kept in the plan's operator cache."""
     grid = plan.grid
     basis = plan.basis
-    fvals = grid.values(f).astype(complex)
+    fvals = np.asarray(grid.values(f), dtype=complex)
     tensor = grid.to_tensor(fvals)
 
     def build():
@@ -496,10 +521,7 @@ def _axis_matrices(plan, per_axis_outputs, r):
             if not finite.all():
                 x = float(coords[j][np.abs(coords[j]) == xa[~finite][0]][0])
                 route = "integral" if r == 1.0 else "smoothed"
-                raise RangeError(
-                    f"{route} route: output coordinate x{j} = {x!r} is out of range: "
-                    "its kernel row is not finite in double precision"
-                )
+                raise _out_of_range(route, f"output coordinate x{j}", x)
             halves.append(half)
             gathers.append(rows + (coords[j] < 0) * len(xa))
         return halves + gathers
@@ -518,7 +540,7 @@ def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
     None, using the tensor structure of both grids."""
-    tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
+    tensor = plan.grid.to_tensor(np.asarray(plan.grid.values(f), dtype=complex))
     if xs is None:
         mats, pref = _axis_matrices(plan, list(plan.grid.axes_nodes), r)
         return (pref * _contract_grid(mats, tensor)).ravel()
@@ -572,7 +594,10 @@ def fractional_hankel(psi, order, plan, x):
     evaluated at radii x >= 0.  The y^(2 nu + 1) factor is folded into a
     220-node Gauss-Jacobi rule in t = y^2, so the rule is spectrally accurate
     for Gaussian-dominated psi.  The interval [0, box + 4] runs past the grid
-    box because the radial integrand decays only like exp(-y^2/2).
+    box because the radial integrand decays only like exp(-y^2/2).  The rule
+    is kept in the plan's operator cache per (nu, interval).  A radius whose
+    kernel row is not finite in double precision is refused with a
+    RangeError naming it.
     """
     _require_kernel_regime(plan, "fractional_hankel")
     if not isinstance(order, BesselOrder):
@@ -581,16 +606,24 @@ def fractional_hankel(psi, order, plan, x):
     if np.any(xs < 0):
         raise DomainError("fractional_hankel radii must be >= 0")
     length = plan.grid.box + 4.0
-    t, wt = jacobi_halfline(220, order.nu, length * length)
+    t, wt = plan._operators.get(
+        ("hankel_rule", order.nu, length),
+        lambda: list(jacobi_halfline(220, order.nu, length * length)),
+    )
     y = np.sqrt(t)
     wt = 0.5 * wt
     s = math.sin(plan.alpha)
     cot = math.cos(plan.alpha) / s
     psi_vals = np.asarray(psi(y), dtype=complex)
-    kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=U_MAX_KERNEL)
-    phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=U_MAX_KERNEL)
+        phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))
+        rows = kern * phase
+    finite = np.all(np.isfinite(rows), axis=1)
+    if not finite.all():
+        raise _out_of_range("fractional Hankel", "radius x", float(xs[~finite][0]))
     vals = 2.0 * plan.hankel_prefactor(order) * np.sum(
-        kern * phase * (wt * psi_vals)[None, :], axis=1
+        rows * (wt * psi_vals)[None, :], axis=1
     )
     if np.isscalar(x) or np.ndim(x) == 0:
         return complex(vals[0])

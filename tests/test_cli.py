@@ -404,3 +404,46 @@ def test_tolerance_env_scaling(tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DUNKL_FRFT_TOL", bad)
         assert main(["--config", str(path), "--out", str(tmp_path / "out3")]) == 2
         assert "DUNKL_FRFT_TOL" in capsys.readouterr().err
+
+
+def test_huge_kernel_and_hankel_coordinates(tmp_path, capsys):
+    # The kernel command's integral and smoothed routes and the hankel
+    # command refuse a coordinate whose kernel value is not finite.
+    path = tmp_path / "job.json"
+    cases = [
+        ({"command": "kernel", "mu": [0.5], "alpha": 1.0, "route": "integral",
+          "outputs": {"pairs": [[1.0, 1.0], [1e200, 1.0]]}}, "integral route", "x0 = 1e+200"),
+        ({"command": "kernel", "mu": [0.5], "alpha": 1.0, "route": "smoothed", "r": 0.9,
+          "outputs": {"pairs": [[1e20, 1.0]]}}, "smoothed route", "x0 = 1e+20"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "gaussian"}, "outputs": {"radii": [1e200]}},
+         "fractional Hankel route", "x = 1e+200"),
+    ]
+    for i, (cfg, route, coordinate) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path), "--out", str(out)]) == 1, cfg
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and route in err[0] and coordinate in err[0]
+        assert not (out / "result.csv").exists()
+
+
+def test_spectral_grid_output_matches_pointwise(tmp_path):
+    # A spectral transform with grid outputs evaluates the expansion on the
+    # tensor grid; json rows carry every bit of the pointwise values.
+    cfg = {"command": "transform", "mu": [0.3, 0.7], "alpha": 0.8, "route": "spectral", "M": 6,
+           "grid": {"L": 8.0, "n": 20}, "outputs": {"grid": True},
+           "function": {"kind": "hermite_combo",
+                        "terms": [{"nu": [1, 2], "re": 0.5, "im": -0.25}, {"nu": [0, 0], "re": 1.0}]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
+    rows = json.loads((tmp_path / "out" / "result.json").read_text())["rows"]
+    from dunkl_frft.cli import _make_plan, build_function
+    from dunkl_frft.transform import fdt_spectral
+
+    plan = _make_plan(parse_config(dict(cfg)))
+    nodes = plan.grid.nodes
+    want = fdt_spectral(build_function(cfg["function"], plan), plan)(nodes)
+    assert [row[:2] for row in rows] == nodes.tolist()
+    assert [complex(*row[2:]) for row in rows] == want.tolist()

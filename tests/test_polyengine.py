@@ -367,3 +367,49 @@ class TestHermiteExpansion:
         g = f.to_gauss_poly()
         x = np.linspace(-2, 2, 9)[:, None]
         assert np.max(np.abs(f(x) - g(x))) <= 1e-13
+
+
+class TestTensorValues:
+    """``QuadGrid.values`` evaluates an expansion axis by axis; the result
+    must equal the pointwise ``__call__`` on the flattened nodes bit for bit."""
+
+    @staticmethod
+    def expansion(basis, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        coeffs[rng.random(basis.size) < 0.3] = 0.0
+        coeffs[0] = 0.0
+        return HermiteExpansion(basis, coeffs)
+
+    @pytest.mark.parametrize("mu", [[0.5], [0.0], [1.5], [0.3, 0.7], [0.0, 0.0], [0.5, 1.0]])
+    def test_bitwise_equal_to_pointwise(self, mu):
+        mult = Multiplicity(mu)
+        grid = build_grid(mult)
+        for degree in (0, 8, 16):
+            f = self.expansion(HermiteBasis(mult, degree), degree)
+            got = grid.values(f)
+            assert got.dtype == complex and got.shape == (grid.nodes.shape[0],)
+            assert got.tobytes() == f(grid.nodes).tobytes()
+
+    def test_bitwise_equal_past_gauss_reach(self):
+        # Nodes beyond |t| = 40 take the clipped branch of _gauss_rows.
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            grid = build_grid(mult, L=48.0, n=64)
+            assert max(np.max(np.abs(t)) for t in grid.axes_nodes) >= polyengine._GAUSS_REACH
+            f = self.expansion(HermiteBasis(mult, 16), 3)
+            assert grid.values(f).tobytes() == f(grid.nodes).tobytes()
+
+    def test_all_zero_coefficients(self):
+        mult = Multiplicity([0.3, 0.7])
+        grid = build_grid(mult, n=32)
+        f = HermiteExpansion(HermiteBasis(mult, 4), np.zeros(15))
+        assert grid.values(f).tobytes() == f(grid.nodes).tobytes()
+
+    def test_dimension_must_match(self):
+        basis = HermiteBasis(Multiplicity([0.3, 0.7]), 2)
+        f = HermiteExpansion.from_terms(basis, {(1, 0): 1.0})
+        with pytest.raises(UsageError, match="axes"):
+            f.tensor_values([np.linspace(-1.0, 1.0, 5)])
+        with pytest.raises(UsageError, match="dim"):
+            f(np.array([[0.5, 0.2, 9.0]]))

@@ -191,6 +191,20 @@ class TestKernelAlpha:
             kernel_alpha(TransformPlan(mult, math.pi, grid=grid), np.array([1.0]), np.array([1.0]))
 
 
+    def test_huge_coordinates_refused(self):
+        # x^2 overflows in the Gaussian: the pair is refused by its largest
+        # coordinate and no RuntimeWarning escapes (the suite makes it an error).
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=24))
+            one = np.ones(mult.dim)
+            huge = np.array([1.0] * (mult.dim - 1) + [1e200])
+            with pytest.raises(RangeError, match=rf"integral route: kernel coordinate x{mult.dim - 1} = 1e\+200"):
+                kernel_alpha(plan, huge, one)
+            with pytest.raises(RangeError, match=r"integral route: kernel coordinate y0 = -1e\+200"):
+                kernel_alpha(plan, np.stack([one, one]), np.stack([one, -1e200 * one]))
+
+
 class TestKernelSmoothed:
     def test_small_r_limit(self):
         # r -> 0: only the ground term c_k e^{-(|x|^2+|y|^2)/2} survives
@@ -222,6 +236,17 @@ class TestKernelSmoothed:
         plan = TransformPlan(mult, 0.9, grid=build_grid(mult, n=24))
         with pytest.raises(UsageError):
             kernel_smoothed(plan, np.array([1.0]), np.array([1.0]), r=1.0)
+
+    def test_huge_coordinates_refused(self):
+        # At 1e20 a Bessel value overflows where the Gaussian underflows; at
+        # 1e200 x^2 overflows.  Both pairs are refused by name.
+        mult = Multiplicity([0.5, 1.0])
+        plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=32))
+        for huge in (1e20, 1e200):
+            x = np.array([[1.0, 2.0], [3.0, huge]])
+            name = f"smoothed route: kernel coordinate x1 = {huge!r}"
+            with pytest.raises(RangeError, match=re.escape(name)):
+                kernel_smoothed(plan, x, np.array([1.0, 1.0]), r=0.9)
 
     def test_bound_holds_beyond_bessel_default_range(self):
         # |u| = 87.3 here, past the direct-caller ceiling of 80; the kernel and
@@ -431,6 +456,37 @@ class TestIntegralRoute:
         assert np.max(np.abs(got_minus - (-1j) * h1(xs))) <= 1e-9
         assert np.max(np.abs(got_plus - (+1j) * h1(xs))) <= 1e-9
         assert np.max(np.abs(got_plus - got_minus)) > 0.1
+
+
+class TestTensorGridInput:
+    def test_routes_never_evaluate_expansions_pointwise(self, monkeypatch):
+        # Every route evaluates a Hermite-expansion input on the tensor grid
+        # through QuadGrid.values; none falls back to the pointwise __call__.
+        mult = Multiplicity([0.3, 0.7])
+        plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), M=6)
+        f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j})
+        xs = np.array([[0.5, -1.0]])
+
+        def outputs():
+            return {
+                "grid": fdt_integral_on_grid(f, plan),
+                "points": fdt_integral(f, plan, xs),
+                "smoothed_grid": fdt_smoothed_on_grid(f, plan, r=0.9),
+                "smoothed": fdt_smoothed(f, plan, xs, r=0.9),
+                "spectral": fdt_spectral(f, plan).coefficients,
+                "spectral_grid": plan.grid.values(fdt_spectral(f, plan)),
+                "expand": transform.hermite_expand(f, plan).coeffs,
+            }
+
+        want = outputs()
+
+        def refuse(self, x):
+            raise AssertionError("pointwise evaluation on the grid")
+
+        monkeypatch.setattr(HermiteExpansion, "__call__", refuse)
+        got = outputs()
+        for key, value in want.items():
+            assert got[key].tobytes() == value.tobytes(), key
 
 
 class TestAxisDedup:
@@ -685,6 +741,34 @@ class TestFractionalHankel:
             got = fractional_hankel(psi, -0.5, plan, np.array([x]))
             want = math.exp(-x * x / (4 * a)) / math.sqrt(2 * a)
             assert complex(got[0]) == pytest.approx(want, abs=1e-10)
+
+    def test_rule_kept_on_plan(self, monkeypatch):
+        mult = Multiplicity([0.5])
+        plan = TransformPlan(mult, 0.9, M=0)
+        psi = lambda y: np.exp(-0.5 * y * y)
+        radii = np.linspace(0.0, 3.0, 7)
+        first = fractional_hankel(psi, 0.7, plan, radii)
+        calls = []
+        original = transform.jacobi_halfline
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(transform, "jacobi_halfline", counting)
+        second = fractional_hankel(psi, 0.7, plan, radii)
+        assert calls == []
+        assert second.tobytes() == first.tobytes()
+        fractional_hankel(psi, 1.2, plan, radii)
+        assert len(calls) == 1
+        fractional_hankel(psi, 0.7, plan.with_alpha(1.3), radii)
+        assert len(calls) == 2
+
+    def test_huge_radius_refused(self):
+        mult = Multiplicity([0.5])
+        plan = TransformPlan(mult, 1.0, M=0)
+        with pytest.raises(RangeError, match=r"fractional Hankel route: radius x = 1e\+200"):
+            fractional_hankel(lambda y: np.exp(-y * y), 0.5, plan, np.array([1.0, 1e200]))
 
     def test_negative_radius_rejected(self):
         mult = Multiplicity([0.5])
