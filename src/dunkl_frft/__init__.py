@@ -39,7 +39,6 @@ from .polyengine import (
     dunkl_laplacian,
     heat_exp_poly,
     hermite_closed_form_1d,
-    hermite_function,
     hermite_operator,
 )
 from .transform import (

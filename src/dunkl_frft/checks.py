@@ -114,10 +114,6 @@ def _random_combos(basis, count, max_degree, rng):
     return combos
 
 
-def _grid_l2(grid, values):
-    return math.sqrt(float(np.sum(grid.weights * np.abs(values) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # 1. basis integrity
 
@@ -127,17 +123,13 @@ def check_basis_integrity(seed=DEFAULT_SEED, tol_scale=None):
     for mu in (0.0, 0.5, 1.7):
         mult = Multiplicity([mu])
         basis = HermiteBasis(mult, 12)
-        grid = build_grid(mult)
-        mat = basis.axis_matrix(0, grid.axes_nodes[0])
-        gram = (mat * grid.axes_weights[0][None, :]) @ mat.T
-        gram_err = float(np.max(np.abs(gram - np.eye(13))))
+        gram_err = basis.gram_residual(build_grid(mult))
         out.append(
             CheckResult(f"basis-gram mu={mu}", gram_err, _tol(1e-9, tol_scale))
         )
         t = np.linspace(-3.0, 3.0, 21)
         worst = 0.0
-        for n in range(13):
-            heat = basis.eval_axis(0, n, t)
+        for n, heat in enumerate(basis.axis_matrix(0, t)):
             closed = hermite_closed_form_1d(n, mu, t)
             worst = max(worst, float(np.max(np.abs(heat - closed))))
         out.append(
@@ -162,7 +154,7 @@ def check_dunkl_eigenrelation(seed=DEFAULT_SEED, tol_scale=None):
             h = basis.function(nu)
             got = fdt_integral_on_grid(h, plan)
             want = (-1j) ** sum(nu) * plan.grid.values(h)
-            worst = max(worst, _grid_l2(plan.grid, got - want))
+            worst = max(worst, plan.grid.norm_l2(got - want))
         out.append(CheckResult(f"dunkl-eigenrelation {label}", worst, _tol(1e-7, tol_scale)))
     return out
 
@@ -181,9 +173,9 @@ def check_unitary_group_laws(seed=DEFAULT_SEED, tol_scale=None):
 
     unit_worst = 0.0
     for f in combos:
-        fnorm = _grid_l2(grid, grid.values(f))
+        fnorm = grid.norm_l2(f)
         for a, plan in plans.items():
-            tnorm = _grid_l2(grid, fdt_integral_on_grid(f, plan))
+            tnorm = grid.norm_l2(fdt_integral_on_grid(f, plan))
             unit_worst = max(unit_worst, abs(tnorm - fnorm))
     results = [CheckResult("unitarity (integral route)", unit_worst, _tol(1e-6, tol_scale))]
 
@@ -218,7 +210,7 @@ def check_unitary_group_laws(seed=DEFAULT_SEED, tol_scale=None):
     for f in combos[:8]:
         flipped = fdt_spectral(f, plan0.with_alpha(math.pi))
         par_worst = max(
-            par_worst, _grid_l2(grid, grid.values(flipped) - f(-grid.nodes))
+            par_worst, grid.norm_l2(grid.values(flipped) - f(-grid.nodes))
         )
     results.append(CheckResult("parity D^pi f = f(-x)", par_worst, _tol(1e-6, tol_scale)))
 
@@ -254,12 +246,12 @@ def check_route_agreement(seed=DEFAULT_SEED, tol_scale=None):
             spectral = fdt_spectral(f, plan)
             integral = fdt_integral_on_grid(f, plan)
             spec_worst = max(
-                spec_worst, _grid_l2(grid, grid.values(spectral) - integral)
+                spec_worst, grid.norm_l2(grid.values(spectral) - integral)
             )
             smooth_ref = fdt_spectral(f, plan, r=r_smooth)
             smooth = fdt_smoothed_on_grid(f, plan, r=r_smooth)
             smooth_worst = max(
-                smooth_worst, _grid_l2(grid, grid.values(smooth_ref) - smooth)
+                smooth_worst, grid.norm_l2(grid.values(smooth_ref) - smooth)
             )
         results.append(
             CheckResult(f"route spectral-vs-integral {label}", spec_worst, _tol(1e-6, tol_scale))
@@ -386,10 +378,10 @@ def check_eigenbasis_2d(seed=DEFAULT_SEED, tol_scale=None):
                     return _p * laguerre_eval(_m, _a, rsq) * np.exp(-0.5 * rsq)
 
                 vals = grid.values(psi)
-                norm = _grid_l2(grid, vals)
+                norm = grid.norm_l2(vals)
                 got = fdt_integral_on_grid(vals, plan)
                 want = cmath.exp(1j * plan.alpha * (n + 2 * m)) * vals
-                worst = max(worst, _grid_l2(grid, got - want) / norm)
+                worst = max(worst, grid.norm_l2(got - want) / norm)
     results = [CheckResult("eigenbasis psi_{m,n,j} phases (N=2)", worst, _tol(1e-6, tol_scale))]
 
     worst = 0.0
@@ -537,7 +529,7 @@ def check_spectral_theory(seed=DEFAULT_SEED, tol_scale=None):
             res = resolvent_apply(f, lam, sampler)
             t_res = expansion_generator(res, mult)
             back = lam * grid.values(res) - grid.values(t_res)
-            worst = max(worst, _grid_l2(grid, back - fvals))
+            worst = max(worst, grid.norm_l2(back - fvals))
     results.append(CheckResult("resolvent identity (lam - T) R(lam) = I", worst, _tol(1e-8, tol_scale)))
     return results
 
@@ -608,7 +600,7 @@ def check_semigroup_calculus(seed=DEFAULT_SEED, tol_scale=None):
         lhs = fdt_integral_on_grid(f, plan) - grid.values(f)
         integral = group_integral(f, plan.alpha, plan)
         rhs = grid.values(expansion_generator(integral, mult))
-        worst = max(worst, _grid_l2(grid, lhs - rhs))
+        worst = max(worst, grid.norm_l2(lhs - rhs))
     return [CheckResult("semigroup calculus D^a f - f = T int D^s f", worst, _tol(1e-8, tol_scale))]
 
 

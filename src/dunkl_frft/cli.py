@@ -11,12 +11,11 @@ thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1).
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +80,11 @@ class JobConfig:
         out = asdict(self)
         out["version"] = __version__
         return out
+
+
+# JobConfig's annotations are strings (postponed evaluation); these are their kinds.
+_KINDS = {"str": str, "list": list, "float": float, "int": int, "dict": dict}
+_CHOICES = {"route": ("spectral", "integral", "smoothed"), "vary": ("r", "alpha")}
 
 
 def _field(obj, key, kind, default=None, required=False, choices=None):
@@ -154,33 +158,16 @@ def parse_config(obj):
             obj.setdefault("n", grid_spec["n"])
     command = _field(obj, "command", str, required=True, choices=COMMANDS)
     mu = _parse(_field(obj, "mu", list, required=True), "mu", _float_list)
-    known = {f for f in JobConfig.__dataclass_fields__} | {"version"}
+    known = {f.name for f in fields(JobConfig)} | {"version"}
     for key in obj:
         if key not in known:
             raise UsageError(f"config field '{key}': unknown field")
-    cfg = JobConfig(
-        command=command,
-        mu=mu,
-        alpha=_field(obj, "alpha", float, default=-math.pi / 2.0),
-        r=_field(obj, "r", float, default=1.0),
-        M=_field(obj, "M", int),
-        route=_field(obj, "route", str, default="integral", choices=("spectral", "integral", "smoothed")),
-        L=_field(obj, "L", float, default=8.0),
-        n=_field(obj, "n", int),
-        s_min=_field(obj, "s_min", float, default=0.05),
-        function=_field(obj, "function", dict),
-        outputs=_field(obj, "outputs", dict, default={}),
-        order=_field(obj, "order", float),
-        suite=_field(obj, "suite", str, default="all"),
-        vary=_field(obj, "vary", str, default="r", choices=("r", "alpha")),
-        values=_field(obj, "values", list),
-        projections=_field(obj, "projections", list, default=[0]),
-        resolvent_lambda=_field(obj, "resolvent_lambda", list, default=[1.0, 0.5]),
-        q_nodes=_field(obj, "q_nodes", int, default=64),
-        seed=_field(obj, "seed", int, default=12345),
-        tol_scale=_field(obj, "tol_scale", float),
-    )
-    return cfg
+    resolved = {"command": command, "mu": mu}
+    for f in fields(JobConfig)[2:]:  # every field after command and mu, in order
+        default = f.default_factory() if f.default is MISSING else f.default
+        resolved[f.name] = _field(obj, f.name, _KINDS[f.type], default=default,
+                                  choices=_CHOICES.get(f.name))
+    return JobConfig(**resolved)
 
 
 def _make_plan(cfg):
@@ -222,18 +209,9 @@ def build_function(spec, plan):
         if poly.dim != plan.mult.dim:
             raise UsageError(f"config field 'function.poly': dim {poly.dim} != {plan.mult.dim}")
         return GaussPoly(poly)
-    if kind == "gaussian":
-        a = _field(spec, "a", float, default=0.5)
-        if a <= 0:
-            raise UsageError("config field 'function.a': must be positive")
-        return lambda pts: np.exp(-a * np.sum(np.asarray(pts) ** 2, axis=-1))
-    if kind == "laguerre_gaussian":
-        m = _field(spec, "m", int, default=0)
-        order = _field(spec, "order", float, default=0.0)
-        return lambda pts: (
-            laguerre_eval(m, order, np.sum(np.asarray(pts) ** 2, axis=-1))
-            * np.exp(-0.5 * np.sum(np.asarray(pts) ** 2, axis=-1))
-        )
+    if kind in ("gaussian", "laguerre_gaussian"):
+        profile = _profile(spec, kind)
+        return lambda pts: profile(np.sum(np.asarray(pts) ** 2, axis=-1))
     npts = plan.grid.nodes.shape[0]
     parts = {}
     for key, required in (("values_re", True), ("values_im", False)):
@@ -249,16 +227,25 @@ def _combo_term(term):
     return nu, complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
 
 
+def _profile(spec, kind):
+    """The gaussian (exp(-a s)) or laguerre_gaussian (L_m^(order)(s) exp(-s/2))
+    profile of a function spec, in s = |y|^2."""
+    if kind == "gaussian":
+        a = _field(spec, "a", float, default=0.5)
+        if a <= 0:
+            raise UsageError("config field 'function.a': must be positive")
+        return lambda s: np.exp(-a * s)
+    m = _field(spec, "m", int, default=0)
+    order = _field(spec, "order", float, default=0.0)
+    return lambda s: laguerre_eval(m, order, s) * np.exp(-0.5 * s)
+
+
 def _radial_profile(spec):
     if spec is None:
         raise UsageError("config field 'function' is required for this command")
     kind = _field(spec, "kind", str, default="gaussian", choices=("gaussian", "laguerre_gaussian"))
-    if kind == "gaussian":
-        a = _field(spec, "a", float, default=0.5)
-        return lambda y: np.exp(-a * np.asarray(y) ** 2)
-    m = _field(spec, "m", int, default=0)
-    order = _field(spec, "order", float, default=0.0)
-    return lambda y: laguerre_eval(m, order, np.asarray(y) ** 2) * np.exp(-0.5 * np.asarray(y) ** 2)
+    profile = _profile(spec, kind)
+    return lambda y: profile(np.asarray(y) ** 2)
 
 
 def _output_points(cfg, plan):
@@ -380,11 +367,7 @@ def _cmd_basis(cfg, out_dir, fmt):
     mat_rows = []
     for nu, norm in zip(basis.indices, basis.norms):
         mat_rows.append(list(map(float, nu)) + [float(norm)])
-    gram_worst = 0.0
-    for j in range(basis.dim):
-        mat = basis.axis_matrix(j, plan.grid.axes_nodes[j])
-        gram = (mat * plan.grid.axes_weights[j][None, :]) @ mat.T
-        gram_worst = max(gram_worst, float(np.max(np.abs(gram - np.eye(basis.max_degree + 1)))))
+    gram_worst = basis.gram_residual(plan.grid)
     cols = [f"nu{j}" for j in range(basis.dim)] + ["norm_constant"]
     _emit(cfg, out_dir, fmt, cols, mat_rows, {"gram_residual": gram_worst})
     print(f"basis: {basis.size} functions, per-axis gram residual {gram_worst:.3e}")

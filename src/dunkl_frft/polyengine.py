@@ -102,10 +102,6 @@ class RationalComplex:
         return f"RationalComplex({self.re!r}, {self.im!r})"
 
 
-def _as_coeff(value):
-    return RationalComplex.coerce(value)
-
-
 class MultiPoly:
     """Polynomial in N variables with exact complex-rational coefficients.
 
@@ -125,7 +121,7 @@ class MultiPoly:
             key = tuple(int(e) for e in exponents)
             if len(key) != self.dim or any(e < 0 for e in key):
                 raise UsageError(f"bad multi-index {exponents!r} for dim {self.dim}")
-            c = _as_coeff(coeff)
+            c = RationalComplex.coerce(coeff)
             if c:
                 clean[key] = c
         self.terms = clean
@@ -216,7 +212,7 @@ class MultiPoly:
                     else:
                         out.pop(key, None)
             return MultiPoly(self.dim, out)
-        c = _as_coeff(other)
+        c = RationalComplex.coerce(other)
         if not c:
             return MultiPoly.zero(self.dim)
         return MultiPoly(self.dim, {k: v * c for k, v in self.terms.items()})
@@ -338,7 +334,7 @@ def heat_exp_poly(p, c, mult):
     Exact whenever c is rational (floats and complex values are coerced to
     their exact dyadic representation, so the arithmetic never rounds).
     """
-    scale = _as_coeff(c)
+    scale = RationalComplex.coerce(c)
     out = p
     term = p
     s = 0
@@ -529,21 +525,20 @@ class HermiteBasis:
             self._functions[nu] = GaussPoly(poly * scale)
         return self._functions[nu]
 
-    def eval_axis(self, j, n, t):
-        """Normalized 1-D Hermite function of degree n on axis j at points t."""
-        return _gauss_rows(self._axis_float[j][n : n + 1], t)[0]
-
     def axis_matrix(self, j, t):
-        """Matrix (max_degree+1, len(t)) of normalized 1-D values on axis j."""
+        """Matrix (max_degree+1, len(t)) of normalized 1-D values on axis j;
+        row n holds the degree-n function."""
         return _gauss_rows(self._axis_float[j], t)
 
-    def eval_index(self, nu, x):
-        """h_nu at points x of shape (..., N)."""
-        x = np.asarray(x, dtype=float)
-        out = np.ones(x.shape[:-1])
-        for j, n in enumerate(nu):
-            out = out * self.eval_axis(j, n, x[..., j])
-        return out
+    def gram_residual(self, grid):
+        """Largest |G - I| entry over the per-axis Gram matrices of the 1-D
+        families under the grid's axis rules."""
+        worst = 0.0
+        for j in range(self.dim):
+            mat = self.axis_matrix(j, grid.axes_nodes[j])
+            gram = (mat * grid.axes_weights[j][None, :]) @ mat.T
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(self.max_degree + 1)))))
+        return worst
 
 
 # exp(-t^2/2) rounds to exactly 0.0 in double precision for |t| >= 40.
@@ -586,11 +581,6 @@ def _embed_axis_poly(poly_1d, j, dim):
         key[j] = a
         terms[tuple(key)] = c
     return MultiPoly(dim, terms)
-
-
-def hermite_function(nu, basis):
-    """The orthonormalized h_nu from a prepared basis (range-checked)."""
-    return basis.function(nu)
 
 
 def hermite_closed_form_1d(n, mu, t):

@@ -10,7 +10,6 @@ Funk-Hecke checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -150,28 +149,12 @@ class QuadGrid:
         """Integral of f against w_k(y) dy over the box."""
         return np.sum(self.weights * self.values(f))
 
-    def inner(self, f, g):
-        """<f, g> = integral of f * conj(g) * w_k."""
-        return np.sum(self.weights * self.values(f) * np.conj(self.values(g)))
-
     def norm_l2(self, f):
         vals = self.values(f)
         return math.sqrt(float(np.sum(self.weights * np.abs(vals) ** 2).real))
 
     def to_tensor(self, values):
         return np.asarray(values).reshape(self.shape)
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "mu": [float(m) for m in self.mult.mu],
-            "L": self.box,
-            "n": self.points_per_axis,
-        }
-
-    @staticmethod
-    def from_json(obj):
-        return build_grid(Multiplicity(obj["mu"]), L=obj["L"], n=obj["n"])
 
 
 def build_grid(mult, L=8.0, n=None):
@@ -224,7 +207,7 @@ def build_grid(mult, L=8.0, n=None):
 
 def inner_product(f, g, grid):
     """<f, g> = sum_i w_i f(x_i) conj(g(x_i)) on the grid."""
-    return grid.inner(f, g)
+    return np.sum(grid.weights * grid.values(f) * np.conj(grid.values(g)))
 
 
 @dataclass(frozen=True, eq=False)

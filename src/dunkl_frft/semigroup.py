@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .polyengine import GaussPoly, MultiPoly, RationalComplex
 from .quadrature import gauss_legendre
-from .specfun import Multiplicity
 from .transform import TransformPlan, _as_points, fdt_integral, fdt_integral_on_grid, hermite_expand
 
 
@@ -30,7 +29,8 @@ class GroupSampler:
 
     Q must satisfy the Nyquist condition Q >= 2*M + 2 so that the
     trapezoid rule is exact on expansions band-limited at degree M.
-    Expansions are cached per function object (write-once, read-many).
+    Every expansion is computed afresh from f's current values; the plan
+    keeps the analysis matrices.
     """
 
     def __init__(self, plan, q=64):
@@ -44,15 +44,9 @@ class GroupSampler:
         self.plan = plan
         self.q = q
         self.s_nodes = 2.0 * math.pi * np.arange(q) / q
-        self._cache = {}
 
     def expand(self, f):
-        key = id(f)
-        entry = self._cache.get(key)
-        if entry is None or entry[0] is not f:
-            entry = (f, hermite_expand(f, self.plan))
-            self._cache[key] = entry
-        return entry[1]
+        return hermite_expand(f, self.plan)
 
     def group_apply(self, f, s):
         """D_k^s f as a Hermite expansion (spectral route)."""
@@ -154,8 +148,8 @@ def generator_integral(f, mult, grid, xs, diagnostics=False):
     out = -1j * g * fx + 0.5j * np.sum(xs * xs, axis=-1) * fx + 0.5j * second
     if not diagnostics:
         return out
-    norm_in = math.sqrt(float(np.sum(grid.weights * np.abs(fvals) ** 2)))
-    norm_out = math.sqrt(float(np.sum(grid.weights * np.abs(first) ** 2)))
+    norm_in = grid.norm_l2(fvals)
+    norm_out = grid.norm_l2(first)
     defect = abs(norm_out - norm_in) / norm_in if norm_in > 0 else 0.0
     return out, {"unitarity_defect": defect}
 

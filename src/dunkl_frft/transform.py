@@ -31,7 +31,7 @@ from .polyengine import (
     dunkl_laplacian,
     heat_exp_poly,
 )
-from .quadrature import QuadGrid, build_grid, jacobi_halfline
+from .quadrature import build_grid, jacobi_halfline
 from .specfun import (
     U_MAX_KERNEL,
     BesselOrder,
@@ -215,17 +215,6 @@ class TransformPlan:
         plan._basis = self._basis
         return plan
 
-    def describe(self):
-        return {
-            "mu": [float(m) for m in self.mult.mu],
-            "alpha": self.alpha,
-            "regime": self.regime,
-            "r": self.r,
-            "M": self.M,
-            "s_min": self.s_min,
-            "grid": self.grid.to_json(),
-        }
-
 
 def _require_kernel_regime(plan, op, reject_near_singular=True):
     if plan.regime == REGIME_IDENTITY:
@@ -269,10 +258,12 @@ def _mehler_form(plan, r):
     return zscale, gcoef, plan.mult.mehta_constant * denom ** (-plan.order_exponent)
 
 
-def _smoothing(plan, r, op):
+def _smoothing(plan, r, op, upto_one=False):
+    """r (plan.r when None), which must lie in (0, 1), or in (0, 1] when
+    ``upto_one``."""
     r = plan.r if r is None else float(r)
-    if not (0.0 < r < 1.0):
-        raise UsageError(f"{op} needs 0 < r < 1, got {r!r}")
+    if not (0.0 < r < 1.0 or (upto_one and r == 1.0)):
+        raise UsageError(f"{op} needs 0 < r {'<=' if upto_one else '<'} 1, got {r!r}")
     return r
 
 
@@ -298,7 +289,14 @@ def _kernel_value(plan, x, y, r):
         kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
         gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
         value = kern * gauss if r == 1.0 else pref * gauss * kern
-    bad = ~np.isfinite(value).ravel()
+    _refuse_nonfinite_pairs(plan, x, y, np.isfinite(value), r)
+    return value
+
+
+def _refuse_nonfinite_pairs(plan, x, y, finite, r):
+    """Raise a RangeError naming the largest coordinate of the first (x, y)
+    pair whose entry of ``finite`` (shaped like the broadcast pairs) is False."""
+    bad = ~finite.ravel()
     if bad.any():
         dim = plan.mult.dim
         pairs = np.concatenate(np.broadcast_arrays(x, y), axis=-1).reshape(-1, 2 * dim)
@@ -307,7 +305,6 @@ def _kernel_value(plan, x, y, r):
         name = f"x{k}" if k < dim else f"y{k - dim}"
         route = "integral" if r == 1.0 else "smoothed"
         raise _out_of_range(route, f"kernel coordinate {name}", float(pair[k]), "kernel value")
-    return value
 
 
 def kernel_alpha(plan, x, y):
@@ -339,27 +336,30 @@ def kernel_smoothed_bound(plan, x, y, r=None):
     y-Gaussian times the kernel factor against
 
         exp(2 r^2 (1-r^2) cos^2(a) |x|^2 / ((r^4 - 2 r^2 cos 2a + 1)(r^2+1))).
+
+    A pair for which either side is not finite is refused like a kernel
+    value (see ``_kernel_value``).
     """
     r = _smoothing(plan, r, "kernel_smoothed_bound")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = plan.alpha
     zscale, gcoef, _ = _mehler_form(plan, r)
-    kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
-    gauss = np.exp(-gcoef * np.sum(y * y, axis=-1))
-    lhs = np.abs(gauss * kern)
-    xsq = np.sum(x * x, axis=-1)
-    dd = r**4 - 2.0 * r * r * math.cos(2.0 * a) + 1.0
-    rhs = np.exp(2.0 * r * r * (1.0 - r * r) * math.cos(a) ** 2 * xsq / (dd * (r * r + 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
+        gauss = np.exp(-gcoef * np.sum(y * y, axis=-1))
+        lhs = np.abs(gauss * kern)
+        xsq = np.sum(x * x, axis=-1)
+        dd = r**4 - 2.0 * r * r * math.cos(2.0 * a) + 1.0
+        rhs = np.exp(2.0 * r * r * (1.0 - r * r) * math.cos(a) ** 2 * xsq / (dd * (r * r + 1.0)))
+    _refuse_nonfinite_pairs(plan, x, y, np.isfinite(lhs) & np.isfinite(rhs), r)
     return lhs, rhs
 
 
-def kernel_spectral(plan, x, y, r=None, M=None):
-    """Truncated eigen-sum sum_{|nu| <= M} r^|nu| e^{i |nu| a} h_nu(x) h_nu(y)."""
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r <= 1.0):
-        raise UsageError(f"kernel_spectral needs 0 < r <= 1, got {r!r}")
-    basis = plan.basis if M is None else HermiteBasis(plan.mult, M)
+def kernel_spectral(plan, x, y, r=None):
+    """Truncated eigen-sum sum_{|nu| <= plan.M} r^|nu| e^{i |nu| a} h_nu(x) h_nu(y)."""
+    r = _smoothing(plan, r, "kernel_spectral", upto_one=True)
+    basis = plan.basis
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     tables = [
@@ -445,9 +445,7 @@ def hermite_expand(f, plan):
 def fdt_spectral(f, plan, r=None):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
     times r^|nu| (r defaults to plan.r) plus the reconstructing expansion."""
-    r = plan.r if r is None else float(r)
-    if not (0.0 < r <= 1.0):
-        raise UsageError(f"smoothing must lie in (0, 1], got {r!r}")
+    r = _smoothing(plan, r, "fdt_spectral", upto_one=True)
     fvals = plan.grid.values(f)
     base = hermite_expand(fvals, plan)
     norm_sq = float(plan.grid.norm_l2(fvals) ** 2)

@@ -169,6 +169,12 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "outputs": {"pairs": [[0.5, math.nan]]}}, "'outputs.pairs'"),
         ({"command": "hankel", "mu": [0.5], "order": 0.5, "function": {"kind": "gaussian"},
           "outputs": {"radii": [1.0, math.nan]}}, "'outputs.radii'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "gaussian", "a": -0.5}}, "'function.a'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "gaussian", "a": 0}}, "'function.a'"),
+        ({"command": "transform", "mu": [0.5], "alpha": 1.0,
+          "function": {"kind": "gaussian", "a": -0.5}}, "'function.a'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))
@@ -447,3 +453,16 @@ def test_spectral_grid_output_matches_pointwise(tmp_path):
     want = fdt_spectral(build_function(cfg["function"], plan), plan)(nodes)
     assert [row[:2] for row in rows] == nodes.tolist()
     assert [complex(*row[2:]) for row in rows] == want.tolist()
+
+
+@pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])
+def test_traced_benchmark_boundaries(workload):
+    # The benchmark's tracer wraps library functions by name and reads their
+    # arguments by name; a tiny traced run fails if one is renamed or re-signed.
+    root = Path(__file__).resolve().parent.parent
+    cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+           "--seed", "7", "--seconds", "0.5", "--trace", "1", "--tiny"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"], result

@@ -10,7 +10,6 @@ from dunkl_frft import quadrature
 from dunkl_frft.errors import DomainError, RangeError
 from dunkl_frft.polyengine import HermiteBasis
 from dunkl_frft.quadrature import (
-    QuadGrid,
     build_grid,
     circle_grid,
     circle_identity_residual,
@@ -83,13 +82,6 @@ class TestBuildGrid:
             build_grid(Multiplicity([0.5]), L=-1.0)
         with pytest.raises(DomainError):
             build_grid(Multiplicity([0.5]), n=4)
-
-    def test_json_roundtrip(self):
-        grid = build_grid(Multiplicity([0.3, 0.7]), L=6.0, n=24)
-        desc = grid.to_json()
-        clone = QuadGrid.from_json(desc)
-        assert clone.to_json() == desc
-        assert np.allclose(clone.nodes, grid.nodes)
 
     def test_tail_control_doubling_box(self):
         # doubling L at fixed density moves Hermite inner products < 1e-10

@@ -89,6 +89,24 @@ class TestSpectralProjection:
             rhs = inner_product(f, spectral_projection(g, n, sampler), grid)
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_array_changed_in_place_is_expanded_again(self, context):
+        # the sampler holds no expansion of its own, so a sample array that
+        # changes in place is projected with its new values
+        mult, plan, _ = context
+        sampler = GroupSampler(plan, q=64)
+        v = plan.grid.values(plan.basis.function((2,))).astype(complex)
+        lam = 1.0 + 1.0j
+        assert spectral_projection(v, 2, sampler).coefficient((2,)) == pytest.approx(1.0, abs=1e-10)
+        assert resolvent_apply(v, lam, sampler).coefficient((2,)) == pytest.approx(
+            1.0 / (lam - 2.0j), abs=1e-10
+        )
+        v[:] = plan.grid.values(plan.basis.function((3,)))
+        assert spectral_projection(v, 2, sampler).norm_l2() <= 1e-10
+        assert spectral_projection(v, 3, sampler).coefficient((3,)) == pytest.approx(1.0, abs=1e-10)
+        res = resolvent_apply(v, lam, sampler)
+        assert res.coefficient((2,)) == pytest.approx(0.0, abs=1e-10)
+        assert res.coefficient((3,)) == pytest.approx(1.0 / (lam - 3.0j), abs=1e-10)
+
     def test_nyquist_guard(self, context):
         mult, plan, _ = context
         with pytest.raises(DomainError):

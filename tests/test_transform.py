@@ -258,6 +258,22 @@ class TestKernelSmoothed:
         lhs, rhs = kernel_smoothed_bound(plan, x, x)
         assert lhs <= rhs
 
+    def test_bound_refuses_huge_coordinates(self):
+        # |x|^2 or |y|^2 overflows: the pair is refused by its largest
+        # coordinate instead of returning nan or inf, and no RuntimeWarning
+        # escapes (the suite makes it an error).
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=24), r=0.9)
+            one = np.ones(mult.dim)
+            last = mult.dim - 1
+            for huge in (1e200, -1e200):
+                big = np.array([1.0] * last + [huge])
+                for x, y, name in ((big, one, f"x{last}"), (one, big, f"y{last}")):
+                    message = f"smoothed route: kernel coordinate {name} = {huge!r}"
+                    with pytest.raises(RangeError, match=re.escape(message)):
+                        kernel_smoothed_bound(plan, x, y)
+
 
 class TestKernelSpectral:
     def test_single_term(self):
@@ -271,10 +287,10 @@ class TestKernelSpectral:
 
     def test_matches_mehler_closed_form(self):
         mult = Multiplicity([0.5])
-        plan = TransformPlan(mult, 1.2, grid=build_grid(mult, n=24))
+        plan = TransformPlan(mult, 1.2, grid=build_grid(mult, n=24), M=40)
         x = np.array([0.9])
         y = np.array([-0.7])
-        series = kernel_spectral(plan, x, y, r=0.5, M=40)
+        series = kernel_spectral(plan, x, y, r=0.5)
         closed = kernel_smoothed(plan, x, y, r=0.5)
         assert complex(series) == pytest.approx(complex(closed), abs=1e-8)
 
@@ -287,8 +303,9 @@ class TestKernelSpectral:
         ref = 0.0j
         for nu in basis.indices:
             if sum(nu) % 2 == 0:
+                h_nu = HermiteExpansion.from_terms(basis, {nu: 1.0})
                 ref += 0.5 ** sum(nu) * cmath.exp(1j * sum(nu) * plan.alpha) * (
-                    basis.eval_index(nu, zero) ** 2
+                    h_nu(zero[None, :])[0] ** 2
                 )
         assert complex(got) == pytest.approx(complex(ref), rel=1e-13)
 
