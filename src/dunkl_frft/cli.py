@@ -94,8 +94,10 @@ def _field(obj, key, kind, default=None, required=False, choices=None):
         return default
     value = obj[key]
     try:
-        if kind in (float, int, str):
-            value = kind(value)
+        if kind in (float, int):
+            value = _number(value, kind)
+        elif kind is str:
+            value = str(value)
         elif not isinstance(value, kind):
             raise TypeError
     except (TypeError, ValueError, OverflowError):
@@ -103,6 +105,17 @@ def _field(obj, key, kind, default=None, required=False, choices=None):
     if choices is not None and value not in choices:
         raise UsageError(f"config field '{key}': must be one of {choices}, got {value!r}")
     return value
+
+
+def _number(value, kind):
+    """A config number read as kind (int or float).  A boolean is refused,
+    and so is a non-integral number where an int is wanted, so no value is
+    silently truncated; a numeric string is read by kind."""
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValueError(value)
+    return kind(value)
 
 
 def _parse(value, key, convert):
@@ -126,11 +139,21 @@ def _refused(*keys):
 
 
 def _float_list(values):
-    return [float(v) for v in values]
+    return [_number(v, float) for v in values]
 
 
 def _float_array(values):
+    if _has_bool(values):
+        raise TypeError("a boolean is not a number")
     return np.asarray(values, dtype=float)
+
+
+def _has_bool(value):
+    """Whether a value, or any entry of a nested list, is a boolean."""
+    if not isinstance(value, list):
+        return isinstance(value, bool)
+    kinds = set(map(type, value))
+    return bool in kinds or (list in kinds and any(map(_has_bool, value)))
 
 
 def _coordinates(value, key):
@@ -223,8 +246,8 @@ def build_function(spec, plan):
 
 
 def _combo_term(term):
-    nu = tuple(int(v) for v in term["nu"])
-    return nu, complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+    nu = tuple(_number(v, int) for v in term["nu"])
+    return nu, complex(_number(term.get("re", 0.0), float), _number(term.get("im", 0.0), float))
 
 
 def _profile(spec, kind):
@@ -258,8 +281,8 @@ def _output_points(cfg, plan):
             raise UsageError(f"config field 'outputs.points': need shape (m, {plan.mult.dim})")
         return pts
     if "linspace" in spec:
-        bounds = _coordinates(spec["linspace"], "outputs.linspace")
-        axis = _parse(bounds, "outputs.linspace", _linspace)
+        _coordinates(spec["linspace"], "outputs.linspace")
+        axis = _parse(spec["linspace"], "outputs.linspace", _linspace)
     elif spec.get("grid", False):
         return plan.grid.nodes
     else:
@@ -272,7 +295,7 @@ def _output_points(cfg, plan):
 
 def _linspace(spec):
     lo, hi, count = _float_list(spec)
-    return np.linspace(lo, hi, int(count))
+    return np.linspace(lo, hi, _number(count, int))
 
 
 def _csv_lines(header_cols, rows, cfg):
@@ -284,10 +307,9 @@ def _csv_lines(header_cols, rows, cfg):
 
 
 def _complex_rows(points, values):
-    rows = []
-    for pt, v in zip(points, np.asarray(values)):
-        rows.append([float(c) for c in pt] + [float(np.real(v)), float(np.imag(v))])
-    return rows
+    """Rows [*point, re, im] of Python floats, one per output point."""
+    values = np.asarray(values)
+    return np.column_stack([points, values.real, values.imag]).tolist()
 
 
 def _write(out_dir, name, text):
@@ -386,8 +408,7 @@ def _cmd_hankel(cfg, out_dir, fmt):
     if radii.ndim != 1:
         raise UsageError("config field 'outputs.radii': expected a list of radii")
     vals = fractional_hankel(psi, order, plan, radii)
-    rows = [[float(x), float(np.real(v)), float(np.imag(v))] for x, v in zip(radii, vals)]
-    _emit(cfg, out_dir, fmt, ["x", "re", "im"], rows)
+    _emit(cfg, out_dir, fmt, ["x", "re", "im"], _complex_rows(radii[:, None], vals))
     return 0
 
 
@@ -404,7 +425,7 @@ def _cmd_projection(cfg, out_dir, fmt):
     with _refused("q_nodes"):
         sampler = GroupSampler(plan, q=cfg.q_nodes)
     rows = []
-    for n in _parse(cfg.projections, "projections", lambda v: [int(k) for k in v]):
+    for n in _parse(cfg.projections, "projections", lambda v: [_number(k, int) for k in v]):
         proj = spectral_projection(f, n, sampler)
         for row in _coefficient_rows(proj):
             rows.append([n] + row)

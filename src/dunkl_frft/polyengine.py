@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, RangeError, UsageError
-from .specfun import Multiplicity, gamma_fn, laguerre_eval
+from .specfun import gamma_fn, laguerre_eval
 
 
 class RationalComplex:
@@ -424,50 +424,66 @@ def hermite_operator(f, mult):
 
 
 def _hermite_family_1d(mu_exact, max_degree):
-    """(exact polynomials, norms, normalized float coefficients) of the 1-D
+    """(integer ladder, norms, normalized float coefficients) of the 1-D
     family at multiplicity mu for degrees 0..max_degree.
 
     The polynomial parts p_n = exp(-Delta_k/4) t^n come from the exact ladder
     p_0 = 1, p_(n+1) = t p_n - T p_n / 2: for Z2, [Delta_k, t] = 2T and
-    [Delta_k, T] = 0, so exp(-Delta_k/4) t exp(Delta_k/4) = t - T/2.  Since
-    p_n is t^n plus lower monomials, all orthogonal to it, its norm^2 in
+    [Delta_k, T] = 0, so exp(-Delta_k/4) t exp(Delta_k/4) = t - T/2.  With
+    2 mu = P/Q the ladder runs on integers: p_n = N_n / (2Q)^n, where
+
+        N_(n+1)[a+1] += 2Q N_n[a],   N_(n+1)[a-1] -= (aQ + P [a odd]) N_n[a],
+
+    and entry n of the ladder is the pair (N_n, (2Q)^n).  Since p_n is t^n
+    plus lower monomials, all orthogonal to it, its norm^2 in
     L^2(|t|^(2 mu) dt) after the factor exp(-t^2/2) is <p_n, t^n>: one sum of
-    Gaussian moments Gamma(mu + 1/2) (mu + 1/2)_s, taken exactly in rationals
-    so the heavy sign cancellation at high degree costs no precision.
+    Gaussian moments Gamma(mu + 1/2) (mu + 1/2)_s.  With mu + 1/2 = b_p/b_q
+    the sum is one integer over (2Q)^n b_q^n, taken exactly, so the heavy
+    sign cancellation at high degree costs no precision.  Python's integer
+    true division rounds correctly, so every float here equals the one taken
+    from the reduced fraction.
     """
-    axis = Multiplicity([mu_exact])
-    base = mu_exact + Fraction(1, 2)
+    two_mu = 2 * Fraction(mu_exact)
+    p, q = two_mu.numerator, two_mu.denominator
+    base = Fraction(mu_exact) + Fraction(1, 2)
+    bp, bq = base.numerator, base.denominator
     gamma_base = gamma_fn(float(base))
-    pochhammer = [Fraction(1)]
+    # numerators of the Pochhammer symbols (mu + 1/2)_s = poch[s] / bq^s
+    poch = [1]
     for i in range(max_degree):
-        pochhammer.append(pochhammer[-1] * (base + i))
-    half = Fraction(1, 2)
-    poly = MultiPoly.constant(1, 1)
-    polys, norms, floats = [], [], []
+        poch.append(poch[-1] * (bp + i * bq))
+    two_q = 2 * q
+    nums = [1]
+    ladder, norms, floats = [], [], []
     for n in range(max_degree + 1):
         if n:
-            poly = poly.times_coordinate(0) - dunkl_derivative(poly, 0, axis) * half
-        moment = sum(c.re * pochhammer[(a + n) // 2] for (a,), c in poly.terms.items())
-        norm = math.sqrt(float(moment) * gamma_base)
-        polys.append(poly)
+            raised = [0] * (n + 1)
+            for a, c in enumerate(nums):
+                if c:
+                    raised[a + 1] += two_q * c
+                    raised[a - 1] -= (a * q + p * (a & 1)) * c  # 0 at a = 0
+            nums = raised
+        den = two_q**n
+        moment = sum(nums[a] * poch[(a + n) // 2] * bq ** ((n - a) // 2)
+                     for a in range(n % 2, n + 1, 2))
+        norm = math.sqrt(moment / (den * bq**n) * gamma_base)
+        ladder.append((nums, den))
         norms.append(norm)
-        coeffs = np.zeros(n + 1)
-        for (a,), c in poly.terms.items():
-            coeffs[a] = float(c.re) / norm
-        floats.append(coeffs)
-    return polys, norms, floats
+        floats.append(np.array([c / den for c in nums]) / norm)
+    return ladder, norms, floats
 
 
 class HermiteBasis:
     """Orthonormal generalized Hermite functions h_nu for |nu| <= max_degree.
 
     One-dimensional families are built once per distinct mu_j: the heat
-    regularized monomials exp(-Delta_k/4) t^n, raised by the exact ladder of
+    regularized monomials exp(-Delta_k/4) t^n, raised by the integer ladder of
     ``_hermite_family_1d``, normalized in L^2(|t|^(2 mu_j) dt); the leading
     coefficient stays positive.  The N-dimensional h_nu are tensor products,
     orthonormal under w_k and eigenfunctions of the Dunkl transform with
-    eigenvalue (-i)^|nu|.
-    Instances are immutable after construction.
+    eigenvalue (-i)^|nu|.  Only the float rows are made up front; the exact
+    polynomial of an h_nu is made from the ladder on its first request and
+    kept.  Instances are immutable after construction.
     """
 
     def __init__(self, mult, max_degree):
@@ -478,7 +494,7 @@ class HermiteBasis:
         families = {
             mu: _hermite_family_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
         }
-        self._axis_polys = [families[mu][0] for mu in mult.mu_exact]
+        self._axis_ladders = [families[mu][0] for mu in mult.mu_exact]
         self._axis_norms = [families[mu][1] for mu in mult.mu_exact]
         self._axis_float = [families[mu][2] for mu in mult.mu_exact]
         self.indices = tuple(
@@ -519,8 +535,7 @@ class HermiteBasis:
             poly = MultiPoly.constant(1, self.dim)
             scale = Fraction(1)
             for j, n in enumerate(nu):
-                embedded = _embed_axis_poly(self._axis_polys[j][n], j, self.dim)
-                poly = poly * embedded
+                poly = poly * _ladder_poly(self._axis_ladders[j][n], j, self.dim)
                 scale *= Fraction(1.0 / self._axis_norms[j][n])
             self._functions[nu] = GaussPoly(poly * scale)
         return self._functions[nu]
@@ -574,12 +589,16 @@ def _graded_indices(dim, max_degree):
     return out
 
 
-def _embed_axis_poly(poly_1d, j, dim):
+def _ladder_poly(entry, j, dim):
+    """The exact p_n of a ladder entry (N_n, (2Q)^n) as a polynomial in
+    coordinate j of dim variables."""
+    nums, den = entry
     terms = {}
-    for (a,), c in poly_1d.terms.items():
-        key = [0] * dim
-        key[j] = a
-        terms[tuple(key)] = c
+    for a, c in enumerate(nums):
+        if c:
+            key = [0] * dim
+            key[j] = a
+            terms[tuple(key)] = Fraction(c, den)
     return MultiPoly(dim, terms)
 
 

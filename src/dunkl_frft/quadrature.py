@@ -108,7 +108,9 @@ class QuadGrid:
     the negative panel as the exact negated reverse of the positive one, and
     its weights as their reverse): ``axes_nodes[j][::-1] == -axes_nodes[j]``
     and ``axes_weights[j][::-1] == axes_weights[j]`` bit for bit.  The kernel
-    routes rely on this to build only the |x| rows of each axis factor.
+    routes rely on this to build only the |x| rows of each axis factor, and
+    to take its Bessel values on the y > 0 half, ``axes_nodes[j][n:]`` with
+    n = ``points_per_axis``.
     """
 
     mult: Multiplicity

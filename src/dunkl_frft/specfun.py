@@ -209,15 +209,28 @@ def dunkl_kernel_1d(order, z, y, u_max=U_MAX_DEFAULT):
     if not isinstance(order, BesselOrder):
         order = BesselOrder(order)
     u = np.asarray(z, dtype=complex) * np.asarray(y, dtype=complex)
-    # a scalar takes numpy's array loops too: its scalar complex product
-    # rounds differently, and each value should not depend on the call shape
-    flat = np.ravel(u)
-    first = normalized_ibessel(order, flat, u_max=u_max)
-    second = normalized_ibessel(order.shift(1), flat, u_max=u_max)
-    out = (first + flat / (2.0 * (order.nu + 1.0)) * second).reshape(np.shape(u))
+    even, odd = _kernel_even_odd(order, u, u_max)
+    out = even + odd
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def _kernel_even_odd(order, u, u_max):
+    """The parts of K_nu even and odd in u, shaped like the complex array u:
+    jhat_nu(u) and u jhat_{nu+1}(u) / (2 (nu+1)).
+
+    At -u the even part is bitwise the same and the odd part bitwise
+    negated, since jhat sees u only through u^2 (cosh u at nu = -1/2 is
+    even in each component); a caller that needs both signs evaluates one.
+    """
+    # a scalar takes numpy's array loops too: its scalar complex product
+    # rounds differently, and each value should not depend on the call shape
+    flat = np.ravel(u)
+    even = normalized_ibessel(order, flat, u_max=u_max)
+    second = normalized_ibessel(order.shift(1), flat, u_max=u_max)
+    odd = flat / (2.0 * (order.nu + 1.0)) * second
+    return even.reshape(np.shape(u)), odd.reshape(np.shape(u))
 
 
 def dunkl_kernel_prod(mult, z, y, u_max=U_MAX_DEFAULT):

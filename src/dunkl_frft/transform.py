@@ -35,7 +35,7 @@ from .quadrature import build_grid, jacobi_halfline
 from .specfun import (
     U_MAX_KERNEL,
     BesselOrder,
-    dunkl_kernel_1d,
+    _kernel_even_odd,
     dunkl_kernel_prod,
     gamma_fn,
     normalized_ibessel,
@@ -52,6 +52,9 @@ _TWO_PI = 2.0 * math.pi
 # Bytes of prepared operators one plan keeps (keys included).  An operator
 # larger than this is built and returned but not kept.
 _OPERATOR_CACHE_BYTES = 32 << 20
+
+# Rows of a kernel axis factor whose columns are reversed in one step.
+_FLIP_ROWS = 256
 
 OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses entries nbytes")
 
@@ -487,15 +490,21 @@ def _axis_matrices(plan, per_axis_outputs, r):
 
     Each axis is built once per distinct |x|, the orbit representatives of
     the reflection x -> -x, and kept in the plan's operator cache under (r,
-    the bytes of each output axis).  A call gathers its rows in one take;
-    the row for x < 0 is the |x| row with its columns reversed.  That is
-    bit-identical to a per-point build:
+    the bytes of each output axis).  The Bessel values are taken on the
+    y > 0 half of the grid axis only: the y > 0 columns are (even + odd)
+    phase w and the y < 0 columns the reversed (even - odd) phase w, with
+    even and odd the parts of K_nu from ``_kernel_even_odd``.  A call
+    gathers its rows in one take and then reverses the columns of the rows
+    for x < 0 in place, ``_FLIP_ROWS`` rows at a time, so no temporary of
+    the full factor's size is made.  Both halvings are bit-identical to a
+    per-point build on the full axis:
 
     - the grid axis and its weights are mirror images by construction
       (see ``QuadGrid``), so reversing the columns maps y to -y exactly;
     - K_nu depends on (x, y) only through u = zscale x y, which flips sign
-      exactly, and jhat_nu sees u only through u^2; the phase sees only x^2
-      and y^2;
+      exactly, and jhat_nu sees u only through u^2, so the even part stays
+      and the odd part flips sign; e + (-o) is e - o in IEEE arithmetic, and
+      the phase sees only x^2 and y^2;
     - each Bessel value depends only on its own argument.
 
     A coordinate so large that its row is not finite in double precision
@@ -506,31 +515,40 @@ def _axis_matrices(plan, per_axis_outputs, r):
     coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
 
     def build():
-        halves, gathers = [], []
+        tables, gathers = [], []
+        n = plan.grid.points_per_axis
         for j, order in enumerate(plan.mult.orders):
             xa, rows = np.unique(np.abs(coords[j]), return_inverse=True)
             xk = xa[:, None]
-            yk = plan.grid.axes_nodes[j][None, :]
+            yk = plan.grid.axes_nodes[j][None, n:]
+            wk = plan.grid.axes_weights[j][None, n:]
+            u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
-                kern = dunkl_kernel_1d(order, zscale * xk, yk, u_max=U_MAX_KERNEL)
+                even, odd = _kernel_even_odd(order, u, U_MAX_KERNEL)
                 phase = np.exp(-gcoef * (xk * xk + yk * yk))
-                half = kern * phase * plan.grid.axes_weights[j][None, :]
-            finite = np.all(np.isfinite(half), axis=1)
+                table = np.concatenate(
+                    [((even - odd) * phase * wk)[:, ::-1], (even + odd) * phase * wk], axis=1
+                )
+            finite = np.all(np.isfinite(table), axis=1)
             if not finite.all():
                 x = float(coords[j][np.abs(coords[j]) == xa[~finite][0]][0])
                 route = "integral" if r == 1.0 else "smoothed"
                 raise _out_of_range(route, f"output coordinate x{j}", x)
-            halves.append(half)
-            gathers.append(rows + (coords[j] < 0) * len(xa))
-        return halves + gathers
+            tables.append(table)
+            gathers.append(rows)
+        return tables + gathers
 
     key = ("kernel", r) + tuple(c.tobytes() for c in coords)
     entry = plan._operators.get(key, build)
     dim = len(coords)
-    mats = [
-        np.concatenate([half, half[:, ::-1]])[rows]
-        for half, rows in zip(entry[:dim], entry[dim:])
-    ]
+    mats = []
+    for table, rows, x in zip(entry[:dim], entry[dim:], coords):
+        mat = table[rows]
+        neg = np.flatnonzero(x < 0)
+        for start in range(0, neg.size, _FLIP_ROWS):
+            block = neg[start:start + _FLIP_ROWS]
+            mat[block] = mat[block, ::-1]
+        mats.append(mat)
     return mats, pref
 
 

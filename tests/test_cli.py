@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dunkl_frft
+from dunkl_frft import cli
 from dunkl_frft.cli import main, parse_config, run
 from dunkl_frft.errors import UsageError
 from dunkl_frft.polyengine import HermiteBasis
@@ -175,11 +176,73 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "function": {"kind": "gaussian", "a": 0}}, "'function.a'"),
         ({"command": "transform", "mu": [0.5], "alpha": 1.0,
           "function": {"kind": "gaussian", "a": -0.5}}, "'function.a'"),
+        # numbers are never silently truncated, and booleans are not numbers
+        ({"command": "basis", "mu": [0.5], "M": 2.7}, "'M'"),
+        ({"command": "basis", "mu": [0.5], "M": True}, "'M'"),
+        ({"command": "transform", "mu": [0.5], "n": 40.9, "function": combo}, "'n'"),
+        ({"command": "transform", "mu": [0.5], "alpha": True, "function": combo}, "'alpha'"),
+        ({"command": "transform", "mu": [0.5], "r": True, "function": combo}, "'r'"),
+        ({"command": "transform", "mu": [True], "function": combo}, "'mu'"),
+        ({"command": "projection", "mu": [0.5], "M": 4, "q_nodes": 64.5, "function": combo},
+         "'q_nodes'"),
+        ({"command": "projection", "mu": [0.5], "M": 4, "function": combo,
+          "projections": [0, 1.5]}, "'projections'"),
+        ({"command": "projection", "mu": [0.5], "M": 4, "function": combo,
+          "projections": [True]}, "'projections'"),
+        ({"command": "resolvent", "mu": [0.5], "M": 4, "function": combo,
+          "resolvent_lambda": [1.0, True]}, "'resolvent_lambda'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
+          "outputs": {"linspace": [-1, 1, 4.5]}}, "'outputs.linspace'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
+          "outputs": {"linspace": [-1, 1, True]}}, "'outputs.linspace'"),
+        ({"command": "transform", "mu": [0.5], "M": 4,
+          "function": {"kind": "hermite_combo", "terms": [{"nu": [1.5], "re": 1.0}]}},
+         "'function.terms'"),
+        ({"command": "check", "mu": [0.5], "suite": "basis", "seed": 7.5}, "'seed'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "laguerre_gaussian", "m": 1.5}}, "'m'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
+          "outputs": {"points": [[0.5], [True]]}}, "'outputs.points'"),
+        ({"command": "kernel", "mu": [0.5], "M": 4, "route": "spectral",
+          "outputs": {"pairs": [[0.5, False]]}}, "'outputs.pairs'"),
+        ({"command": "transform", "mu": [0.5], "L": 6.0, "n": 16, "function": {
+            "kind": "samples", "values_re": [0.0] * 31 + [True]}}, "'function.values_re'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))
         assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2, cfg
         assert field_name in capsys.readouterr().err
+
+
+def test_integral_numbers_and_numeric_strings_accepted(tmp_path):
+    # an integral float or a numeric string is the number it spells
+    cfg = {"command": "transform", "mu": ["0.5"], "M": 4.0, "n": "40", "L": "8",
+           "alpha": "1.0", "route": "spectral",
+           "function": {"kind": "hermite_combo", "terms": [{"nu": [2.0], "re": "1.0"}]},
+           "outputs": {"linspace": [-2, 2, 9.0]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+    assert (resolved["M"], resolved["n"], resolved["L"], resolved["alpha"]) == (4, 40, 8.0, 1.0)
+    assert type(resolved["M"]) is int and type(resolved["n"]) is int
+    assert read_csv(tmp_path / "out" / "result.csv").shape == (9, 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_complex_rows_equal_per_element_floats(dim):
+    tiny = 5e-324
+    values = np.array([-0.0 + 0.0j, complex(0.0, -0.0), tiny - tiny * 1j, 1e300 - 1e300j,
+                       -2.5e-310 + 3.0j, 1.0 / 3.0 + math.pi * 1j], dtype=complex)
+    axis = np.array([-0.0, 1e300, tiny, -tiny, 0.1, -7.25])
+    points = np.stack([axis, axis[::-1]], axis=-1)[:, :dim]
+    for m in (len(values), 1):
+        pts, vals = points[:m], values[:m]
+        ref = [[float(c) for c in pt] + [float(np.real(v)), float(np.imag(v))]
+               for pt, v in zip(pts, vals)]
+        got = cli._complex_rows(pts, vals)
+        assert repr(got) == repr(ref)
+        assert all(type(v) is float for row in got for v in row)
 
 
 def test_huge_finite_output_points(tmp_path, capsys):

@@ -144,30 +144,83 @@ def pairwise_norm_sq(poly_1d, mu_exact):
     return float(total) * gamma_fn(float(base))
 
 
+def fraction_ladder_family(mu_exact, max_degree):
+    """Reference for ``_hermite_family_1d``: the same ladder, norms and float
+    rows on exact MultiPoly/Fraction objects, as the family was first built.
+    Returns (polynomials, norms, float rows)."""
+    axis = Multiplicity([mu_exact])
+    base = mu_exact + Fraction(1, 2)
+    gamma_base = gamma_fn(float(base))
+    pochhammer = [Fraction(1)]
+    for i in range(max_degree):
+        pochhammer.append(pochhammer[-1] * (base + i))
+    poly = MultiPoly.constant(1, 1)
+    polys, norms, floats = [], [], []
+    for n in range(max_degree + 1):
+        if n:
+            poly = poly.times_coordinate(0) - dunkl_derivative(poly, 0, axis) * Fraction(1, 2)
+        moment = sum(c.re * pochhammer[(a + n) // 2] for (a,), c in poly.terms.items())
+        norm = math.sqrt(float(moment) * gamma_base)
+        coeffs = np.zeros(n + 1)
+        for (a,), c in poly.terms.items():
+            coeffs[a] = float(c.re) / norm
+        polys.append(poly)
+        norms.append(norm)
+        floats.append(coeffs)
+    return polys, norms, floats
+
+
+def family_poly(basis, n):
+    """The unnormalized p_n of a 1-D basis, from the h_n that ``function``
+    builds: its coefficients carry the exact factor 1 / norm."""
+    return basis.function((n,)).poly * (1 / Fraction(basis.norms[n]))
+
+
 class TestHermiteLadder:
-    """The family is raised by p_(n+1) = t p_n - T p_n / 2; the heat
-    exponential exp(-Delta_k/4) t^n stays the defining construction."""
+    """The family is raised by p_(n+1) = t p_n - T p_n / 2 on integers; the
+    heat exponential exp(-Delta_k/4) t^n stays the defining construction."""
 
     MUS = (0, 0.3, 0.5, 1.7, Fraction(4, 7))
 
     @pytest.mark.parametrize("mu", MUS)
     def test_ladder_equals_heat_exponential(self, mu):
         mult = Multiplicity([mu])
-        polys, _, _ = polyengine._hermite_family_1d(mult.mu_exact[0], 30)
-        for n, poly in enumerate(polys):
-            assert poly == heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), mult), n
+        basis = HermiteBasis(mult, 30)
+        for n in range(31):
+            want = heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), mult)
+            assert basis.function((n,)).poly == want * Fraction(basis.norms[n]), n
 
     @pytest.mark.parametrize("mu", MUS)
     def test_norms_equal_pairwise_sum(self, mu):
         mu_exact = Multiplicity([mu]).mu_exact[0]
-        polys, norms, floats = polyengine._hermite_family_1d(mu_exact, 30)
-        for n, (poly, norm, coeffs) in enumerate(zip(polys, norms, floats)):
+        basis = HermiteBasis(Multiplicity([mu]), 30)
+        _, norms, floats = polyengine._hermite_family_1d(mu_exact, 30)
+        for n, (norm, coeffs) in enumerate(zip(norms, floats)):
+            poly = family_poly(basis, n)
             want = math.sqrt(pairwise_norm_sq(poly, mu_exact))
             assert norm == want, n
             want_coeffs = np.zeros(n + 1)
             for (a,), c in poly.terms.items():
                 want_coeffs[a] = float(c.re) / want
             assert coeffs.tobytes() == want_coeffs.tobytes(), n
+
+    @pytest.mark.parametrize("mu", MUS + (0.7, Fraction(1, 3)))
+    def test_integer_ladder_equals_fraction_ladder(self, mu):
+        mu_exact = Multiplicity([mu]).mu_exact[0]
+        ladder, norms, floats = polyengine._hermite_family_1d(mu_exact, 40)
+        ref_polys, ref_norms, ref_floats = fraction_ladder_family(mu_exact, 40)
+        basis = HermiteBasis(Multiplicity([mu]), 40)
+        for n in range(41):
+            assert norms[n] == ref_norms[n], n
+            assert floats[n].tobytes() == ref_floats[n].tobytes(), n
+            assert family_poly(basis, n) == ref_polys[n], n
+
+    def test_exact_polynomials_are_built_on_request(self):
+        basis = HermiteBasis(Multiplicity([0.3, 0.7]), 12)
+        assert basis._functions == {}
+        h = basis.function((2, 1))
+        assert list(basis._functions) == [(2, 1)]
+        assert basis.function((2, 1)) is h
 
 
 class TestHermiteBasis:

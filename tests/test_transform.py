@@ -16,7 +16,7 @@ from dunkl_frft import transform
 from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import GaussPoly, HermiteExpansion, MultiPoly, heat_exp_poly
 from dunkl_frft.quadrature import build_grid, circle_grid
-from dunkl_frft.specfun import BesselOrder, Multiplicity, laguerre_eval
+from dunkl_frft.specfun import BesselOrder, Multiplicity, dunkl_kernel_1d, laguerre_eval
 from dunkl_frft.transform import (
     REGIME_GENERIC,
     REGIME_IDENTITY,
@@ -519,21 +519,24 @@ class TestAxisDedup:
         return np.exp(-0.4 * np.sum(pts * pts, axis=-1)) * (1.0 + 0.3 * pts[..., 0])
 
     def test_mesh_builds_one_row_per_distinct_coordinate(self, monkeypatch):
-        rows = []
-        original = transform.dunkl_kernel_1d
+        shapes = []
+        original = transform._kernel_even_odd
 
-        def recording(order, z, y, **kw):
-            rows.append(np.shape(z)[0])
-            return original(order, z, y, **kw)
+        def recording(order, u, u_max):
+            shapes.append(np.shape(u))
+            return original(order, u, u_max)
 
-        monkeypatch.setattr(transform, "dunkl_kernel_1d", recording)
+        monkeypatch.setattr(transform, "_kernel_even_odd", recording)
         plan = self._plan()
         lin = np.linspace(-5.0, 5.0, 25)
         mesh = np.stack(np.meshgrid(lin, lin, indexing="ij"), axis=-1).reshape(-1, 2)
         fdt_integral(self._f, plan, mesh)
         fdt_smoothed(self._f, plan, mesh, r=0.6)
-        # one row per distinct |x|: the x < 0 rows are mirrored, not built
-        assert rows == [np.unique(np.abs(lin)).size] * 4
+        # one row per distinct |x|: the x < 0 rows are mirrored, not built;
+        # and Bessel values on the y > 0 half of each grid axis only
+        half = plan.grid.points_per_axis
+        assert 2 * half == plan.grid.axes_nodes[0].size
+        assert shapes == [(np.unique(np.abs(lin)).size, half)] * 4
 
     def test_grid_nodes_match_on_grid(self):
         plan = self._plan()
@@ -552,8 +555,36 @@ class TestAxisDedup:
                 assert out[i].tobytes() == out[i + 1].tobytes(), xs[i]
 
 
+class TestHalfAxisKernel:
+    """The axis factors, built from Bessel values on the y > 0 half of each
+    grid axis and on the distinct |x|, equal a per-point build on the full
+    axis bit for bit."""
+
+    @staticmethod
+    def _full_axis(plan, j, x, r):
+        zscale, gcoef, _ = transform._mehler_form(plan, r)
+        xk = np.asarray(x, dtype=float)[:, None]
+        yk = plan.grid.axes_nodes[j][None, :]
+        kern = dunkl_kernel_1d(plan.mult.orders[j], zscale * xk, yk, u_max=math.inf)
+        # phase is named: on a large temporary numpy may multiply in place
+        # with the operands swapped, which can round differently
+        phase = np.exp(-gcoef * (xk * xk + yk * yk))
+        return kern * phase * plan.grid.axes_weights[j][None, :]
+
+    @pytest.mark.parametrize("mu", [[0.0], [0.3], [0.5], [0.0, 0.3], [0.5, 0.0]])
+    @pytest.mark.parametrize("r", [1.0, 0.6])
+    def test_rows_equal_full_axis_build(self, mu, r):
+        mult = Multiplicity(mu)
+        plan = TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=16), M=4)
+        xs = np.array([1.25, -1.25, 0.0, -0.0, 3.5, 3.5, -0.7, 5.9, -5.9, 0.0, 2.2])
+        for outputs in ([xs] * mult.dim, [xs[::-1]] * mult.dim, list(plan.grid.axes_nodes)):
+            mats, _ = transform._axis_matrices(plan, outputs, r)
+            for j, (mat, x) in enumerate(zip(mats, outputs)):
+                assert mat.tobytes() == self._full_axis(plan, j, x, r).tobytes(), (mu, r, j)
+
+
 class TestOperatorCache:
-    """The plan keeps its kernel axis factors on the |x| rows and its
+    """The plan keeps its kernel axis factors, built on the |x| rows, and its
     Hermite analysis matrices, and a cached call returns the same bits."""
 
     _plan = staticmethod(TestAxisDedup._plan)
@@ -571,14 +602,8 @@ class TestOperatorCache:
     @staticmethod
     def _parent_style(plan, f, xs, r):
         """The per-point build: every output row through the Bessel layer."""
-        zscale, gcoef, pref = transform._mehler_form(plan, r)
-        mats = []
-        for j, order in enumerate(plan.mult.orders):
-            xk = xs[:, j][:, None]
-            yk = plan.grid.axes_nodes[j][None, :]
-            kern = transform.dunkl_kernel_1d(order, zscale * xk, yk, u_max=math.inf)
-            phase = np.exp(-gcoef * (xk * xk + yk * yk))
-            mats.append(kern * phase * plan.grid.axes_weights[j][None, :])
+        pref = transform._mehler_form(plan, r)[2]
+        mats = [TestHalfAxisKernel._full_axis(plan, j, xs[:, j], r) for j in range(plan.mult.dim)]
         tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
         return pref * transform._contract_points(mats, tensor)
 
@@ -591,7 +616,7 @@ class TestOperatorCache:
         def refuse(*args, **kwargs):
             raise AssertionError("kernel rebuilt on a cache hit")
 
-        monkeypatch.setattr(transform, "dunkl_kernel_1d", refuse)
+        monkeypatch.setattr(transform, "_kernel_even_odd", refuse)
         again = fdt_integral(self._f, plan, xs.copy())
         assert again.tobytes() == first.tobytes()
         info = plan.operator_cache_info()
@@ -631,13 +656,13 @@ class TestOperatorCache:
         fdt_integral(self._f, plan, sets[0])
         one = plan.operator_cache_info().nbytes
         builds = []
-        original = transform.dunkl_kernel_1d
+        original = transform._kernel_even_odd
 
         def counting(*args, **kwargs):
             builds.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(transform, "dunkl_kernel_1d", counting)
+        monkeypatch.setattr(transform, "_kernel_even_odd", counting)
         monkeypatch.setattr(transform, "_OPERATOR_CACHE_BYTES", 2 * one)
         fdt_integral(self._f, plan, sets[1])
         fdt_integral(self._f, plan, sets[0])  # hit: sets[1] is now least recent

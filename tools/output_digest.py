@@ -1,6 +1,7 @@
 """Print one sha1 per CLI run, for a byte-identity check between checkouts.
 
     python3 tools/output_digest.py [--seeds 301 7] > digest.txt
+    python3 tools/output_digest.py [--seeds 301 7] --compare digest.txt
 
 Each run is a fresh CLI process with every BLAS thread variable at 1 (the
 library is bit-reproducible only single-threaded), in csv and in json:
@@ -14,9 +15,11 @@ library is bit-reproducible only single-threaded), in csv and in json:
 A run's digest covers its exit code, stdout, stderr and every file it
 wrote; the checkout's path and the temporary directory's are replaced by
 ``<root>`` and ``<tmp>`` first, so two checkouts that compute the same
-bytes print the same lines.  Run it in both and ``diff`` the outputs.  The
-library and the job decks come from this checkout's ``src/`` and
-``bench/``.
+bytes print the same lines.  Save the lines of one checkout and run the
+other with ``--compare FILE``: it prints the label of every run whose
+digest differs from the saved one, or that only one side has, and exits 1
+if there is any.  The library and the job decks come from this checkout's
+``src/`` and ``bench/``.
 """
 
 import argparse
@@ -74,7 +77,13 @@ def _digest(code, stdout, stderr, out_dir, tmp):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[301, 7])
+    parser.add_argument("--compare", metavar="FILE", type=Path, default=None,
+                        help="diff against digest lines saved from another checkout")
     args = parser.parse_args(argv)
+    saved = None
+    if args.compare is not None:
+        saved = dict(line.split() for line in args.compare.read_text().splitlines() if line)
+    differ = []
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.update({var: "1" for var in BLAS_THREAD_VARS})
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,8 +100,20 @@ def main(argv=None):
                 )
                 out_dir.mkdir(exist_ok=True)
                 digest = _digest(proc.returncode, proc.stdout, proc.stderr, out_dir, tmp)
-                print(f"{label}/{fmt} {digest}", flush=True)
-    return 0
+                run = f"{label}/{fmt}"
+                if saved is None:
+                    print(f"{run} {digest}", flush=True)
+                elif saved.pop(run, None) != digest:
+                    differ.append(run)
+                    print(f"differs: {run}", flush=True)
+    if saved is None:
+        return 0
+    for run in saved:
+        print(f"differs: {run} (not run here)")
+    differ += list(saved)
+    print(f"{len(differ)} run(s) differ from {args.compare}" if differ
+          else f"every run matches {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
