@@ -87,10 +87,13 @@ _KINDS = {"str": str, "list": list, "float": float, "int": int, "dict": dict}
 _CHOICES = {"route": ("spectral", "integral", "smoothed"), "vary": ("r", "alpha")}
 
 
-def _field(obj, key, kind, default=None, required=False, choices=None):
+def _field(obj, key, kind, default=None, required=False, choices=None, prefix=""):
+    """obj[key] read as kind; errors name the field as prefix + key, so a
+    key of a nested object is named by its path (``function.m``)."""
+    name = prefix + key
     if key not in obj or obj[key] is None:
         if required:
-            raise UsageError(f"config field '{key}' is required for this command")
+            raise UsageError(f"config field '{name}' is required for this command")
         return default
     value = obj[key]
     try:
@@ -101,9 +104,9 @@ def _field(obj, key, kind, default=None, required=False, choices=None):
         elif not isinstance(value, kind):
             raise TypeError
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config field '{key}': expected {kind.__name__}, got {value!r}")
+        raise UsageError(f"config field '{name}': expected {kind.__name__}, got {value!r}")
     if choices is not None and value not in choices:
-        raise UsageError(f"config field '{key}': must be one of {choices}, got {value!r}")
+        raise UsageError(f"config field '{name}': must be one of {choices}, got {value!r}")
     return value
 
 
@@ -218,17 +221,17 @@ def build_function(spec, plan):
     """
     if spec is None:
         raise UsageError("config field 'function' is required for this command")
-    kind = _field(spec, "kind", str, required=True,
+    kind = _field(spec, "kind", str, required=True, prefix="function.",
                   choices=("hermite_combo", "gauss_poly", "gaussian", "laguerre_gaussian", "samples"))
     if kind == "hermite_combo":
         table = {}
-        for t in _field(spec, "terms", list, required=True):
+        for t in _field(spec, "terms", list, required=True, prefix="function."):
             nu, c = _parse(t, "function.terms", _combo_term)
             table[nu] = table.get(nu, 0.0) + c
         return HermiteExpansion.from_terms(plan.basis, table)
     if kind == "gauss_poly":
-        raw = _field(spec, "poly", dict, required=True)
-        poly = _parse(raw, "function.poly", MultiPoly.from_json)
+        raw = _field(spec, "poly", dict, required=True, prefix="function.")
+        poly = _parse(raw, "function.poly", _poly)
         if poly.dim != plan.mult.dim:
             raise UsageError(f"config field 'function.poly': dim {poly.dim} != {plan.mult.dim}")
         return GaussPoly(poly)
@@ -238,7 +241,7 @@ def build_function(spec, plan):
     npts = plan.grid.nodes.shape[0]
     parts = {}
     for key, required in (("values_re", True), ("values_im", False)):
-        raw = _field(spec, key, list, required=required, default=[0.0] * npts)
+        raw = _field(spec, key, list, required=required, default=[0.0] * npts, prefix="function.")
         parts[key] = _parse(raw, f"function.{key}", _float_array)
         if parts[key].shape != (npts,):
             raise UsageError(f"config field 'function.{key}': need {npts} samples, one per grid node")
@@ -250,23 +253,35 @@ def _combo_term(term):
     return nu, complex(_number(term.get("re", 0.0), float), _number(term.get("im", 0.0), float))
 
 
+def _poly(raw):
+    """MultiPoly.from_json under the ``_number`` rule: dim and every
+    exponent must be integral, and no coefficient may be a boolean."""
+    terms = []
+    for term in raw["terms"]:
+        if isinstance(term.get("re"), bool) or isinstance(term.get("im"), bool):
+            raise TypeError("a boolean is not a coefficient")
+        terms.append(dict(term, exp=[_number(e, int) for e in term["exp"]]))
+    return MultiPoly.from_json({"dim": _number(raw["dim"], int), "terms": terms})
+
+
 def _profile(spec, kind):
     """The gaussian (exp(-a s)) or laguerre_gaussian (L_m^(order)(s) exp(-s/2))
     profile of a function spec, in s = |y|^2."""
     if kind == "gaussian":
-        a = _field(spec, "a", float, default=0.5)
+        a = _field(spec, "a", float, default=0.5, prefix="function.")
         if a <= 0:
             raise UsageError("config field 'function.a': must be positive")
         return lambda s: np.exp(-a * s)
-    m = _field(spec, "m", int, default=0)
-    order = _field(spec, "order", float, default=0.0)
+    m = _field(spec, "m", int, default=0, prefix="function.")
+    order = _field(spec, "order", float, default=0.0, prefix="function.")
     return lambda s: laguerre_eval(m, order, s) * np.exp(-0.5 * s)
 
 
 def _radial_profile(spec):
     if spec is None:
         raise UsageError("config field 'function' is required for this command")
-    kind = _field(spec, "kind", str, default="gaussian", choices=("gaussian", "laguerre_gaussian"))
+    kind = _field(spec, "kind", str, default="gaussian", prefix="function.",
+                  choices=("gaussian", "laguerre_gaussian"))
     profile = _profile(spec, kind)
     return lambda y: profile(np.asarray(y) ** 2)
 

@@ -479,9 +479,10 @@ class HermiteBasis:
     One-dimensional families are built once per distinct mu_j: the heat
     regularized monomials exp(-Delta_k/4) t^n, raised by the integer ladder of
     ``_hermite_family_1d``, normalized in L^2(|t|^(2 mu_j) dt); the leading
-    coefficient stays positive.  The N-dimensional h_nu are tensor products,
-    orthonormal under w_k and eigenfunctions of the Dunkl transform with
-    eigenvalue (-i)^|nu|.  Only the float rows are made up front; the exact
+    coefficient stays positive; each family's float coefficients are kept as
+    one zero-padded square matrix, row n holding degree n.  The
+    N-dimensional h_nu are tensor products, orthonormal under w_k and
+    eigenfunctions of the Dunkl transform with eigenvalue (-i)^|nu|.  Only the float rows are made up front; the exact
     polynomial of an h_nu is made from the ladder on its first request and
     kept.  Instances are immutable after construction.
     """
@@ -494,12 +495,14 @@ class HermiteBasis:
         families = {
             mu: _hermite_family_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
         }
+        rows = {mu: _padded_rows(family[2]) for mu, family in families.items()}
         self._axis_ladders = [families[mu][0] for mu in mult.mu_exact]
         self._axis_norms = [families[mu][1] for mu in mult.mu_exact]
-        self._axis_float = [families[mu][2] for mu in mult.mu_exact]
+        self._axis_float = [rows[mu] for mu in mult.mu_exact]
         self.indices = tuple(
             sorted(_graded_indices(mult.dim, self.max_degree), key=lambda nu: (sum(nu), nu))
         )
+        self._index_array = np.array(self.indices, dtype=np.intp).reshape(-1, mult.dim)
         self._functions = {}
 
     @property
@@ -540,10 +543,14 @@ class HermiteBasis:
             self._functions[nu] = GaussPoly(poly * scale)
         return self._functions[nu]
 
-    def axis_matrix(self, j, t):
-        """Matrix (max_degree+1, len(t)) of normalized 1-D values on axis j;
-        row n holds the degree-n function."""
-        return _gauss_rows(self._axis_float[j], t)
+    def axis_matrix(self, j, t, rows=None):
+        """Matrix (rows, len(t)) of normalized 1-D values on axis j; row n
+        holds the degree-n function.  ``rows`` defaults to max_degree + 1;
+        fewer rows give the same leading rows, bit for bit."""
+        coeffs = self._axis_float[j]
+        if rows is not None:
+            coeffs = coeffs[:rows, :rows]
+        return _gauss_rows(coeffs, t)
 
     def gram_residual(self, grid):
         """Largest |G - I| entry over the per-axis Gram matrices of the 1-D
@@ -560,8 +567,26 @@ class HermiteBasis:
 _GAUSS_REACH = 40.0
 
 
-def _gauss_rows(coeff_rows, t):
-    """polyval(t, c) * exp(-t^2/2) for each coefficient vector c, stacked.
+def _padded_rows(floats):
+    """The float rows of a 1-D family as one read-only square matrix, row n
+    holding the degree-n coefficients followed by zeros."""
+    rows = np.zeros((len(floats), len(floats)))
+    for n, coeffs in enumerate(floats):
+        rows[n, : n + 1] = coeffs
+    rows.flags.writeable = False
+    return rows
+
+
+def _gauss_rows(coeffs, t):
+    """polyval(t, coeffs[n]) * exp(-t^2/2) for every row n of the square
+    matrix ``coeffs`` (row n of degree <= n), stacked.
+
+    One Horner pass runs on all rows at once, in place, starting from
+    ``c[-1] + t*0`` as ``polyval`` does.  Row n's leading zeros keep it at
+    +0, and c + (+-0) * t = c for its first nonzero c = coeffs[n, n], so
+    every row is bitwise equal to ``polyval`` on its own n + 1 coefficients.
+    Rows below k are still +0 at the step for coefficient k and would stay
+    so, which is why that step touches rows k.. only.
 
     Points beyond _GAUSS_REACH are clipped to it first: the Gaussian is
     already exactly 0.0 there, so the value stays 0.0, and the polynomial at
@@ -572,10 +597,13 @@ def _gauss_rows(coeff_rows, t):
     t = np.asarray(t, dtype=float)
     if t.size and max(-t.min(), t.max()) >= _GAUSS_REACH:
         t = np.clip(t, -_GAUSS_REACH, _GAUSS_REACH)
-    gauss = np.exp(-0.5 * t * t)
-    out = np.empty((len(coeff_rows),) + t.shape)
-    for n, coeffs in enumerate(coeff_rows):
-        out[n] = np.polynomial.polynomial.polyval(t, coeffs) * gauss
+    column = (-1,) + (1,) * t.ndim
+    out = coeffs[:, -1].reshape(column) + t * 0
+    for k in range(len(coeffs) - 2, -1, -1):
+        active = out[k:]
+        active *= t
+        active += coeffs[k:, k].reshape(column)
+    out *= np.exp(-0.5 * t * t)
     return out
 
 
@@ -617,6 +645,41 @@ def hermite_closed_form_1d(n, mu, t):
         return const * laguerre_eval(m, mu - 0.5, t * t) * np.exp(-0.5 * t * t)
     const = (-1.0) ** m * math.sqrt(math.factorial(m) / gamma_fn(m + mu + 1.5))
     return const * t * laguerre_eval(m, mu + 0.5, t * t) * np.exp(-0.5 * t * t)
+
+
+def _contract_axis(block, table, axis):
+    """sum_k block[..., k, ...] * table[k] over ``axis`` of block, in k
+    order: that axis of length len(table) becomes one of table.shape[1]."""
+    cut = (slice(None),) * axis
+    column = (-1,) + (1,) * (block.ndim - axis - 1)
+    acc = np.zeros(block.shape[:axis] + (table.shape[1],) + block.shape[axis + 1 :])
+    term = np.empty_like(acc)
+    for k in range(len(table)):
+        np.multiply(block[cut + (slice(k, k + 1),)], table[k].reshape(column), out=term)
+        acc += term
+    return acc
+
+
+def _pointwise_sum(block, tables):
+    """(2, m) real and imaginary parts of sum_k T_0[k] * (the same sum over
+    the remaining axes of block[:, k]) at m points, skipping all-zero
+    slices; adding a zero term would leave every sum unchanged."""
+    table = tables[0]
+    acc = np.zeros((2, table.shape[1]))
+    for k in range(block.shape[1]):
+        sub = block[:, k]
+        if sub.any():
+            inner = _pointwise_sum(sub, tables[1:]) if len(tables) > 1 else sub[:, None]
+            acc += inner * table[k]
+    return acc
+
+
+def _complex(parts):
+    """Complex array from real and imaginary parts stacked on axis 0."""
+    out = np.empty(parts.shape[1:], dtype=complex)
+    out.real = parts[0]
+    out.imag = parts[1]
+    return out
 
 
 class HermiteExpansion:
@@ -663,41 +726,53 @@ class HermiteExpansion:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
     def __call__(self, x):
+        """Values at the points ``x`` (last axis of length dim).
+
+        Each point gets the sums of ``tensor_values`` in the same order,
+        taken as sum_k T_0[k] * (the sum over the remaining axes of C[k]),
+        one leading index at a time, so only a few arrays of the output's
+        size are live at once.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.basis.dim:
             raise UsageError(f"points have dim {x.shape[-1]}, expansion has dim {self.basis.dim}")
-        tables = [self.basis.axis_matrix(j, x[..., j].ravel()) for j in range(self.basis.dim)]
-        flat = self._accumulate(tables, np.multiply, (x[..., 0].size,))
-        return flat.reshape(x.shape[:-1])
+        block, tables = self._block_tables([x[..., j].ravel() for j in range(self.basis.dim)])
+        return _complex(_pointwise_sum(block, tables)).reshape(x.shape[:-1])
 
     def tensor_values(self, axes):
         """Values on the tensor product of the 1-D point sets ``axes``,
         flattened row-major (first axis slowest), like a ``QuadGrid``'s nodes.
 
-        h_nu factors over the axes, so each axis table is built on its own
-        points only and the products are taken as outer products.  Every
-        element sees the same polyval inputs, products and sums in the same
-        order as in ``__call__`` on the flattened points, so the result is
-        bitwise equal to it.
+        h_nu factors over the axes, so the sum is a chain of 1-D sums,
+        contracted from the last axis:  G[..., x_j, ...] =
+        sum_k G[..., k, ...] * T_j[k, x_j], in k order, with G the dense
+        coefficient block to start.  Each axis table is built on its own
+        points only.  Every element sees the same products and sums in the
+        same order as in ``__call__`` on the flattened points, so the result
+        is bitwise equal to it.
         """
         if len(axes) != self.basis.dim:
             raise UsageError(f"{len(axes)} axes given, expansion has dim {self.basis.dim}")
-        tables = [self.basis.axis_matrix(j, t) for j, t in enumerate(axes)]
-        shape = tuple(len(t) for t in axes)
-        return self._accumulate(tables, np.multiply.outer, shape).ravel()
+        block, tables = self._block_tables(axes)
+        for j in reversed(range(self.basis.dim)):
+            block = _contract_axis(block, tables[j], j + 1)
+        return _complex(block).ravel()
 
-    def _accumulate(self, tables, combine, shape):
-        """sum_nu c_nu * combine(...combine(T_0[nu_0], T_1[nu_1])..., T_N-1[nu_N-1])
-        over the nonzero coefficients, in index order."""
-        out = np.zeros(shape, dtype=complex)
-        for c, nu in zip(self.coeffs, self.basis.indices):
-            if c == 0:
-                continue
-            prod = tables[0][nu[0]]
-            for j in range(1, self.basis.dim):
-                prod = combine(prod, tables[j][nu[j]])
-            out += c * prod
-        return out
+    def _block_tables(self, points):
+        """The coefficients as a dense real block (2, d_0, ..., d_N-1), real
+        and imaginary parts first, trimmed on each axis to its largest
+        nonzero degree, and the axis tables T_j (d_j, len(points[j])) on the
+        given 1-D points.  All-zero coefficients give a zero block of one
+        entry per axis.  Real and imaginary parts are summed as real arrays,
+        so every step is one rounded real multiply or add, the same on the
+        tensor and the pointwise path whatever the array layout."""
+        live = np.flatnonzero(self.coeffs)
+        index = self.basis._index_array[live]
+        sizes = tuple(index.max(axis=0, initial=0) + 1)
+        block = np.zeros((2,) + sizes)
+        block[(slice(None),) + tuple(index.T)] = (self.coeffs[live].real, self.coeffs[live].imag)
+        tables = [self.basis.axis_matrix(j, t, d) for j, (t, d) in enumerate(zip(points, sizes))]
+        return block, tables
 
     def map_coeffs(self, fn):
         """New expansion with coefficients fn(|nu|, c) per index."""

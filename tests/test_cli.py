@@ -200,7 +200,31 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
          "'function.terms'"),
         ({"command": "check", "mu": [0.5], "suite": "basis", "seed": 7.5}, "'seed'"),
         ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
-          "function": {"kind": "laguerre_gaussian", "m": 1.5}}, "'m'"),
+          "function": {"kind": "laguerre_gaussian", "m": 1.5}}, "'function.m'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "laguerre_gaussian", "order": True}}, "'function.order'"),
+        ({"command": "transform", "mu": [0.5], "M": 4,
+          "function": {"kind": "gaussian", "a": True}}, "'function.a'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "function": {"kind": "bessel"}},
+         "'function.kind'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1, "terms": [
+              {"exp": [1.5], "re": "1"}]}}}, "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": True, "terms": [
+              {"exp": [1], "re": "1"}]}}}, "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1.5, "terms": [
+              {"exp": [1], "re": "1"}]}}}, "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1, "terms": [
+              {"exp": [True], "re": "1"}]}}}, "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1, "terms": [
+              {"exp": [1], "re": True}]}}}, "'function.poly'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "route": "spectral",
+          "function": {"kind": "gauss_poly", "poly": {"dim": 1, "terms": [
+              {"exp": [1], "re": "1", "im": False}]}}}, "'function.poly'"),
         ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
           "outputs": {"points": [[0.5], [True]]}}, "'outputs.points'"),
         ({"command": "kernel", "mu": [0.5], "M": 4, "route": "spectral",

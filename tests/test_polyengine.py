@@ -421,6 +421,123 @@ class TestHermiteExpansion:
         assert np.max(np.abs(f(x) - g(x))) <= 1e-13
 
 
+def polyval_rows(floats, t):
+    """Reference for ``_gauss_rows``: ``polyval`` row by row on each row's
+    own n + 1 coefficients, clipped at the Gaussian's reach, as the rows
+    were first evaluated."""
+    t = np.asarray(t, dtype=float)
+    if t.size and max(-t.min(), t.max()) >= polyengine._GAUSS_REACH:
+        t = np.clip(t, -polyengine._GAUSS_REACH, polyengine._GAUSS_REACH)
+    gauss = np.exp(-0.5 * t * t)
+    return np.array([np.polynomial.polynomial.polyval(t, c) * gauss for c in floats])
+
+
+def termwise_sum(expansion, x):
+    """Reference for the factorized sum: sum_nu c_nu prod_j T_j[nu_j](x_j)
+    with one full-length term per nonzero coefficient, as expansions were
+    first evaluated."""
+    basis = expansion.basis
+    tables = [basis.axis_matrix(j, x[:, j]) for j in range(basis.dim)]
+    out = np.zeros(len(x), dtype=complex)
+    for c, nu in zip(expansion.coeffs, basis.indices):
+        if c != 0:
+            prod = tables[0][nu[0]]
+            for j in range(1, basis.dim):
+                prod = prod * tables[j][nu[j]]
+            out += c * prod
+    return out
+
+
+class TestGaussRows:
+    """All rows of an axis come from one Horner pass over the zero-padded
+    coefficient matrix; each row must equal ``polyval`` on its own
+    coefficients bit for bit."""
+
+    TINY = np.nextafter(0.0, 1.0)
+    POINTS = {
+        "interior": np.linspace(-7.5, 7.5, 61),
+        "zeros_and_subnormals": np.array([0.0, -0.0, TINY, -TINY, 1e-310, -3e-320, 1e-300,
+                                          2.2250738585072014e-308, -1e-160]),
+        "past_reach": np.array([-1e300, -45.0, -40.0, -39.999, 0.5, 39.5, 40.0, 41.0, 1e200]),
+    }
+
+    @pytest.mark.parametrize("mu", [0, 0.3, 0.5, 0.7, 1.7, Fraction(4, 7), 2.5])
+    @pytest.mark.parametrize("max_degree", [0, 1, 2, 7, 16, 40])
+    def test_bitwise_equal_to_polyval(self, mu, max_degree):
+        mu_exact = Multiplicity([mu]).mu_exact[0]
+        floats = polyengine._hermite_family_1d(mu_exact, max_degree)[2]
+        basis = HermiteBasis(Multiplicity([mu]), max_degree)
+        for name, t in self.POINTS.items():
+            want = polyval_rows(floats, t)
+            assert basis.axis_matrix(0, t).tobytes() == want.tobytes(), name
+            rows = max_degree // 2 + 1
+            assert basis.axis_matrix(0, t, rows).tobytes() == want[:rows].tobytes(), name
+
+    def test_rows_are_padded_and_read_only(self):
+        basis = HermiteBasis(Multiplicity([0.3]), 5)
+        rows = basis._axis_float[0]
+        assert rows.shape == (6, 6) and not rows.flags.writeable
+        assert np.all(np.triu(rows, 1) == 0.0)
+
+
+class TestFactorizedSum:
+    """The axis-by-axis sum against the term-by-term reference: bitwise at
+    N = 1, where the sums run in the same order, and within 1e-14 for
+    unit-norm coefficients at N >= 2, where the order changes."""
+
+    @staticmethod
+    def unit(basis, terms):
+        f = HermiteExpansion.from_terms(basis, terms)
+        return f * (1.0 / f.norm_l2())
+
+    def cases(self, basis):
+        rng = np.random.default_rng(11)
+        top = basis.max_degree
+        dense = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        yield "dense", HermiteExpansion(basis, dense / np.linalg.norm(dense))
+        yield "top_first", self.unit(basis, {(top,) + (0,) * (basis.dim - 1): 1.0})
+        yield "top_last", self.unit(basis, {(0,) * (basis.dim - 1) + (top,): -1.0j})
+        if basis.dim > 1:
+            half = (top // 2, top - top // 2) + (0,) * (basis.dim - 2)
+            yield "top_mixed", self.unit(basis, {half: 0.6 - 0.8j})
+            # rows 1..3 and column 1 of the trimmed 5 x 3 block are all zero
+            yield "zero_rows", self.unit(basis, {(0, 0) + (0,) * (basis.dim - 2): 0.5,
+                                                 (4, 2) + (0,) * (basis.dim - 2): 1j})
+
+    @pytest.mark.parametrize("mu", [[0.5], [1.7], [0.3, 0.7], [0.0, 0.0], [0.3, 0.7, 0.5]])
+    def test_matches_termwise_sum(self, mu):
+        mult = Multiplicity(mu)
+        basis = HermiteBasis(mult, 16 if len(mu) < 3 else 8)
+        x = np.random.default_rng(3).uniform(-5.0, 5.0, size=(400, len(mu)))
+        for name, f in self.cases(basis):
+            want = termwise_sum(f, x)
+            if len(mu) == 1:
+                assert f(x).tobytes() == want.tobytes(), name
+            else:
+                assert np.max(np.abs(f(x) - want)) <= 1e-14, name
+
+    def test_pointwise_memory_stays_near_output_size(self):
+        # A degree-6 input on the M = 16 basis, at 25,600 points: the two
+        # axis tables are trimmed to 7 rows, and beside them only a few
+        # arrays of the output's size may be live (no (d, m) intermediate).
+        import tracemalloc
+
+        basis = HermiteBasis(Multiplicity([0.3, 0.7]), 16)
+        rng = np.random.default_rng(5)
+        low = np.array([sum(nu) <= 6 for nu in basis.indices])
+        f = HermiteExpansion(basis, np.where(low, rng.standard_normal(basis.size), 0.0))
+        x = rng.uniform(-6.0, 6.0, size=(25600, 2))
+        f(x)
+        tracemalloc.start()
+        try:
+            out = f(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = 2 * 7 * x.shape[0] * 8
+        assert peak <= tables + 6 * out.nbytes, peak / out.nbytes
+
+
 class TestTensorValues:
     """``QuadGrid.values`` evaluates an expansion axis by axis; the result
     must equal the pointwise ``__call__`` on the flattened nodes bit for bit."""
@@ -441,6 +558,15 @@ class TestTensorValues:
             f = self.expansion(HermiteBasis(mult, degree), degree)
             got = grid.values(f)
             assert got.dtype == complex and got.shape == (grid.nodes.shape[0],)
+            assert got.tobytes() == f(grid.nodes).tobytes()
+
+    def test_bitwise_equal_to_pointwise_3d(self):
+        mult = Multiplicity([0.3, 0.7, 0.5])
+        grid = build_grid(mult, L=6.0, n=16)
+        for degree in (0, 5, 10):
+            f = self.expansion(HermiteBasis(mult, degree), degree + 1)
+            got = grid.values(f)
+            assert got.shape == (grid.nodes.shape[0],)
             assert got.tobytes() == f(grid.nodes).tobytes()
 
     def test_bitwise_equal_past_gauss_reach(self):

@@ -20,13 +20,32 @@ other with ``--compare FILE``: it prints the label of every run whose
 digest differs from the saved one, or that only one side has, and exits 1
 if there is any.  The library and the job decks come from this checkout's
 ``src/`` and ``bench/``.
+
+For a declared output change, keep each run's files and compare them by
+value:
+
+    python3 tools/output_digest.py --keep old/     # in the parent checkout
+    python3 tools/output_digest.py --keep new/     # in the changed one
+    python3 tools/output_digest.py --numeric-diff old/ new/
+
+``--keep DIR`` also writes every run's exit code, stdout, stderr and output
+files under ``DIR/<label>/``.  ``--numeric-diff`` prints, for each run that
+differs, the largest absolute difference over the numeric entries of its
+result rows (csv and json alike) and of the json summaries.  It flags, and
+exits 1 on, any change that is not a change of number: a run only one side
+has, exit code, stderr, the set of files, columns, row count, a text entry,
+a csv comment line, or stdout with its numbers masked.
 """
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
+import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,11 +80,15 @@ def _runs(seeds):
         yield f"check/{name}", {"command": "check", "mu": [0.0], "suite": name}
 
 
-def _digest(code, stdout, stderr, out_dir, tmp):
+def _clean(stream, tmp):
+    return stream.replace(str(ROOT), "<root>").replace(str(tmp), "<tmp>")
+
+
+def _digest(code, stdout, stderr, out_dir):
     h = hashlib.sha1()
     h.update(f"exit {code}\n".encode())
     for stream in (stdout, stderr):
-        h.update(stream.replace(str(ROOT), "<root>").replace(str(tmp), "<tmp>").encode())
+        h.update(stream.encode())
         h.update(b"\0")
     for path in sorted(out_dir.rglob("*")):
         if path.is_file():
@@ -74,12 +97,132 @@ def _digest(code, stdout, stderr, out_dir, tmp):
     return h.hexdigest()
 
 
+def _keep(run_dir, code, stdout, stderr, out_dir):
+    run_dir.mkdir(parents=True)
+    (run_dir / "exit").write_text(f"{code}\n", encoding="utf-8")
+    (run_dir / "stdout").write_text(stdout, encoding="utf-8")
+    (run_dir / "stderr").write_text(stderr, encoding="utf-8")
+    shutil.copytree(out_dir, run_dir / "out")
+
+
+class _Mismatch(Exception):
+    """A difference between two kept runs that is not a change of number."""
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _largest_json(a, b, where):
+    """Largest |a - b| over the numbers of two json values of one shape."""
+    if _is_number(a) and _is_number(b):
+        if a == b or math.isnan(a) and math.isnan(b):
+            return 0.0
+        if math.isnan(a) or math.isnan(b):
+            raise _Mismatch(f"{where}: {a!r} != {b!r}")
+        return abs(a - b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            raise _Mismatch(f"{where}: keys {list(a)} != {list(b)}")
+        return max((_largest_json(a[k], b[k], f"{where}.{k}") for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise _Mismatch(f"{where}: length {len(a)} != {len(b)}")
+        return max((_largest_json(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if a != b or type(a) is not type(b):
+        raise _Mismatch(f"{where}: {a!r} != {b!r}")
+    return 0.0
+
+
+def _largest_csv(a, b, where):
+    """Largest |a - b| over the numeric cells of two csv results; comment
+    lines (version, config, columns) and text cells must match."""
+    rows = [list(csv.reader(text.splitlines())) for text in (a, b)]
+    if len(rows[0]) != len(rows[1]):
+        raise _Mismatch(f"{where}: {len(rows[0])} lines != {len(rows[1])}")
+    worst = 0.0
+    for i, (x, y) in enumerate(zip(*rows)):
+        if x and x[0].startswith("#") or len(x) != len(y):
+            if x != y:
+                raise _Mismatch(f"{where} line {i + 1}: {x} != {y}")
+            continue
+        worst = max(worst, _largest_json([_cell(c) for c in x], [_cell(c) for c in y],
+                                         f"{where} line {i + 1}"))
+    return worst
+
+
+def _compare_run(old, new):
+    """Largest numeric difference between two kept runs, or _Mismatch."""
+    for name in ("exit", "stderr"):
+        if (old / name).read_bytes() != (new / name).read_bytes():
+            raise _Mismatch(f"{name} differs")
+    masked = [_NUMBER.sub("#", (d / "stdout").read_text(encoding="utf-8")) for d in (old, new)]
+    if masked[0] != masked[1]:
+        raise _Mismatch("stdout differs beyond its numbers")
+    files = [sorted(p.relative_to(d / "out") for p in (d / "out").rglob("*") if p.is_file())
+             for d in (old, new)]
+    if files[0] != files[1]:
+        raise _Mismatch(f"files {[str(f) for f in files[0]]} != {[str(f) for f in files[1]]}")
+    worst = 0.0
+    for rel in files[0]:
+        a, b = ((d / "out" / rel).read_text(encoding="utf-8") for d in (old, new))
+        if a == b:
+            continue
+        if rel.suffix == ".json":
+            worst = max(worst, _largest_json(json.loads(a), json.loads(b), str(rel)))
+        else:
+            worst = max(worst, _largest_csv(a, b, str(rel)))
+    return worst
+
+
+def numeric_diff(old_root, new_root):
+    """Print every kept run that differs between two --keep trees; return 1
+    if any difference is not a change of number."""
+    runs = [{p.parent.relative_to(root) for p in root.rglob("exit")}
+            for root in (old_root, new_root)]
+    flagged = same = 0
+    for run in sorted(runs[0] | runs[1]):
+        if run not in runs[0] or run not in runs[1]:
+            print(f"FLAG {run}: only in {old_root if run in runs[0] else new_root}")
+            flagged += 1
+            continue
+        try:
+            worst = _compare_run(old_root / run, new_root / run)
+        except _Mismatch as exc:
+            print(f"FLAG {run}: {exc}")
+            flagged += 1
+            continue
+        if worst or (old_root / run / "stdout").read_bytes() != (new_root / run / "stdout").read_bytes():
+            print(f"{run} max|diff| {worst:.3g}")
+        else:
+            same += 1
+    print(f"{len(runs[0] | runs[1]) - same} run(s) differ, {flagged} flagged, {same} identical")
+    return 1 if flagged else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[301, 7])
     parser.add_argument("--compare", metavar="FILE", type=Path, default=None,
                         help="diff against digest lines saved from another checkout")
+    parser.add_argument("--keep", metavar="DIR", type=Path, default=None,
+                        help="also write every run's exit code, streams and files under DIR")
+    parser.add_argument("--numeric-diff", metavar=("OLD", "NEW"), type=Path, nargs=2,
+                        help="compare two --keep trees by value instead of running")
     args = parser.parse_args(argv)
+    if args.numeric_diff:
+        return numeric_diff(*args.numeric_diff)
     saved = None
     if args.compare is not None:
         saved = dict(line.split() for line in args.compare.read_text().splitlines() if line)
@@ -99,8 +242,11 @@ def main(argv=None):
                     env=env, capture_output=True, text=True, cwd=tmp,
                 )
                 out_dir.mkdir(exist_ok=True)
-                digest = _digest(proc.returncode, proc.stdout, proc.stderr, out_dir, tmp)
+                stdout, stderr = _clean(proc.stdout, tmp), _clean(proc.stderr, tmp)
+                digest = _digest(proc.returncode, stdout, stderr, out_dir)
                 run = f"{label}/{fmt}"
+                if args.keep is not None:
+                    _keep(args.keep / run, proc.returncode, stdout, stderr, out_dir)
                 if saved is None:
                     print(f"{run} {digest}", flush=True)
                 elif saved.pop(run, None) != digest:
