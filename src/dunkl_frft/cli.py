@@ -30,7 +30,9 @@ from .specfun import BesselOrder, Multiplicity, laguerre_eval
 from .transform import (
     TransformPlan,
     fdt_integral,
+    fdt_integral_on_grid,
     fdt_smoothed,
+    fdt_smoothed_on_grid,
     fdt_spectral,
     fractional_hankel,
     kernel_alpha,
@@ -358,16 +360,16 @@ def _cmd_transform(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     f = build_function(cfg.function, plan)
     points = _output_points(cfg, plan)
+    on_grid = points is plan.grid.nodes
+    extra = None
     if cfg.route == "spectral":
         result = fdt_spectral(f, plan)
-        values = plan.grid.values(result) if points is plan.grid.nodes else result(points)
+        values = plan.grid.values(result) if on_grid else result(points)
         extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack}
     elif cfg.route == "smoothed":
-        values = fdt_smoothed(f, plan, points)
-        extra = None
+        values = fdt_smoothed_on_grid(f, plan) if on_grid else fdt_smoothed(f, plan, points)
     else:
-        values = fdt_integral(f, plan, points)
-        extra = None
+        values = fdt_integral_on_grid(f, plan) if on_grid else fdt_integral(f, plan, points)
     cols = [f"x{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, _complex_rows(points, values), extra)
     return 0

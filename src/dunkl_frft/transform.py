@@ -142,9 +142,11 @@ class TransformPlan:
 
     The Hermite basis is built lazily.  The plan also holds a bounded
     cache of the operators it prepares (kernel axis factors per (r,
-    output axes), Hermite analysis matrices, fractional Hankel rules per
-    order), filled by the first call that needs each one.  Its bookkeeping is locked and the cached arrays
-    are read-only, so a plan stays safe to share between threads.
+    output axes), folded even/odd factors of its own grid per r, Hermite
+    analysis matrices, fractional Hankel rules per order), filled by the
+    first call that needs each one.  Its bookkeeping is locked and the
+    cached arrays are read-only, so a plan stays safe to share between
+    threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -467,11 +469,18 @@ def fdt_spectral(f, plan, r=None):
 
 
 def _contract_grid(mats, tensor):
-    """Apply per-axis matrices to a tensor: out[a1..aN] = sum M1[a1,b1]...F[b..]."""
+    """Apply per-axis matrices to a tensor: out[a1..aN] = sum M1[a1,b1]...F[b..].
+
+    With k matrices for the first k of its axes, the other axes pass
+    through in place.  Each step is the product ``np.tensordot(mat, out,
+    axes=(1, j))`` forms, bit for bit, without its argument handling.
+    """
     out = tensor
-    for j in range(len(mats)):
-        out = np.tensordot(mats[j], out, axes=(1, j))
-    return np.transpose(out, axes=tuple(reversed(range(len(mats)))))
+    k = len(mats)
+    for j, mat in enumerate(mats):
+        moved = out.transpose((j,) + tuple(i for i in range(out.ndim) if i != j))
+        out = np.dot(mat, moved.reshape(mat.shape[1], -1)).reshape(mat.shape[:1] + moved.shape[1:])
+    return np.transpose(out, axes=tuple(reversed(range(k))) + tuple(range(k, out.ndim)))
 
 
 def _contract_points(mats, tensor):
@@ -484,9 +493,32 @@ def _contract_points(mats, tensor):
     return np.einsum(f"{parts},{letters}->z", *mats, tensor, optimize=True)
 
 
+def _half_axis_parts(plan, j, xa, zscale, gcoef):
+    """(even, odd, phase, w) on axis j: the parts of K_nu(zscale x, y) from
+    ``_kernel_even_odd``, the Gaussian phase exp(-gcoef (x^2+y^2)) and the
+    weights, for rows x = xa (distinct |x|) and columns the y > 0 half of
+    the grid axis, ``axes_nodes[j][n:]``."""
+    n = plan.grid.points_per_axis
+    xk = xa[:, None]
+    yk = plan.grid.axes_nodes[j][None, n:]
+    u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        even, odd = _kernel_even_odd(plan.mult.orders[j], u, U_MAX_KERNEL)
+        phase = np.exp(-gcoef * (xk * xk + yk * yk))
+    return even, odd, phase, plan.grid.axes_weights[j][None, n:]
+
+
+def _row_out_of_range(r, j, x):
+    """The RangeError for output coordinate x on axis j, whose kernel row is
+    not finite in double precision."""
+    route = "integral" if r == 1.0 else "smoothed"
+    return _out_of_range(route, f"output coordinate x{j}", float(x))
+
+
 def _axis_matrices(plan, per_axis_outputs, r):
     """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
-    kernel at smoothing r against the grid, and its prefactor.
+    kernel at smoothing r against the grid, at given output coordinates (the
+    points path), and its prefactor.
 
     Each axis is built once per distinct |x|, the orbit representatives of
     the reflection x -> -x, and kept in the plan's operator cache under (r,
@@ -507,33 +539,28 @@ def _axis_matrices(plan, per_axis_outputs, r):
       the phase sees only x^2 and y^2;
     - each Bessel value depends only on its own argument.
 
-    A coordinate so large that its row is not finite in double precision
-    (x^2 overflows in the phase, or a Bessel value overflows where the
-    Gaussian underflows) is refused with a RangeError naming it.
+    Outputs on the plan's own grid take ``_fold_factors`` instead, which
+    keeps the even and odd parts apart.  A coordinate so large that its row
+    is not finite in double precision (x^2 overflows in the phase, or a
+    Bessel value overflows where the Gaussian underflows) is refused with a
+    RangeError naming it.
     """
     zscale, gcoef, pref = _mehler_form(plan, r)
     coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
 
     def build():
         tables, gathers = [], []
-        n = plan.grid.points_per_axis
-        for j, order in enumerate(plan.mult.orders):
+        for j in range(plan.mult.dim):
             xa, rows = np.unique(np.abs(coords[j]), return_inverse=True)
-            xk = xa[:, None]
-            yk = plan.grid.axes_nodes[j][None, n:]
-            wk = plan.grid.axes_weights[j][None, n:]
-            u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
+            even, odd, phase, wk = _half_axis_parts(plan, j, xa, zscale, gcoef)
             with np.errstate(over="ignore", invalid="ignore"):
-                even, odd = _kernel_even_odd(order, u, U_MAX_KERNEL)
-                phase = np.exp(-gcoef * (xk * xk + yk * yk))
                 table = np.concatenate(
                     [((even - odd) * phase * wk)[:, ::-1], (even + odd) * phase * wk], axis=1
                 )
             finite = np.all(np.isfinite(table), axis=1)
             if not finite.all():
-                x = float(coords[j][np.abs(coords[j]) == xa[~finite][0]][0])
-                route = "integral" if r == 1.0 else "smoothed"
-                raise _out_of_range(route, f"output coordinate x{j}", x)
+                x = coords[j][np.abs(coords[j]) == xa[~finite][0]][0]
+                raise _row_out_of_range(r, j, x)
             tables.append(table)
             gathers.append(rows)
         return tables + gathers
@@ -552,14 +579,76 @@ def _axis_matrices(plan, per_axis_outputs, r):
     return mats, pref
 
 
+def _fold_factors(plan, r):
+    """Per-axis even and odd factors of the Mehler kernel at smoothing r on
+    the plan's own grid, [E_0, O_0, E_1, O_1, ...].
+
+    E_j = even phase w and O_j = odd phase w are n x n: rows the n positive
+    nodes x of axis j, columns its y > 0 half; E_0 and O_0 also carry the
+    kernel's prefactor.  They come from one ``_kernel_even_odd`` call per
+    axis and are kept in the plan's operator cache under ("kernel_fold",
+    r).  Because the axis is mirror-symmetric, K(x, -y) = E - O and
+    K(-x, y) = E - O, so ``_contract_folded`` needs no other block.
+    """
+    def build():
+        zscale, gcoef, pref = _mehler_form(plan, r)
+        factors = []
+        n = plan.grid.points_per_axis
+        for j in range(plan.mult.dim):
+            xa = plan.grid.axes_nodes[j][n:]
+            even, odd, phase, wk = _half_axis_parts(plan, j, xa, zscale, gcoef)
+            with np.errstate(over="ignore", invalid="ignore"):
+                weighted = phase * wk if j else pref * phase * wk
+                pair = [even * weighted, odd * weighted]
+            finite = np.all(np.isfinite(pair[0]) & np.isfinite(pair[1]), axis=1)
+            if not finite.all():
+                # the axis runs from -L up: name the first such node on it
+                raise _row_out_of_range(r, j, -xa[~finite][0])
+            factors += pair
+        return factors
+
+    return plan._operators.get(("kernel_fold", r), build)
+
+
+def _contract_folded(factors, tensor):
+    """Apply the folded axis factors of ``_fold_factors`` to a grid tensor,
+    one axis at a time: the same result as ``_contract_grid`` with the full
+    axis factors, up to rounding.
+
+    On axis j the 2n input entries split into f+ (y > 0) and f- (its mirror
+    -y); the even factor acts on f+ + f- and the odd one on f+ - f-, two
+    n x n products through ``_contract_grid``.  The +x half of the output
+    is g_e + g_o and the -x half, mirrored, g_e - g_o.  The axes are taken
+    last to first and each result axis is put in front, so the output comes
+    out C-contiguous in the tensor's own axis order.
+    """
+    out = tensor
+    last_first = (tensor.ndim - 1,) + tuple(range(tensor.ndim - 1))
+    for j in reversed(range(len(factors) // 2)):
+        even, odd = factors[2 * j], factors[2 * j + 1]
+        n = even.shape[1]
+        axis = out.transpose(last_first)
+        pos, neg = axis[n:], axis[n - 1::-1]
+        ge = _contract_grid([even], pos + neg)
+        go = _contract_grid([odd], pos - neg)
+        out = np.empty((2 * n,) + ge.shape[1:], dtype=ge.dtype)
+        np.add(ge, go, out=out[n:])
+        np.subtract(ge[::-1], go[::-1], out=out[:n])
+    return out
+
+
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
-    None, using the tensor structure of both grids."""
+    None, using the tensor structure of both grids.
+
+    Grid outputs contract the even and odd parts of each axis factor on the
+    y > 0 half (``_fold_factors``, ``_contract_folded``): half the
+    multiply-adds of a full-axis contraction.  Point outputs take the full
+    axis factors of ``_axis_matrices`` and ``_contract_points``."""
     tensor = plan.grid.to_tensor(np.asarray(plan.grid.values(f), dtype=complex))
     if xs is None:
-        mats, pref = _axis_matrices(plan, list(plan.grid.axes_nodes), r)
-        return (pref * _contract_grid(mats, tensor)).ravel()
+        return _contract_folded(_fold_factors(plan, r), tensor).ravel()
     mats, pref = _axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r)
     return pref * _contract_points(mats, tensor)
 

@@ -542,6 +542,39 @@ def test_spectral_grid_output_matches_pointwise(tmp_path):
     assert [complex(*row[2:]) for row in rows] == want.tolist()
 
 
+@pytest.mark.parametrize("route", ["integral", "smoothed"])
+def test_kernel_grid_output_is_on_grid_transform(tmp_path, route):
+    # Grid outputs of the kernel routes take the on-grid transform; json rows
+    # carry every bit of it, and it agrees with the points path.
+    terms = [{"nu": [1, 2], "re": 0.5, "im": -0.25}, {"nu": [0, 0], "re": 1.0}]
+    cfg = {"command": "transform", "mu": [0.3, 0.7], "alpha": 0.8, "route": route, "r": 0.7,
+           "M": 6, "grid": {"L": 8.0, "n": 20}, "outputs": {"grid": True},
+           "function": {"kind": "hermite_combo", "terms": terms}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
+    rows = json.loads((tmp_path / "out" / "result.json").read_text())["rows"]
+    from dunkl_frft.cli import _make_plan, build_function
+    from dunkl_frft.transform import (
+        fdt_integral,
+        fdt_integral_on_grid,
+        fdt_smoothed,
+        fdt_smoothed_on_grid,
+    )
+
+    plan = _make_plan(parse_config(dict(cfg)))
+    f = build_function(cfg["function"], plan)
+    nodes = plan.grid.nodes
+    if route == "integral":
+        want, points = fdt_integral_on_grid(f, plan), fdt_integral(f, plan, nodes)
+    else:
+        want, points = fdt_smoothed_on_grid(f, plan), fdt_smoothed(f, plan, nodes)
+    assert [row[:2] for row in rows] == nodes.tolist()
+    got = np.array([complex(*row[2:]) for row in rows])
+    assert got.tolist() == want.tolist()
+    assert np.max(np.abs(got - points)) <= 1e-12
+
+
 @pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])
 def test_traced_benchmark_boundaries(workload):
     # The benchmark's tracer wraps library functions by name and reads their

@@ -1,0 +1,67 @@
+"""Repository tools: the output digest's residual table."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _digest_tool():
+    path = ROOT / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _keep_tree(root, suites):
+    """A --keep tree holding only json check runs: {suite: [(name, residual, tol)]}."""
+    for suite, rows in suites.items():
+        out = root / "check" / suite / "json" / "out"
+        out.mkdir(parents=True)
+        payload = {"columns": ["name", "residual", "tolerance", "passed"],
+                   "rows": [[name, resid, tol, int(resid <= tol)] for name, resid, tol in rows]}
+        (out / "result.json").write_text(json.dumps(payload), encoding="utf-8")
+    return root
+
+
+def _table(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["| suite | check row | before | after | gate | inside gate |",
+                         "|---|---|---|---|---|---|"]
+    return [[cell.strip() for cell in line.strip("|").split(" | ")] for line in lines[2:]]
+
+
+def test_residual_table_inside_gates(tmp_path, capsys):
+    tool = _digest_tool()
+    old = _keep_tree(tmp_path / "old", {"mehler": [("limit", 1.5e-4, 1e-2)],
+                                        "classical": [("gauss |x|", 3.25e-14, 1e-8),
+                                                      ("cosine", 2.0e-14, 1e-8)]})
+    new = _keep_tree(tmp_path / "new", {"mehler": [("limit", 1.5e-4, 1e-2)],
+                                        "classical": [("gauss |x|", 3.5e-14, 1e-8),
+                                                      ("cosine", 2.0e-14, 1e-8)]})
+    assert tool.main(["--residuals", str(old), str(new)]) == 0
+    assert _table(capsys) == [
+        ["classical", "gauss \\|x\\|", "3.2500000000e-14", "3.5000000000e-14", "1e-08", "yes"],
+        ["classical", "cosine", "2.0000000000e-14", "2.0000000000e-14", "1e-08", "yes"],
+        ["mehler", "limit", "1.5000000000e-04", "1.5000000000e-04", "0.01", "yes"],
+    ]
+
+
+def test_residual_table_flags_rows_that_leave_or_change(tmp_path, capsys):
+    tool = _digest_tool()
+    old = _keep_tree(tmp_path / "old", {"unitary_group": [("group law", 3e-10, 1e-6),
+                                                          ("adjoint", 2e-16, 1e-8),
+                                                          ("gone", 1e-12, 1e-8)],
+                                        "generator": [("exact", 5e-9, 1e-6)]})
+    new = _keep_tree(tmp_path / "new", {"unitary_group": [("group law", 2e-6, 1e-6),
+                                                          ("adjoint", 2e-16, 1e-8)],
+                                        "generator": [("exact", 5e-9, 1e-5)]})
+    assert tool.main(["--residuals", str(old), str(new)]) == 1
+    assert [(row[1], row[3], row[4], row[5]) for row in _table(capsys)] == [
+        ("exact", "5.0000000000e-09", "1e-06 -> 1e-05", "no"),
+        ("group law", "2.0000000000e-06", "1e-06", "no"),
+        ("adjoint", "2.0000000000e-16", "1e-08", "yes"),
+        ("gone", "missing", "1e-08", "no"),
+    ]

@@ -583,6 +583,123 @@ class TestHalfAxisKernel:
                 assert mat.tobytes() == self._full_axis(plan, j, x, r).tobytes(), (mu, r, j)
 
 
+class TestParityFold:
+    """Grid outputs contract the even and odd parts of each axis factor on
+    the y > 0 half of the grid and mirror the result onto the -x half."""
+
+    @staticmethod
+    def _f(pts):
+        # neither even nor odd in any coordinate
+        return np.exp(-0.4 * np.sum(pts * pts, axis=-1)) * (
+            1.0 + 0.3 * pts[..., 0] - 0.2 * pts[..., -1] ** 3
+        )
+
+    @staticmethod
+    def _on_grid(f, plan, r):
+        return fdt_integral_on_grid(f, plan) if r == 1.0 else fdt_smoothed_on_grid(f, plan, r=r)
+
+    @pytest.mark.parametrize("mu", [[0.0], [0.3], [0.5], [0.0, 0.3], [0.5, 0.0]])
+    @pytest.mark.parametrize("r", [1.0, 0.6])
+    def test_matches_points_path(self, mu, r):
+        mult = Multiplicity(mu)
+        plan = TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=16), M=4)
+        nodes = plan.grid.nodes
+        at_nodes = fdt_integral(self._f, plan, nodes) if r == 1.0 else fdt_smoothed(
+            self._f, plan, nodes, r=r
+        )
+        assert np.max(np.abs(self._on_grid(self._f, plan, r) - at_nodes)) <= 1e-12
+
+    def test_fractional_fourier_of_gaussians(self):
+        from dunkl_frft.checks import _frft_gaussian_closed_form
+
+        mult = Multiplicity([0.0])
+        grid = build_grid(mult)
+        for alpha in (math.pi / 3, -0.4 * math.pi, 2 * math.pi / 3, -0.75 * math.pi, -math.pi / 2):
+            assert abs(math.sin(alpha)) >= 0.5
+            plan = TransformPlan(mult, alpha, grid=grid, M=0)
+            for a in (0.5, 0.8, 1.3):
+                got = fdt_integral_on_grid(lambda p, _a=a: np.exp(-_a * p[..., 0] ** 2), plan)
+                want = _frft_gaussian_closed_form(plan, a, grid.nodes)
+                assert np.max(np.abs(got - want)) <= 1e-12, (alpha, a)
+
+    @pytest.mark.parametrize("mu, odd, even", [([0.5], (1,), (2,)), ([0.3, 0.7], (1, 0), (0, 2))])
+    def test_odd_and_even_eigenfunctions(self, mu, odd, even):
+        # an odd input changes sign on the -x half, an even one does not
+        mult = Multiplicity(mu)
+        grid = build_grid(mult, L=8.0, n=40)
+        for alpha in (2.0, -math.pi / 3):
+            plan = TransformPlan(mult, alpha, grid=grid, M=2)
+            for nu in (odd, even):
+                h = HermiteExpansion.from_terms(plan.basis, {nu: 1.0})
+                for r in (1.0, 0.6):
+                    want = (r * cmath.exp(1j * alpha)) ** sum(nu) * grid.values(h)
+                    got = self._on_grid(h, plan, r)
+                    assert np.max(np.abs(got - want)) <= 1e-9, (alpha, nu, r)
+
+    def test_nonfinite_rows_refused_like_points_path(self):
+        # on a wide box the smoothed kernel's Bessel values overflow where
+        # its Gaussian underflows
+        mult = Multiplicity([0.5])
+        plan = TransformPlan(mult, 1.0, grid=build_grid(mult, L=60.0, n=120), M=4)
+        messages = []
+        for call in (lambda: fdt_smoothed_on_grid(self._f, plan, r=0.3),
+                     lambda: fdt_smoothed(self._f, plan, plan.grid.nodes, r=0.3)):
+            with pytest.raises(RangeError, match="output coordinate x0 = -") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_contract_grid_is_tensordot_bit_for_bit(self):
+        # the fold sends one matrix at a time through _contract_grid, which
+        # forms tensordot's product without its argument handling
+        rng = np.random.default_rng(3)
+
+        def cplx(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        cases = (((24,), [7]), ((16, 12), [5, 9]), ((16, 12), [5]), ((6, 5, 4), [3, 2, 7]))
+        for shape, rows in cases:
+            tensor = cplx(shape)
+            for layout in (tensor, np.asfortranarray(tensor), tensor.transpose()[..., ::-1].T):
+                mats = [cplx((r, shape[j])) for j, r in enumerate(rows)]
+                want = layout
+                for j, mat in enumerate(mats):
+                    want = np.tensordot(mat, want, axes=(1, j))
+                k = len(mats)
+                want = np.transpose(want, tuple(reversed(range(k))) + tuple(range(k, want.ndim)))
+                got = transform._contract_grid(mats, layout)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, rows)
+
+    def test_repeat_call_is_a_cache_hit(self, monkeypatch):
+        plan = TestAxisDedup._plan()
+        first = fdt_integral_on_grid(self._f, plan)
+        assert plan.operator_cache_info()[:3] == (0, 1, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel rebuilt on a cache hit")
+
+        monkeypatch.setattr(transform, "_kernel_even_odd", refuse)
+        again = fdt_integral_on_grid(self._f, plan)
+        assert again.tobytes() == first.tobytes()
+        assert plan.operator_cache_info()[:3] == (1, 1, 1)
+
+    def test_one_half_axis_block_per_axis(self, monkeypatch):
+        shapes = []
+        original = transform._kernel_even_odd
+
+        def recording(order, u, u_max):
+            shapes.append(np.shape(u))
+            return original(order, u, u_max)
+
+        monkeypatch.setattr(transform, "_kernel_even_odd", recording)
+        plan = TestAxisDedup._plan()
+        for _ in range(2):
+            fdt_integral_on_grid(self._f, plan)
+            fdt_smoothed_on_grid(self._f, plan, r=0.6)
+        half = plan.grid.points_per_axis
+        assert shapes == [(half, half)] * (2 * plan.mult.dim)
+
+
 class TestOperatorCache:
     """The plan keeps its kernel axis factors, built on the |x| rows, and its
     Hermite analysis matrices, and a cached call returns the same bits."""

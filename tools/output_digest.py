@@ -35,6 +35,14 @@ result rows (csv and json alike) and of the json summaries.  It flags, and
 exits 1 on, any change that is not a change of number: a run only one side
 has, exit code, stderr, the set of files, columns, row count, a text entry,
 a csv comment line, or stdout with its numbers masked.
+
+    python3 tools/output_digest.py --residuals old/ new/
+
+prints the before/after table of the check suites from two --keep trees:
+one markdown row per result row of each ``check/<suite>`` json run, with
+its residual before and after, its gate (the tolerance) and whether the
+after residual is still inside it.  It exits 1 if any row leaves its gate,
+or has no partner on the other side, or changed its gate.
 """
 
 import argparse
@@ -211,6 +219,43 @@ def numeric_diff(old_root, new_root):
     return 1 if flagged else 0
 
 
+def _check_rows(root):
+    """{suite: [(name, residual, tolerance), ...]} from a --keep tree's json
+    check runs."""
+    out = {}
+    for path in sorted(root.glob("check/*/json/out/result.json")):
+        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+        out[path.parts[-4]] = [(name, resid, tol) for name, resid, tol, _ in rows]
+    return out
+
+
+def residuals(old_root, new_root):
+    """Print the before/after residual table of two --keep trees' check
+    suites; return 1 if any row leaves its gate, lacks a partner or changed
+    its gate."""
+    old, new = _check_rows(old_root), _check_rows(new_root)
+    print("| suite | check row | before | after | gate | inside gate |")
+    print("|---|---|---|---|---|---|")
+    left = 0
+    for suite in sorted(old.keys() | new.keys()):
+        before = {name: (resid, tol) for name, resid, tol in old.get(suite, [])}
+        after = {name: (resid, tol) for name, resid, tol in new.get(suite, [])}
+        names = [name for name, _, _ in new.get(suite, [])]
+        names += [name for name, _, _ in old.get(suite, []) if name not in after]
+        for name in names:
+            b, a = before.get(name), after.get(name)
+            gates = [part[1] for part in (b, a) if part is not None]
+            same_gate = len(set(gates)) == 1
+            inside = b is not None and a is not None and same_gate and a[0] <= a[1]
+            left += not inside
+            cells = [f"{part[0]:.10e}" if part is not None else "missing" for part in (b, a)]
+            gate = f"{gates[0]:g}" if same_gate else " -> ".join(f"{g:g}" for g in gates)
+            label = name.replace("|", "\\|")
+            print(f"| {suite} | {label} | {cells[0]} | {cells[1]} | {gate} | "
+                  f"{'yes' if inside else 'no'} |")
+    return 1 if left else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[301, 7])
@@ -220,9 +265,13 @@ def main(argv=None):
                         help="also write every run's exit code, streams and files under DIR")
     parser.add_argument("--numeric-diff", metavar=("OLD", "NEW"), type=Path, nargs=2,
                         help="compare two --keep trees by value instead of running")
+    parser.add_argument("--residuals", metavar=("OLD", "NEW"), type=Path, nargs=2,
+                        help="print the check suites' residual table of two --keep trees")
     args = parser.parse_args(argv)
     if args.numeric_diff:
         return numeric_diff(*args.numeric_diff)
+    if args.residuals:
+        return residuals(*args.residuals)
     saved = None
     if args.compare is not None:
         saved = dict(line.split() for line in args.compare.read_text().splitlines() if line)
