@@ -25,7 +25,13 @@ from .checks import SUITES, run_suite
 from .errors import CalibrationError, DomainError, DunklError, UsageError
 from .polyengine import GaussPoly, HermiteExpansion, MultiPoly
 from .quadrature import build_grid
-from .semigroup import GroupSampler, difference_quotient, resolvent_apply, spectral_projection
+from .semigroup import (
+    GroupSampler,
+    difference_quotient,
+    resolvent_apply,
+    resolvent_lambda,
+    spectral_projection,
+)
 from .specfun import BesselOrder, Multiplicity, laguerre_eval
 from .transform import (
     TransformPlan,
@@ -271,11 +277,15 @@ def _profile(spec, kind):
     profile of a function spec, in s = |y|^2."""
     if kind == "gaussian":
         a = _field(spec, "a", float, default=0.5, prefix="function.")
-        if a <= 0:
-            raise UsageError("config field 'function.a': must be positive")
+        if not 0.0 < a < math.inf:
+            raise UsageError(f"config field 'function.a': must be positive and finite, got {a!r}")
         return lambda s: np.exp(-a * s)
     m = _field(spec, "m", int, default=0, prefix="function.")
+    if m < 0:
+        raise UsageError(f"config field 'function.m': must be >= 0, got {m}")
     order = _field(spec, "order", float, default=0.0, prefix="function.")
+    if not -1.0 < order < math.inf:
+        raise UsageError(f"config field 'function.order': must be finite and > -1, got {order!r}")
     return lambda s: laguerre_eval(m, order, s) * np.exp(-0.5 * s)
 
 
@@ -424,6 +434,8 @@ def _cmd_hankel(cfg, out_dir, fmt):
     radii = _coordinates(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii")
     if radii.ndim != 1:
         raise UsageError("config field 'outputs.radii': expected a list of radii")
+    if np.any(radii < 0):
+        raise UsageError("config field 'outputs.radii': radii must be >= 0")
     vals = fractional_hankel(psi, order, plan, radii)
     _emit(cfg, out_dir, fmt, ["x", "re", "im"], _complex_rows(radii[:, None], vals))
     return 0
@@ -453,10 +465,12 @@ def _cmd_projection(cfg, out_dir, fmt):
 
 def _cmd_resolvent(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
+    lam = _parse(cfg.resolvent_lambda, "resolvent_lambda", lambda v: complex(*_float_list(v)))
+    with _refused("resolvent_lambda"):
+        lam = resolvent_lambda(lam)
     f = build_function(cfg.function, plan)
     with _refused("q_nodes"):
         sampler = GroupSampler(plan, q=cfg.q_nodes)
-    lam = _parse(cfg.resolvent_lambda, "resolvent_lambda", lambda v: complex(*_float_list(v)))
     res = resolvent_apply(f, lam, sampler)
     cols = [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, _coefficient_rows(res))
@@ -487,6 +501,8 @@ def _cmd_convergence(cfg, out_dir, fmt):
     rows = []
     if cfg.vary == "r":
         values = _parse(cfg.values or [1.0 - 2.0**-j for j in range(3, 13)], "values", _float_list)
+        if not all(0.0 < r < 1.0 for r in values):
+            raise UsageError(f"config field 'values': r must lie in (0, 1), got {values}")
         samples = rng.uniform(-2.0, 2.0, size=(12, 2, plan.mult.dim))
         for r in values:
             worst = 0.0
@@ -497,6 +513,8 @@ def _cmd_convergence(cfg, out_dir, fmt):
         cols = ["r", "kernel_residual"]
     else:
         values = _parse(cfg.values or [0.4 * 2.0**-j for j in range(8)], "values", _float_list)
+        if not all(a != 0.0 and math.isfinite(a) for a in values):
+            raise UsageError(f"config field 'values': orders must be finite and nonzero, got {values}")
         f = build_function(cfg.function, plan)
         if not isinstance(f, HermiteExpansion):
             raise UsageError("config field 'function': alpha convergence needs a hermite_combo")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .polyengine import GaussPoly, MultiPoly, RationalComplex
+from .polyengine import GaussPoly, RationalComplex, hermite_operator
 from .quadrature import gauss_legendre
 from .transform import TransformPlan, _as_points, fdt_integral, fdt_integral_on_grid, hermite_expand
 
@@ -92,16 +92,23 @@ def _s_line_integral(lam, degrees, upper):
     return out
 
 
+def resolvent_lambda(lam):
+    """lam as a complex number, refused with a DomainError when it is not
+    finite or lies within 0.1 of i*Z, where the resolvent's prefactor blows
+    up and the quadrature conditioning degrades."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam) or _distance_to_int_times_i(lam) < 0.1:
+        raise DomainError(f"lambda = {lam} is not finite or within 0.1 of i*Z; resolvent refused")
+    return lam
+
+
 def resolvent_apply(f, lam, sampler):
     """Resolvent R(lam, T) f = (1 - e^{-2 pi lam})^{-1}
     integral_0^{2pi} e^{-lam s} D_k^s f ds.
 
-    Refuses lam within 0.1 of i*Z, where the prefactor blows up and the
-    quadrature conditioning degrades.  On eigenfunctions the result is
-    h_nu / (lam - i |nu|)."""
-    lam = complex(lam)
-    if not cmath.isfinite(lam) or _distance_to_int_times_i(lam) < 0.1:
-        raise DomainError(f"lambda = {lam} is not finite or within 0.1 of i*Z; resolvent refused")
+    Refuses lam as ``resolvent_lambda`` does.  On eigenfunctions the result
+    is h_nu / (lam - i |nu|)."""
+    lam = resolvent_lambda(lam)
     base = sampler.expand(f)
     degrees = sorted({sum(nu) for nu in base.basis.indices})
     integrals = _s_line_integral(lam, degrees, 2.0 * math.pi)
@@ -112,18 +119,17 @@ def resolvent_apply(f, lam, sampler):
 def generator_exact(f, mult):
     """Exact generator on Gaussian-polynomial functions:
 
-        T f = -i (gamma + N/2) f + (i/2)(|x|^2 - Delta_k) f,
+        T f = -i (gamma + N/2) f - (i/2)(Delta_k - |x|^2) f,
 
-    computed in exact rational-complex arithmetic.  T h_nu = i |nu| h_nu."""
+    computed from ``hermite_operator`` in exact rational-complex arithmetic.
+    T h_nu = i |nu| h_nu."""
     if not isinstance(f, GaussPoly):
         raise UsageError("generator_exact acts on GaussPoly")
     if mult.dim != f.dim:
         raise UsageError("multiplicity and function dimensions differ")
     g = mult.gamma_exact + Fraction(mult.dim, 2)
-    lap = f.dunkl_laplacian(mult).poly
-    rsq = MultiPoly.radius_sq(f.dim)
     half_i = RationalComplex(0, Fraction(1, 2))
-    poly = RationalComplex(0, -1) * g * f.poly + half_i * (rsq * f.poly - lap)
+    poly = RationalComplex(0, -1) * g * f.poly - half_i * hermite_operator(f, mult).poly
     return GaussPoly(poly)
 
 

@@ -53,9 +53,6 @@ _TWO_PI = 2.0 * math.pi
 # larger than this is built and returned but not kept.
 _OPERATOR_CACHE_BYTES = 32 << 20
 
-# Rows of a kernel axis factor whose columns are reversed in one step.
-_FLIP_ROWS = 256
-
 OperatorCacheInfo = namedtuple("OperatorCacheInfo", "hits misses entries nbytes")
 
 
@@ -141,12 +138,12 @@ class TransformPlan:
     prefactor.
 
     The Hermite basis is built lazily.  The plan also holds a bounded
-    cache of the operators it prepares (kernel axis factors per (r,
-    output axes), folded even/odd factors of its own grid per r, Hermite
-    analysis matrices, fractional Hankel rules per order), filled by the
-    first call that needs each one.  Its bookkeeping is locked and the
-    cached arrays are read-only, so a plan stays safe to share between
-    threads.
+    cache of the operators it prepares (the kernel axis factors of
+    ``_axis_factor``: as full-axis point rows per (r, output axes) and as
+    even/odd pairs on its own grid per r; Hermite analysis matrices;
+    fractional Hankel rules per order), filled by the first call that
+    needs each one.  Its bookkeeping is locked and the cached arrays are
+    read-only, so a plan stays safe to share between threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -493,118 +490,57 @@ def _contract_points(mats, tensor):
     return np.einsum(f"{parts},{letters}->z", *mats, tensor, optimize=True)
 
 
-def _half_axis_parts(plan, j, xa, zscale, gcoef):
-    """(even, odd, phase, w) on axis j: the parts of K_nu(zscale x, y) from
-    ``_kernel_even_odd``, the Gaussian phase exp(-gcoef (x^2+y^2)) and the
-    weights, for rows x = xa (distinct |x|) and columns the y > 0 half of
-    the grid axis, ``axes_nodes[j][n:]``."""
+def _axis_factor(plan, j, x, r):
+    """The Mehler kernel's factor on axis j at smoothing r, split by the
+    reflection y -> -y: (E, O, rows), with E = even phase w and O = odd
+    phase w.  even and odd are the parts of K_nu(zscale x, y) from
+    ``_kernel_even_odd``, phase is exp(-gcoef (x^2+y^2)) and w the weights;
+    E and O on axis 0 also carry the kernel's prefactor.
+
+    This is the only place a kernel axis factor is evaluated.  The rows are
+    the distinct |x| of the output coordinates x, in increasing order
+    (rows[i] is that of x[i]), and the columns the y > 0 half of the grid
+    axis, ``axes_nodes[j][n:]``.  That is all of the factor, bit for bit:
+    the axis and its weights are mirror images (see ``QuadGrid``), K_nu
+    sees (x, y) only through u = zscale x y, whose sign flips exactly, its
+    even part sees u only through u^2, and the phase only x^2 and y^2; so
+    for x >= 0, K(x, y) w is E + O at y > 0 and the mirrored E - O at
+    y < 0, and the other way round for x < 0.  A coordinate so large that
+    its row is not finite in double precision (x^2 overflows in the phase,
+    or a Bessel value overflows where the Gaussian underflows) is refused
+    with a RangeError naming the first coordinate of x with the smallest
+    such |x|.
+    """
+    zscale, gcoef, pref = _mehler_form(plan, r)
     n = plan.grid.points_per_axis
+    xa, rows = np.unique(np.abs(x), return_inverse=True)
     xk = xa[:, None]
     yk = plan.grid.axes_nodes[j][None, n:]
     u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         even, odd = _kernel_even_odd(plan.mult.orders[j], u, U_MAX_KERNEL)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
-    return even, odd, phase, plan.grid.axes_weights[j][None, n:]
-
-
-def _row_out_of_range(r, j, x):
-    """The RangeError for output coordinate x on axis j, whose kernel row is
-    not finite in double precision."""
-    route = "integral" if r == 1.0 else "smoothed"
-    return _out_of_range(route, f"output coordinate x{j}", float(x))
-
-
-def _axis_matrices(plan, per_axis_outputs, r):
-    """Per-axis factors exp(-gcoef (x^2+y^2)) K_nu(zscale x, y) w(y) of the Mehler
-    kernel at smoothing r against the grid, at given output coordinates (the
-    points path), and its prefactor.
-
-    Each axis is built once per distinct |x|, the orbit representatives of
-    the reflection x -> -x, and kept in the plan's operator cache under (r,
-    the bytes of each output axis).  The Bessel values are taken on the
-    y > 0 half of the grid axis only: the y > 0 columns are (even + odd)
-    phase w and the y < 0 columns the reversed (even - odd) phase w, with
-    even and odd the parts of K_nu from ``_kernel_even_odd``.  A call
-    gathers its rows in one take and then reverses the columns of the rows
-    for x < 0 in place, ``_FLIP_ROWS`` rows at a time, so no temporary of
-    the full factor's size is made.  Both halvings are bit-identical to a
-    per-point build on the full axis:
-
-    - the grid axis and its weights are mirror images by construction
-      (see ``QuadGrid``), so reversing the columns maps y to -y exactly;
-    - K_nu depends on (x, y) only through u = zscale x y, which flips sign
-      exactly, and jhat_nu sees u only through u^2, so the even part stays
-      and the odd part flips sign; e + (-o) is e - o in IEEE arithmetic, and
-      the phase sees only x^2 and y^2;
-    - each Bessel value depends only on its own argument.
-
-    Outputs on the plan's own grid take ``_fold_factors`` instead, which
-    keeps the even and odd parts apart.  A coordinate so large that its row
-    is not finite in double precision (x^2 overflows in the phase, or a
-    Bessel value overflows where the Gaussian underflows) is refused with a
-    RangeError naming it.
-    """
-    zscale, gcoef, pref = _mehler_form(plan, r)
-    coords = [np.asarray(c, dtype=float) for c in per_axis_outputs]
-
-    def build():
-        tables, gathers = [], []
-        for j in range(plan.mult.dim):
-            xa, rows = np.unique(np.abs(coords[j]), return_inverse=True)
-            even, odd, phase, wk = _half_axis_parts(plan, j, xa, zscale, gcoef)
-            with np.errstate(over="ignore", invalid="ignore"):
-                table = np.concatenate(
-                    [((even - odd) * phase * wk)[:, ::-1], (even + odd) * phase * wk], axis=1
-                )
-            finite = np.all(np.isfinite(table), axis=1)
-            if not finite.all():
-                x = coords[j][np.abs(coords[j]) == xa[~finite][0]][0]
-                raise _row_out_of_range(r, j, x)
-            tables.append(table)
-            gathers.append(rows)
-        return tables + gathers
-
-    key = ("kernel", r) + tuple(c.tobytes() for c in coords)
-    entry = plan._operators.get(key, build)
-    dim = len(coords)
-    mats = []
-    for table, rows, x in zip(entry[:dim], entry[dim:], coords):
-        mat = table[rows]
-        neg = np.flatnonzero(x < 0)
-        for start in range(0, neg.size, _FLIP_ROWS):
-            block = neg[start:start + _FLIP_ROWS]
-            mat[block] = mat[block, ::-1]
-        mats.append(mat)
-    return mats, pref
+        wk = plan.grid.axes_weights[j][None, n:]
+        weighted = phase * wk if j else pref * phase * wk
+        even, odd = even * weighted, odd * weighted
+    finite = np.all(np.isfinite(even) & np.isfinite(odd), axis=1)
+    if not finite.all():
+        route = "integral" if r == 1.0 else "smoothed"
+        bad = x[np.abs(x) == xa[~finite][0]][0]
+        raise _out_of_range(route, f"output coordinate x{j}", float(bad))
+    return even, odd, rows
 
 
 def _fold_factors(plan, r):
-    """Per-axis even and odd factors of the Mehler kernel at smoothing r on
-    the plan's own grid, [E_0, O_0, E_1, O_1, ...].
-
-    E_j = even phase w and O_j = odd phase w are n x n: rows the n positive
-    nodes x of axis j, columns its y > 0 half; E_0 and O_0 also carry the
-    kernel's prefactor.  They come from one ``_kernel_even_odd`` call per
-    axis and are kept in the plan's operator cache under ("kernel_fold",
-    r).  Because the axis is mirror-symmetric, K(x, -y) = E - O and
-    K(-x, y) = E - O, so ``_contract_folded`` needs no other block.
-    """
+    """The ``_axis_factor`` pairs of the plan's own grid at smoothing r,
+    [E_0, O_0, E_1, O_1, ...], kept in the plan's operator cache under
+    ("kernel_fold", r).  The distinct |x| of a mirror-symmetric axis are
+    its n positive nodes, so each is n x n, and a non-finite row is refused
+    naming its -x node, the first on the axis."""
     def build():
-        zscale, gcoef, pref = _mehler_form(plan, r)
         factors = []
-        n = plan.grid.points_per_axis
         for j in range(plan.mult.dim):
-            xa = plan.grid.axes_nodes[j][n:]
-            even, odd, phase, wk = _half_axis_parts(plan, j, xa, zscale, gcoef)
-            with np.errstate(over="ignore", invalid="ignore"):
-                weighted = phase * wk if j else pref * phase * wk
-                pair = [even * weighted, odd * weighted]
-            finite = np.all(np.isfinite(pair[0]) & np.isfinite(pair[1]), axis=1)
-            if not finite.all():
-                # the axis runs from -L up: name the first such node on it
-                raise _row_out_of_range(r, j, -xa[~finite][0])
-            factors += pair
+            factors += _axis_factor(plan, j, plan.grid.axes_nodes[j], r)[:2]
         return factors
 
     return plan._operators.get(("kernel_fold", r), build)
@@ -640,17 +576,38 @@ def _contract_folded(factors, tensor):
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
-    None, using the tensor structure of both grids.
+    None, using the tensor structure of both grids and the kernel axis
+    factors (E, O) of ``_axis_factor``.
 
-    Grid outputs contract the even and odd parts of each axis factor on the
-    y > 0 half (``_fold_factors``, ``_contract_folded``): half the
-    multiply-adds of a full-axis contraction.  Point outputs take the full
-    axis factors of ``_axis_matrices`` and ``_contract_points``."""
+    Grid outputs contract E and O on the y > 0 half (``_fold_factors``,
+    ``_contract_folded``): half the multiply-adds of a full-axis
+    contraction.  Point outputs keep, per (r, bytes of each output axis) in
+    the plan's operator cache, one full-axis row per distinct signed x,
+    [reversed E - O | E + O] for x >= 0 and [reversed E + O | E - O] for
+    x < 0, and a call gathers its rows for ``_contract_points``.
+    """
     tensor = plan.grid.to_tensor(np.asarray(plan.grid.values(f), dtype=complex))
     if xs is None:
         return _contract_folded(_fold_factors(plan, r), tensor).ravel()
-    mats, pref = _axis_matrices(plan, [xs[:, j] for j in range(plan.mult.dim)], r)
-    return pref * _contract_points(mats, tensor)
+    coords = [xs[:, j] for j in range(plan.mult.dim)]
+
+    def build():
+        tables, gathers = [], []
+        for j, x in enumerate(coords):
+            even, odd, rows = _axis_factor(plan, j, x, r)
+            signed, rows = np.unique(2 * rows + (x < 0), return_inverse=True)
+            even, odd = even[signed // 2], odd[signed // 2]
+            plus, minus = even + odd, even - odd
+            neg = (signed % 2 == 1)[:, None]
+            tables.append(np.concatenate(
+                [np.where(neg, plus, minus)[:, ::-1], np.where(neg, minus, plus)], axis=1
+            ))
+            gathers.append(rows)
+        return tables + gathers
+
+    entry = plan._operators.get(("kernel", r) + tuple(x.tobytes() for x in coords), build)
+    dim = len(coords)
+    return _contract_points([t[rows] for t, rows in zip(entry[:dim], entry[dim:])], tensor)
 
 
 def fdt_integral(f, plan, xs):

@@ -231,6 +231,23 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "outputs": {"pairs": [[0.5, False]]}}, "'outputs.pairs'"),
         ({"command": "transform", "mu": [0.5], "L": 6.0, "n": 16, "function": {
             "kind": "samples", "values_re": [0.0] * 31 + [True]}}, "'function.values_re'"),
+        # out-of-range values are refused by field, before any work is done
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "gaussian"}, "outputs": {"radii": [1.0, -0.5]}},
+         "'outputs.radii'"),
+        ({"command": "resolvent", "mu": [0.5], "M": 4, "function": combo,
+          "resolvent_lambda": [0.0, 1.0]}, "'resolvent_lambda'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "laguerre_gaussian", "m": -1}}, "'function.m'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "laguerre_gaussian", "order": -3}}, "'function.order'"),
+        ({"command": "convergence", "mu": [0.5], "M": 4, "vary": "alpha", "values": [0.0],
+          "function": combo}, "'values'"),
+        ({"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": [1.5]}, "'values'"),
+        ({"command": "transform", "mu": [0.5], "alpha": 1.0,
+          "function": {"kind": "gaussian", "a": "nan"}}, "'function.a'"),
+        ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+          "function": {"kind": "laguerre_gaussian", "m": 2, "order": "inf"}}, "'function.order'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))

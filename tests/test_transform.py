@@ -555,6 +555,28 @@ class TestAxisDedup:
                 assert out[i].tobytes() == out[i + 1].tobytes(), xs[i]
 
 
+def _point_rows(plan, xs, r):
+    """The per-axis rows the points path hands to ``_contract_points``."""
+    seen = []
+    original = transform._contract_points
+
+    def recording(mats, tensor):
+        seen.append(mats)
+        return original(mats, tensor)
+
+    def f(pts):
+        return np.exp(-0.4 * np.sum(pts * pts, axis=-1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transform, "_contract_points", recording)
+        if r == 1.0:
+            fdt_integral(f, plan, xs)
+        else:
+            fdt_smoothed(f, plan, xs, r=r)
+    (mats,) = seen
+    return mats
+
+
 class TestHalfAxisKernel:
     """The axis factors, built from Bessel values on the y > 0 half of each
     grid axis and on the distinct |x|, equal a per-point build on the full
@@ -562,14 +584,30 @@ class TestHalfAxisKernel:
 
     @staticmethod
     def _full_axis(plan, j, x, r):
-        zscale, gcoef, _ = transform._mehler_form(plan, r)
+        """The per-point build of the kernel axis factor E + O on the full
+        axis: no dedupe, no halving, the prefactor on axis 0."""
+        zscale, gcoef, pref = transform._mehler_form(plan, r)
+        xk = np.asarray(x, dtype=float)[:, None]
+        yk = plan.grid.axes_nodes[j][None, :]
+        u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
+        even, odd = transform._kernel_even_odd(plan.mult.orders[j], u, math.inf)
+        phase = np.exp(-gcoef * (xk * xk + yk * yk))
+        wk = plan.grid.axes_weights[j][None, :]
+        weighted = phase * wk if j else pref * phase * wk
+        return even * weighted + odd * weighted
+
+    @staticmethod
+    def _kernel_1d_build(plan, j, x, r):
+        """An independent build from dunkl_kernel_1d, the prefactor on axis 0."""
+        zscale, gcoef, pref = transform._mehler_form(plan, r)
         xk = np.asarray(x, dtype=float)[:, None]
         yk = plan.grid.axes_nodes[j][None, :]
         kern = dunkl_kernel_1d(plan.mult.orders[j], zscale * xk, yk, u_max=math.inf)
         # phase is named: on a large temporary numpy may multiply in place
         # with the operands swapped, which can round differently
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
-        return kern * phase * plan.grid.axes_weights[j][None, :]
+        row = kern * phase * plan.grid.axes_weights[j][None, :]
+        return row if j else pref * row
 
     @pytest.mark.parametrize("mu", [[0.0], [0.3], [0.5], [0.0, 0.3], [0.5, 0.0]])
     @pytest.mark.parametrize("r", [1.0, 0.6])
@@ -577,10 +615,14 @@ class TestHalfAxisKernel:
         mult = Multiplicity(mu)
         plan = TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=16), M=4)
         xs = np.array([1.25, -1.25, 0.0, -0.0, 3.5, 3.5, -0.7, 5.9, -5.9, 0.0, 2.2])
+        eps = np.finfo(float).eps
         for outputs in ([xs] * mult.dim, [xs[::-1]] * mult.dim, list(plan.grid.axes_nodes)):
-            mats, _ = transform._axis_matrices(plan, outputs, r)
+            mats = _point_rows(plan, np.stack(outputs, axis=1), r)
             for j, (mat, x) in enumerate(zip(mats, outputs)):
                 assert mat.tobytes() == self._full_axis(plan, j, x, r).tobytes(), (mu, r, j)
+                scale = np.max(np.abs(mat), axis=1, keepdims=True)
+                independent = self._kernel_1d_build(plan, j, x, r)
+                assert np.all(np.abs(mat - independent) <= 4 * eps * scale), (mu, r, j)
 
 
 class TestParityFold:
@@ -648,6 +690,21 @@ class TestParityFold:
                 call()
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("r", [1.0, 0.6])
+    def test_point_rows_are_the_fold_factors(self, r):
+        # one definition of the axis factor: at the positive grid nodes the
+        # points path's rows are [reversed E - O | E + O] of the fold
+        mult = Multiplicity([0.3, 0.7])
+        plan = TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=16), M=4)
+        n = plan.grid.points_per_axis
+        xs = np.stack([nodes[n:] for nodes in plan.grid.axes_nodes], axis=1)
+        mats = _point_rows(plan, xs, r)
+        factors = transform._fold_factors(plan, r)
+        for j, mat in enumerate(mats):
+            even, odd = factors[2 * j], factors[2 * j + 1]
+            want = np.concatenate([(even - odd)[:, ::-1], even + odd], axis=1)
+            assert mat.tobytes() == want.tobytes(), (r, j)
 
     def test_contract_grid_is_tensordot_bit_for_bit(self):
         # the fold sends one matrix at a time through _contract_grid, which
@@ -719,10 +776,9 @@ class TestOperatorCache:
     @staticmethod
     def _parent_style(plan, f, xs, r):
         """The per-point build: every output row through the Bessel layer."""
-        pref = transform._mehler_form(plan, r)[2]
         mats = [TestHalfAxisKernel._full_axis(plan, j, xs[:, j], r) for j in range(plan.mult.dim)]
         tensor = plan.grid.to_tensor(plan.grid.values(f).astype(complex))
-        return pref * transform._contract_points(mats, tensor)
+        return transform._contract_points(mats, tensor)
 
     def test_repeat_call_builds_nothing(self, monkeypatch):
         plan = self._plan()
