@@ -167,11 +167,12 @@ def _has_bool(value):
     return bool in kinds or (list in kinds and any(map(_has_bool, value)))
 
 
-def _coordinates(value, key):
-    """Output coordinates of a config field: a float array, all finite."""
+def _finite(value, key):
+    """The numbers of a config field (coordinates, sample values or
+    coefficients) as a float array, all finite."""
     arr = _parse(value, key, _float_array)
     if not np.all(np.isfinite(arr)):
-        raise UsageError(f"config field '{key}': coordinates must be finite, got {value!r}")
+        raise UsageError(f"config field '{key}': values must be finite, got {value!r}")
     return arr
 
 
@@ -234,8 +235,9 @@ def build_function(spec, plan):
     if kind == "hermite_combo":
         table = {}
         for t in _field(spec, "terms", list, required=True, prefix="function."):
-            nu, c = _parse(t, "function.terms", _combo_term)
-            table[nu] = table.get(nu, 0.0) + c
+            nu, parts = _parse(t, "function.terms", _combo_term)
+            re, im = _finite(parts, "function.terms")
+            table[nu] = table.get(nu, 0.0) + complex(re, im)
         return HermiteExpansion.from_terms(plan.basis, table)
     if kind == "gauss_poly":
         raw = _field(spec, "poly", dict, required=True, prefix="function.")
@@ -250,7 +252,7 @@ def build_function(spec, plan):
     parts = {}
     for key, required in (("values_re", True), ("values_im", False)):
         raw = _field(spec, key, list, required=required, default=[0.0] * npts, prefix="function.")
-        parts[key] = _parse(raw, f"function.{key}", _float_array)
+        parts[key] = _finite(raw, f"function.{key}")
         if parts[key].shape != (npts,):
             raise UsageError(f"config field 'function.{key}': need {npts} samples, one per grid node")
     return parts["values_re"] + 1j * parts["values_im"]
@@ -258,7 +260,7 @@ def build_function(spec, plan):
 
 def _combo_term(term):
     nu = tuple(_number(v, int) for v in term["nu"])
-    return nu, complex(_number(term.get("re", 0.0), float), _number(term.get("im", 0.0), float))
+    return nu, _float_list([term.get("re", 0.0), term.get("im", 0.0)])
 
 
 def _poly(raw):
@@ -301,14 +303,14 @@ def _radial_profile(spec):
 def _output_points(cfg, plan):
     spec = cfg.outputs or {}
     if "points" in spec:
-        pts = _coordinates(spec["points"], "outputs.points")
+        pts = _finite(spec["points"], "outputs.points")
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[1] != plan.mult.dim:
             raise UsageError(f"config field 'outputs.points': need shape (m, {plan.mult.dim})")
         return pts
     if "linspace" in spec:
-        _coordinates(spec["linspace"], "outputs.linspace")
+        _finite(spec["linspace"], "outputs.linspace")
         axis = _parse(spec["linspace"], "outputs.linspace", _linspace)
     elif spec.get("grid", False):
         return plan.grid.nodes
@@ -394,7 +396,7 @@ def _cmd_kernel(cfg, out_dir, fmt):
     dim = plan.mult.dim
     rows = []
     for pair in _parse(pairs, "outputs.pairs", list):
-        arr = _coordinates(pair, "outputs.pairs")
+        arr = _finite(pair, "outputs.pairs")
         if arr.shape != (2 * dim,):
             raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
         x, y = arr[:dim], arr[dim:]
@@ -431,7 +433,7 @@ def _cmd_hankel(cfg, out_dir, fmt):
         order = BesselOrder(cfg.order)
     psi = _radial_profile(cfg.function)
     spec = cfg.outputs or {}
-    radii = _coordinates(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii")
+    radii = _finite(spec.get("radii", np.linspace(0.0, 4.0, 17)), "outputs.radii")
     if radii.ndim != 1:
         raise UsageError("config field 'outputs.radii': expected a list of radii")
     if np.any(radii < 0):

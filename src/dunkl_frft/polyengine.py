@@ -503,6 +503,7 @@ class HermiteBasis:
             sorted(_graded_indices(mult.dim, self.max_degree), key=lambda nu: (sum(nu), nu))
         )
         self._index_array = np.array(self.indices, dtype=np.intp).reshape(-1, mult.dim)
+        self.degrees = self._index_array.sum(axis=1)
         self._functions = {}
 
     @property
@@ -719,8 +720,7 @@ class HermiteExpansion:
 
     def degree_mass(self, n):
         """l2 mass of the coefficients at total degree n."""
-        mask = np.array([sum(nu) == n for nu in self.basis.indices])
-        return float(np.sum(np.abs(self.coeffs[mask]) ** 2))
+        return float(np.sum(np.abs(self.coeffs[self.basis.degrees == n]) ** 2))
 
     def norm_l2(self):
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
@@ -774,11 +774,11 @@ class HermiteExpansion:
         tables = [self.basis.axis_matrix(j, t, d) for j, (t, d) in enumerate(zip(points, sizes))]
         return block, tables
 
-    def map_coeffs(self, fn):
-        """New expansion with coefficients fn(|nu|, c) per index."""
-        out = np.array(
-            [fn(sum(nu), c) for nu, c in zip(self.basis.indices, self.coeffs)], dtype=complex
-        )
+    def scale_degrees(self, factors):
+        """New expansion with coefficients factors[|nu|] * c_nu: every spectral
+        operator is a function of the total degree.  Each product is one
+        scalar multiply, which a vectorised multiply may round differently."""
+        out = [factors[d] * c for d, c in zip(self.basis.degrees, self.coeffs)]
         return HermiteExpansion(self.basis, out)
 
     def __add__(self, other):

@@ -90,8 +90,11 @@ def jacobi_halfline(n, exponent, length):
     else:
         x, w = _gauss_jacobi(int(n), float(exponent))
     t = 0.5 * length * (x + 1.0)
-    wt = w * (0.5 * length) ** (exponent + 1.0)
-    return t, wt
+    try:
+        scale = (0.5 * length) ** (exponent + 1.0)
+    except OverflowError:
+        raise DomainError(f"jacobi_halfline: length {length} overflows the weights") from None
+    return t, w * scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +168,10 @@ def build_grid(mult, L=8.0, n=None):
     ``n`` is the point count per half-axis panel (2n points per axis);
     defaults to 120 for N = 1 and 80 for N >= 2.  Construction verifies the
     Mehta calibration sum(w * exp(-|y|^2)) = 1/c_k to relative 1e-9 and
-    raises CalibrationError otherwise.
+    raises CalibrationError otherwise (a NaN sum included).
     """
-    if L <= 0:
-        raise DomainError(f"box half-width must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise DomainError(f"box half-width must be positive and finite, got {L}")
     if n is None:
         n = 120 if mult.dim == 1 else 80
     if n < 8:
@@ -199,7 +202,7 @@ def build_grid(mult, L=8.0, n=None):
     for t, wt in zip(axes_nodes, axes_weights):
         total *= float(np.sum(wt * np.exp(-(t**2))))
     target = 1.0 / mult.mehta_constant
-    if abs(total - target) > _CALIBRATION_RTOL * abs(target):
+    if not abs(total - target) <= _CALIBRATION_RTOL * abs(target):
         raise CalibrationError(
             f"grid failed Mehta calibration: got {total!r}, expected {target!r} "
             f"(L={L}, n={n}, mu={mult.mu})"

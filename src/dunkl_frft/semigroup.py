@@ -50,7 +50,8 @@ class GroupSampler:
 
     def group_apply(self, f, s):
         """D_k^s f as a Hermite expansion (spectral route)."""
-        return self.expand(f).map_coeffs(lambda n, c: cmath.exp(1j * n * s) * c)
+        factors = [cmath.exp(1j * n * s) for n in range(self.plan.M + 1)]
+        return self.expand(f).scale_degrees(factors)
 
 
 def spectral_projection(f, n, sampler):
@@ -60,11 +61,9 @@ def spectral_projection(f, n, sampler):
     Picks the total-degree-n component for n >= 0 and vanishes for n < 0
     (computed, not assumed)."""
     n = int(n)
-    base = sampler.expand(f)
-    factors = {}
-    for d in {sum(nu) for nu in base.basis.indices}:
-        factors[d] = complex(np.mean(np.exp(1j * (d - n) * sampler.s_nodes)))
-    return base.map_coeffs(lambda d, c: factors[d] * c)
+    s = sampler.s_nodes
+    factors = [complex(np.mean(np.exp(1j * (d - n) * s))) for d in range(sampler.plan.M + 1)]
+    return sampler.expand(f).scale_degrees(factors)
 
 
 def _distance_to_int_times_i(lam):
@@ -72,14 +71,13 @@ def _distance_to_int_times_i(lam):
     return math.hypot(lam.real, lam.imag - round(lam.imag))
 
 
-def _s_line_integral(lam, degrees, upper):
-    """integral_0^upper e^{-lam s} e^{i d s} ds per degree d, by composite
-    Gauss-Legendre (the integrand is smooth but not periodic)."""
-    maxfreq = max(degrees) + abs(lam)
+def _s_line_integral(lam, max_degree, upper):
+    """[integral_0^upper e^{-lam s} e^{i d s} ds for d = 0..max_degree], by
+    composite Gauss-Legendre (the integrand is smooth but not periodic)."""
+    maxfreq = max_degree + abs(lam)
     panels = max(8, int(math.ceil(abs(upper) * (maxfreq + 2.0) / 5.0)))
     nodes, weights = gauss_legendre(12)
     edges = np.linspace(0.0, upper, panels + 1)
-    out = {}
     svals = []
     wvals = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -87,9 +85,7 @@ def _s_line_integral(lam, degrees, upper):
         wvals.append(0.5 * (b - a) * weights)
     svals = np.concatenate(svals)
     wvals = np.concatenate(wvals)
-    for d in degrees:
-        out[d] = complex(np.sum(wvals * np.exp((1j * d - lam) * svals)))
-    return out
+    return [complex(np.sum(wvals * np.exp((1j * d - lam) * svals))) for d in range(max_degree + 1)]
 
 
 def resolvent_lambda(lam):
@@ -109,11 +105,9 @@ def resolvent_apply(f, lam, sampler):
     Refuses lam as ``resolvent_lambda`` does.  On eigenfunctions the result
     is h_nu / (lam - i |nu|)."""
     lam = resolvent_lambda(lam)
-    base = sampler.expand(f)
-    degrees = sorted({sum(nu) for nu in base.basis.indices})
-    integrals = _s_line_integral(lam, degrees, 2.0 * math.pi)
+    integrals = _s_line_integral(lam, sampler.plan.M, 2.0 * math.pi)
     pref = 1.0 / (1.0 - cmath.exp(-2.0 * math.pi * lam))
-    return base.map_coeffs(lambda d, c: pref * integrals[d] * c)
+    return sampler.expand(f).scale_degrees([pref * v for v in integrals])
 
 
 def generator_exact(f, mult):
@@ -172,12 +166,9 @@ def difference_quotient(f, alpha_seq, plan):
         a = float(a)
         if a == 0.0 or not math.isfinite(a):
             raise DomainError(f"difference quotient needs finite nonzero orders, got {a!r}")
-        resid_sq = 0.0
-        for nu, c in zip(base.basis.indices, base.coeffs):
-            n = sum(nu)
-            factor = (cmath.exp(1j * n * a) - 1.0) / a - 1j * n
-            resid_sq += abs(factor * c) ** 2
-        out.append((a, math.sqrt(resid_sq)))
+        factors = [(cmath.exp(1j * n * a) - 1.0) / a - 1j * n for n in range(plan.M + 1)]
+        resid = base.scale_degrees(factors).coeffs
+        out.append((a, math.sqrt(sum(abs(c) ** 2 for c in resid))))
     return out
 
 
@@ -211,10 +202,8 @@ def eigen_decomposition_sum(f, sampler, n_max, apply_generator=False):
 def group_integral(f, upper, plan):
     """integral_0^upper D_k^s f ds as a Hermite expansion, by composite
     Gauss-Legendre in s over the spectral route."""
-    base = hermite_expand(f, plan)
-    degrees = sorted({sum(nu) for nu in base.basis.indices})
-    integrals = _s_line_integral(0.0, degrees, float(upper))
-    return base.map_coeffs(lambda d, c: integrals[d] * c)
+    integrals = _s_line_integral(0.0, plan.M, float(upper))
+    return hermite_expand(f, plan).scale_degrees(integrals)
 
 
 def expansion_generator(expansion, mult):

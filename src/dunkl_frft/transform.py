@@ -368,14 +368,14 @@ def kernel_spectral(plan, x, y, r=None):
         (basis.axis_matrix(j, x[..., j]), basis.axis_matrix(j, y[..., j]))
         for j in range(basis.dim)
     ]
+    phases = [(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(basis.max_degree + 1)]
     out = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
-    for nu in basis.indices:
-        n = sum(nu)
+    for nu, n in zip(basis.indices, basis.degrees):
         hx = hy = 1.0
         for (tx, ty), k in zip(tables, nu):
             hx = hx * tx[k]
             hy = hy * ty[k]
-        out = out + (r**n) * cmath.exp(1j * n * plan.alpha) * hx * hy
+        out = out + phases[n] * hx * hy
     return out
 
 
@@ -451,7 +451,7 @@ def fdt_spectral(f, plan, r=None):
     fvals = plan.grid.values(f)
     base = hermite_expand(fvals, plan)
     norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
-    phased = base.map_coeffs(lambda n, c: (r**n) * cmath.exp(1j * n * plan.alpha) * c)
+    phased = base.scale_degrees([(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(plan.M + 1)])
     return SpectralTransform(
         expansion=phased,
         base_coefficients=base.coeffs,

@@ -1,7 +1,9 @@
 """Acceptance gate: every criterion at its pinned tolerance, one printed
 pass/fail line per check.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` for the full table.
+Each criterion runs its suite through ``checks.run_suite``, so
+DUNKL_FRFT_TOL scales the gates here as it does in the CLI.  Run with
+``pytest tests/test_acceptance.py -v -s`` for the full table.
 """
 
 import time
@@ -11,24 +13,24 @@ import pytest
 from dunkl_frft import checks
 
 CRITERIA = [
-    ("criterion-01 basis integrity", checks.check_basis_integrity, 10.0),
-    ("criterion-02 Dunkl eigenrelation", checks.check_dunkl_eigenrelation, None),
-    ("criterion-03 unitarity/group/periodicity/parity", checks.check_unitary_group_laws, None),
-    ("criterion-04 route agreement", checks.check_route_agreement, None),
-    ("criterion-05 Mehler limit and bound", checks.check_mehler, None),
-    ("criterion-06 Master formula + Hecke identity", checks.check_master_hecke, None),
-    ("criterion-07 eigenbasis psi_{m,n,j}", checks.check_eigenbasis_2d, None),
-    ("criterion-08 Funk-Hecke radial + c_k/d_k", checks.check_funk_hecke, None),
-    ("criterion-09 generator consistency", checks.check_generator, None),
-    ("criterion-10 spectral theory", checks.check_spectral_theory, None),
-    ("criterion-11 classical reductions", checks.check_classical, None),
+    ("criterion-01 basis integrity", "basis", 10.0),
+    ("criterion-02 Dunkl eigenrelation", "eigenrelation", None),
+    ("criterion-03 unitarity/group/periodicity/parity", "unitary_group", None),
+    ("criterion-04 route agreement", "route_agreement", None),
+    ("criterion-05 Mehler limit and bound", "mehler", None),
+    ("criterion-06 Master formula + Hecke identity", "master_formula", None),
+    ("criterion-07 eigenbasis psi_{m,n,j}", "eigenbasis", None),
+    ("criterion-08 Funk-Hecke radial + c_k/d_k", "funk_hecke", None),
+    ("criterion-09 generator consistency", "generator", None),
+    ("criterion-10 spectral theory", "spectral_theory", None),
+    ("criterion-11 classical reductions", "classical", None),
 ]
 
 
 @pytest.mark.parametrize("label,suite,budget", CRITERIA, ids=[c[0] for c in CRITERIA])
 def test_acceptance(label, suite, budget):
     start = time.time()
-    results = suite()
+    results = checks.run_suite(suite)
     elapsed = time.time() - start
     print()
     for res in results:

@@ -248,6 +248,30 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "function": {"kind": "gaussian", "a": "nan"}}, "'function.a'"),
         ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
           "function": {"kind": "laguerre_gaussian", "m": 2, "order": "inf"}}, "'function.order'"),
+        # non-finite numbers are refused by field, not carried into the rows
+        ({"command": "transform", "mu": [0.5], "L": "nan",
+          "function": {"kind": "gaussian"}, "outputs": [[0.5]]}, "'L'"),
+        ({"command": "transform", "mu": [0.5], "L": "inf",
+          "function": {"kind": "gaussian"}, "outputs": [[0.5]]}, "'L'"),
+        ({"command": "transform", "mu": [0.5], "L": 1e300,
+          "function": {"kind": "gaussian"}, "outputs": [[0.5]]}, "'L'"),
+        ({"command": "kernel", "mu": [0.5], "L": "nan", "route": "spectral",
+          "outputs": {"pairs": [[0.5, 1.0]]}}, "'L'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "outputs": [[0.5]],
+          "function": {"kind": "hermite_combo", "terms": [{"nu": [0], "re": "nan"}]}},
+         "'function.terms'"),
+        ({"command": "transform", "mu": [0.5], "M": 4, "outputs": [[0.5]],
+          "function": {"kind": "hermite_combo", "terms": [{"nu": [1], "im": "inf"}]}},
+         "'function.terms'"),
+        ({"command": "transform", "mu": [0.5], "L": 6.0, "n": 16, "outputs": [[0.5]],
+          "function": {"kind": "samples", "values_re": [0.0] * 31 + ["nan"]}},
+         "'function.values_re'"),
+        ({"command": "transform", "mu": [0.5], "L": 6.0, "n": 16, "outputs": [[0.5]],
+          "function": {"kind": "samples", "values_re": [0.0] * 32,
+                       "values_im": ["nan"] + [0.0] * 31}}, "'function.values_im'"),
+        ({"command": "check", "mu": [0.5], "suite": "basis", "tol_scale": "nan"}, "'tol_scale'"),
+        ({"command": "check", "mu": [0.5], "suite": "basis", "tol_scale": 0}, "'tol_scale'"),
+        ({"command": "check", "mu": [0.5], "suite": "basis", "tol_scale": -1}, "'tol_scale'"),
     ]
     for cfg, field_name in cases:
         path.write_text(json.dumps(cfg))
