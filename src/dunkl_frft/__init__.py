@@ -26,7 +26,6 @@ from .quadrature import (
     build_grid,
     circle_grid,
     gauss_legendre,
-    inner_product,
     jacobi_halfline,
 )
 from .polyengine import (
@@ -55,8 +54,6 @@ from .transform import (
     fdt_spectral,
     fractional_hankel,
     funk_hecke_radial,
-    gaussian_bilinear_check,
-    gaussian_moment_check,
     kernel_alpha,
     kernel_smoothed,
     kernel_spectral,
@@ -66,7 +63,6 @@ from .transform import (
 from .semigroup import (
     GroupSampler,
     difference_quotient,
-    eigen_decomposition_sum,
     generator_exact,
     generator_integral,
     resolvent_apply,

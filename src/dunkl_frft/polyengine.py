@@ -758,21 +758,27 @@ class HermiteExpansion:
             block = _contract_axis(block, tables[j], j + 1)
         return _complex(block).ravel()
 
-    def _block_tables(self, points):
-        """The coefficients as a dense real block (2, d_0, ..., d_N-1), real
-        and imaginary parts first, trimmed on each axis to its largest
-        nonzero degree, and the axis tables T_j (d_j, len(points[j])) on the
-        given 1-D points.  All-zero coefficients give a zero block of one
-        entry per axis.  Real and imaginary parts are summed as real arrays,
-        so every step is one rounded real multiply or add, the same on the
-        tensor and the pointwise path whatever the array layout."""
+    def coefficient_block(self):
+        """The coefficients as a dense complex block (d_0, ..., d_N-1),
+        entry [nu] = c_nu, trimmed on each axis to its largest nonzero
+        degree.  All-zero coefficients give a zero block of one entry per
+        axis."""
         live = np.flatnonzero(self.coeffs)
         index = self.basis._index_array[live]
-        sizes = tuple(index.max(axis=0, initial=0) + 1)
-        block = np.zeros((2,) + sizes)
-        block[(slice(None),) + tuple(index.T)] = (self.coeffs[live].real, self.coeffs[live].imag)
-        tables = [self.basis.axis_matrix(j, t, d) for j, (t, d) in enumerate(zip(points, sizes))]
-        return block, tables
+        block = np.zeros(tuple(index.max(axis=0, initial=0) + 1), dtype=complex)
+        block[tuple(index.T)] = self.coeffs[live]
+        return block
+
+    def _block_tables(self, points):
+        """``coefficient_block`` as a real block (2, d_0, ..., d_N-1), real
+        and imaginary parts first, and the axis tables T_j (d_j,
+        len(points[j])) on the given 1-D points.  Real and imaginary parts
+        are summed as real arrays, so every step is one rounded real
+        multiply or add, the same on the tensor and the pointwise path
+        whatever the array layout."""
+        block = self.coefficient_block()
+        tables = [self.basis.axis_matrix(j, t, d) for j, (t, d) in enumerate(zip(points, block.shape))]
+        return np.stack([block.real, block.imag]), tables
 
     def scale_degrees(self, factors):
         """New expansion with coefficients factors[|nu|] * c_nu: every spectral

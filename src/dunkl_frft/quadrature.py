@@ -137,7 +137,10 @@ class QuadGrid:
 
         A function that offers ``tensor_values(axes)`` (a Hermite expansion)
         is evaluated axis by axis on ``axes_nodes``, bitwise equal to
-        ``f(self.nodes)``; any other callable gets the flattened nodes.
+        ``f(self.nodes)``; any other callable gets the flattened nodes.  The
+        kernel routes do not come here for a Hermite expansion: they
+        synthesize its grid tensor by matrix products instead
+        (``transform._grid_tensor``), which need not keep this equality.
         """
         if isinstance(f, np.ndarray):
             if f.shape != (self.nodes.shape[0],):
@@ -183,13 +186,26 @@ def build_grid(mult, L=8.0, n=None):
         t, wt = t[order], wt[order]
         axes_nodes.append(np.concatenate([-t[::-1], t]))
         axes_weights.append(np.concatenate([wt[::-1], wt]))
+    # Calibrated on the axes, before the mesh, whose weight products can
+    # overflow for a box far too wide.  A box so wide that t^2 overflows
+    # (L >~ 1e154) gives a total of 0 here and is refused without a warning.
+    total = 1.0
+    with np.errstate(over="ignore"):
+        for t, wt in zip(axes_nodes, axes_weights):
+            total *= float(np.sum(wt * np.exp(-(t**2))))
+    target = 1.0 / mult.mehta_constant
+    if not abs(total - target) <= _CALIBRATION_RTOL * abs(target):
+        raise CalibrationError(
+            f"grid failed Mehta calibration: got {total!r}, expected {target!r} "
+            f"(L={L}, n={n}, mu={mult.mu})"
+        )
     mesh = np.meshgrid(*axes_nodes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*axes_weights, indexing="ij")
     weights = np.ones(nodes.shape[0])
     for w in wmesh:
         weights = weights * w.ravel()
-    grid = QuadGrid(
+    return QuadGrid(
         mult=mult,
         box=float(L),
         points_per_axis=int(n),
@@ -198,21 +214,6 @@ def build_grid(mult, L=8.0, n=None):
         nodes=nodes,
         weights=weights,
     )
-    total = 1.0
-    for t, wt in zip(axes_nodes, axes_weights):
-        total *= float(np.sum(wt * np.exp(-(t**2))))
-    target = 1.0 / mult.mehta_constant
-    if not abs(total - target) <= _CALIBRATION_RTOL * abs(target):
-        raise CalibrationError(
-            f"grid failed Mehta calibration: got {total!r}, expected {target!r} "
-            f"(L={L}, n={n}, mu={mult.mu})"
-        )
-    return grid
-
-
-def inner_product(f, g, grid):
-    """<f, g> = sum_i w_i f(x_i) conj(g(x_i)) on the grid."""
-    return np.sum(grid.weights * grid.values(f) * np.conj(grid.values(g)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -184,21 +184,6 @@ def observed_order(residuals):
     return float(slope)
 
 
-def eigen_decomposition_sum(f, sampler, n_max, apply_generator=False):
-    """sum_{n=0..n_max} P_n f (or sum i n P_n f when ``apply_generator``),
-    assembled from literal projections; reproduces f (resp. T f) up to the
-    mass dropped beyond n_max."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    total = None
-    for n in range(n_max + 1):
-        term = spectral_projection(f, n, sampler)
-        if apply_generator:
-            term = term * (1j * n)
-        total = term if total is None else total + term
-    return total
-
-
 def group_integral(f, upper, plan):
     """integral_0^upper D_k^s f ds as a Hermite expansion, by composite
     Gauss-Legendre in s over the spectral route."""

@@ -7,8 +7,7 @@ The integral kernel is the Mehler kernel at r = 1, so both routes share one
 kernel builder.
 
 Also here: the fractional Hankel reduction, the Bochner factorization, the
-Master / Hecke formulas, the radial Funk-Hecke check and the bilinear /
-moment Gaussian identities used to validate the kernel machinery.
+Master / Hecke formulas and the radial Funk-Hecke check.
 """
 
 from __future__ import annotations
@@ -140,10 +139,12 @@ class TransformPlan:
     The Hermite basis is built lazily.  The plan also holds a bounded
     cache of the operators it prepares (the kernel axis factors of
     ``_axis_factor``: as full-axis point rows per (r, output axes) and as
-    even/odd pairs on its own grid per r; Hermite analysis matrices;
-    fractional Hankel rules per order), filled by the first call that
-    needs each one.  Its bookkeeping is locked and the cached arrays are
-    read-only, so a plan stays safe to share between threads.
+    even/odd pairs on its own grid per r; Hermite analysis matrices; the
+    Hermite synthesis tables of ``_grid_tensor`` per (mu, max_degree) of an
+    input expansion's basis; fractional Hankel rules per order), filled by
+    the first call that needs each one.  Its bookkeeping is locked and the
+    cached arrays are read-only, so a plan stays safe to share between
+    threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -573,11 +574,38 @@ def _contract_folded(factors, tensor):
     return out
 
 
+def _grid_tensor(f, plan):
+    """f's values on the plan grid as a complex tensor, the input of the
+    kernel routes.
+
+    A Hermite expansion of the grid's dimension is synthesized by one
+    ``_contract_grid`` call: the axis tables h_k(y_j), (2n, d_j), applied to
+    its trimmed coefficient block.  The full tables, (2n, max_degree + 1),
+    are kept in the plan's operator cache per (mu, max_degree) of the
+    expansion's basis.  The matrix products round differently from
+    ``grid.values(f)``, which stays bitwise equal to f(nodes) for its other
+    callers; the kernel routes use these values only as an intermediate.
+    Any other input goes through ``grid.values``.
+    """
+    grid = plan.grid
+    if not (isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim):
+        return grid.to_tensor(np.asarray(grid.values(f), dtype=complex))
+    basis = f.basis
+    tables = plan._operators.get(
+        ("synthesis", basis.mult.mu, basis.max_degree),
+        lambda: [basis.axis_matrix(j, grid.axes_nodes[j]).T for j in range(grid.dim)],
+    )
+    block = f.coefficient_block()
+    return _contract_grid([t[:, :d] for t, d in zip(tables, block.shape)], block)
+
+
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
     None, using the tensor structure of both grids and the kernel axis
-    factors (E, O) of ``_axis_factor``.
+    factors (E, O) of ``_axis_factor``.  The input tensor comes from
+    ``_grid_tensor``: per-axis matrix products for a Hermite expansion,
+    ``grid.values(f)`` for anything else.
 
     Grid outputs contract E and O on the y > 0 half (``_fold_factors``,
     ``_contract_folded``): half the multiply-adds of a full-axis
@@ -586,7 +614,7 @@ def _kernel_transform(f, plan, xs, r):
     [reversed E - O | E + O] for x >= 0 and [reversed E + O | E - O] for
     x < 0, and a call gathers its rows for ``_contract_points``.
     """
-    tensor = plan.grid.to_tensor(np.asarray(plan.grid.values(f), dtype=complex))
+    tensor = _grid_tensor(f, plan)
     if xs is None:
         return _contract_folded(_fold_factors(plan, r), tensor).ravel()
     coords = [xs[:, j] for j in range(plan.mult.dim)]
@@ -766,69 +794,3 @@ def radial_bessel(mult, radius):
     index), the right-hand side of the radial Funk-Hecke identity."""
     order = BesselOrder(mult.lambda_index)
     return normalized_ibessel(order, 1j * np.asarray(radius, dtype=float), u_max=U_MAX_KERNEL)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian integral identities
-
-
-def _quadratic_sum(v):
-    v = np.asarray(v, dtype=complex)
-    return complex(np.sum(v * v))
-
-
-def gaussian_bilinear_check(mult, z, w, a_const, grid):
-    """Residual of the bilinear Gaussian identity
-
-        c_k * integral K(2z,x) K(2w,x) e^{-A|x|^2} w_k(x) dx
-            = e^{(l(z)+l(w))/A} A^{-(gamma+N/2)} K(2z/A, w),
-
-    with l(v) = sum v_j^2, for complex vectors z, w and Re(A) > 0."""
-    a_const = complex(a_const)
-    if a_const.real <= 0:
-        raise DomainError(f"need Re(A) > 0, got {a_const!r}")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != (mult.dim,) or w.shape != (mult.dim,):
-        raise UsageError("z and w must be N-vectors")
-    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes, u_max=U_MAX_KERNEL)
-    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes, u_max=U_MAX_KERNEL)
-    gauss = np.exp(-a_const * np.sum(grid.nodes**2, axis=-1))
-    lhs = mult.mehta_constant * np.sum(grid.weights * kern * gauss)
-    rhs = cmath.exp((_quadratic_sum(z) + _quadratic_sum(w)) / a_const) * a_const ** (
-        -(mult.gamma_index + 0.5 * mult.dim)
-    )
-    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w, u_max=U_MAX_KERNEL)
-    return abs(lhs - rhs)
-
-
-def gaussian_moment_check(p, mult, omega, xs, grid):
-    """Residual of the Gaussian moment identity for homogeneous p
-    of degree n:
-
-        c_k * integral p(y) K(x, 2y) e^{-omega |y|^2} w_k(y) dy
-            = e^{l(x)/omega} omega^{-(gamma+n+N/2)} (e^{(omega/4) Delta_k} p)(x),
-
-    with l(x) = sum x_j^2 and Re(omega) > 0."""
-    omega = complex(omega)
-    if omega.real <= 0:
-        raise DomainError(f"need Re(omega) > 0, got {omega!r}")
-    if not isinstance(p, MultiPoly) or p.dim != mult.dim:
-        raise UsageError("p must be a MultiPoly of matching dimension")
-    n = p.homogeneous_degree()
-    if n is None:
-        raise UsageError("p must be homogeneous")
-    xs = np.asarray(xs, dtype=float)
-    if xs.shape != (mult.dim,):
-        raise UsageError("x must be an N-vector")
-    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes, u_max=U_MAX_KERNEL)
-    pvals = p(grid.nodes)
-    gauss = np.exp(-omega * np.sum(grid.nodes**2, axis=-1))
-    lhs = mult.mehta_constant * np.sum(grid.weights * pvals * kern * gauss)
-    heated = heat_exp_poly(p, omega / 4.0, mult)
-    rhs = (
-        cmath.exp(complex(np.sum(xs * xs)) / omega)
-        * omega ** (-(mult.gamma_index + n + 0.5 * mult.dim))
-        * complex(heated(xs[None, :])[0])
-    )
-    return abs(lhs - rhs)

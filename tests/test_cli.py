@@ -333,6 +333,23 @@ def test_huge_finite_output_points(tmp_path, capsys):
         assert not (out / "result.csv").exists()
 
 
+def test_overflowing_box_exits_2_with_one_line(tmp_path):
+    # At mu = 0 and L >~ 1e154 the grid's t^2 overflows: the job is refused
+    # naming 'L', and no numpy warning reaches stderr first.  Run in a clean
+    # interpreter, where warnings print as they would for a user.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "kernel", "mu": [0.0], "L": 1e300, "route": "spectral",
+                                "outputs": {"pairs": [[0.5, 1.0]]}}))
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_frft.cli", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "'L'" in err[0], proc.stderr
+
+
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
     # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
     # costs a fresh job about 50 ms; run in a clean interpreter.

@@ -21,8 +21,9 @@ from dunkl_frft.polyengine import (
     hermite_closed_form_1d,
     hermite_operator,
 )
-from dunkl_frft.quadrature import build_grid, inner_product
+from dunkl_frft.quadrature import build_grid
 from dunkl_frft.specfun import Multiplicity, gamma_fn
+from frft_helpers import inner_product
 
 
 def random_poly(rng, dim, degree):

@@ -1,23 +1,25 @@
 """Quadrature layer: Gauss-Legendre, weighted tensor grids, circle rule."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special as scipy_special
 
 from dunkl_frft import quadrature
-from dunkl_frft.errors import DomainError, RangeError
+from dunkl_frft.errors import CalibrationError, DomainError, RangeError
 from dunkl_frft.polyengine import HermiteBasis
 from dunkl_frft.quadrature import (
     build_grid,
     circle_grid,
     circle_identity_residual,
     gauss_legendre,
-    inner_product,
     jacobi_halfline,
 )
 from dunkl_frft.specfun import Multiplicity, gamma_fn
+from frft_helpers import inner_product
 
 
 class TestGaussLegendre:
@@ -82,6 +84,15 @@ class TestBuildGrid:
             build_grid(Multiplicity([0.5]), L=-1.0)
         with pytest.raises(DomainError):
             build_grid(Multiplicity([0.5]), n=4)
+
+    @pytest.mark.parametrize("mu, L", [([0.0], 1e300), ([0.0, 0.0], 1e200), ([0.3, 0.7], 1e100)])
+    def test_overflowing_box_refused_without_warning(self, mu, L):
+        # t^2 (at mu_j = 0) or the mesh's weight products would overflow:
+        # refused by the calibration, naming L, before any numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CalibrationError, match=re.escape(f"L={L!r},")):
+                build_grid(Multiplicity(mu), L=L)
 
     def test_tail_control_doubling_box(self):
         # doubling L at fixed density moves Hermite inner products < 1e-10

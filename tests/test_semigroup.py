@@ -16,11 +16,10 @@ from dunkl_frft.polyengine import (
     MultiPoly,
     RationalComplex,
 )
-from dunkl_frft.quadrature import build_grid, inner_product
+from dunkl_frft.quadrature import build_grid
 from dunkl_frft.semigroup import (
     GroupSampler,
     difference_quotient,
-    eigen_decomposition_sum,
     expansion_generator,
     generator_exact,
     generator_integral,
@@ -31,6 +30,7 @@ from dunkl_frft.semigroup import (
 )
 from dunkl_frft.specfun import Multiplicity
 from dunkl_frft.transform import TransformPlan, fdt_integral_on_grid
+from frft_helpers import eigen_decomposition_sum, inner_product
 
 
 def grid_l2(grid, values):

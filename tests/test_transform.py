@@ -31,8 +31,6 @@ from dunkl_frft.transform import (
     fdt_spectral,
     fractional_hankel,
     funk_hecke_radial,
-    gaussian_bilinear_check,
-    gaussian_moment_check,
     kernel_alpha,
     kernel_smoothed,
     kernel_smoothed_bound,
@@ -42,6 +40,7 @@ from dunkl_frft.transform import (
     normalize_alpha,
     radial_bessel,
 )
+from frft_helpers import gaussian_bilinear_check, gaussian_moment_check
 
 TWO_PI = 2.0 * math.pi
 
@@ -478,7 +477,8 @@ class TestIntegralRoute:
 class TestTensorGridInput:
     def test_routes_never_evaluate_expansions_pointwise(self, monkeypatch):
         # Every route evaluates a Hermite-expansion input on the tensor grid
-        # through QuadGrid.values; none falls back to the pointwise __call__.
+        # (the kernel routes by synthesis products, the spectral route through
+        # QuadGrid.values); none falls back to the pointwise __call__.
         mult = Multiplicity([0.3, 0.7])
         plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), M=6)
         f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j})
@@ -504,6 +504,110 @@ class TestTensorGridInput:
         got = outputs()
         for key, value in want.items():
             assert got[key].tobytes() == value.tobytes(), key
+
+
+class TestExpansionInput:
+    """A Hermite-expansion input reaches the kernel routes as per-axis
+    synthesis products on its trimmed coefficient block, with the tables
+    kept in the plan's operator cache, instead of through grid.values."""
+
+    MUS = ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4])
+
+    @staticmethod
+    def _plan(mu):
+        mult = Multiplicity(mu)
+        n = 24 if len(mu) == 1 else 16
+        return TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=n), M=4)
+
+    @staticmethod
+    def _expansion(basis, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        # nothing at degree max_degree on axis 0, so its block is trimmed there
+        coeffs[basis._index_array[:, 0] == basis.max_degree] = 0.0
+        return HermiteExpansion(basis, coeffs)
+
+    @staticmethod
+    def _points(dim):
+        rng = np.random.default_rng(5)
+        rows = [np.zeros(dim), -np.zeros(dim), rng.uniform(-3.0, 3.0, dim)]
+        rows += [rows[2], np.where(np.arange(dim) % 2 == 0, -0.0, 1.5), rng.uniform(-3.0, 3.0, dim)]
+        return np.array(rows)
+
+    @staticmethod
+    def _entries(plan, xs):
+        return {
+            "integral grid": lambda f: fdt_integral_on_grid(f, plan),
+            "integral points": lambda f: fdt_integral(f, plan, xs),
+            "smoothed grid": lambda f: fdt_smoothed_on_grid(f, plan, r=0.6),
+            "smoothed points": lambda f: fdt_smoothed(f, plan, xs, r=0.6),
+        }
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_matches_grid_values_path(self, mu):
+        plan = self._plan(mu)
+        xs = self._points(len(mu))
+        f = self._expansion(plan.basis, 11)
+        values = plan.grid.values(f)
+        for key, call in self._entries(plan, xs).items():
+            got, want = call(f), call(values)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), key
+            if key.endswith("points"):
+                # signed zeros and a repeated point share their rows
+                assert got[0].tobytes() == got[1].tobytes(), key
+                assert got[2].tobytes() == got[3].tobytes(), key
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_repeat_call_builds_no_table(self, mu, monkeypatch):
+        from dunkl_frft.polyengine import HermiteBasis
+
+        plan = self._plan(mu)
+        xs = self._points(len(mu))
+        f = self._expansion(plan.basis, 12)
+        entries = self._entries(plan, xs)
+        first = {key: call(f) for key, call in entries.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesis table rebuilt on a cache hit")
+
+        monkeypatch.setattr(HermiteBasis, "axis_matrix", refuse)
+        for key, call in entries.items():
+            assert call(f).tobytes() == first[key].tobytes(), key
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_basis_degree_other_than_plan_M(self, mu):
+        from dunkl_frft.polyengine import HermiteBasis
+
+        plan = self._plan(mu)
+        xs = self._points(len(mu))
+        own = self._expansion(plan.basis, 13)
+        for degree in (plan.M - 2, plan.M + 2):
+            f = self._expansion(HermiteBasis(plan.mult, degree), 14)
+            for key, call in self._entries(plan, xs).items():
+                got, want = call(f), call(plan.grid.values(f))
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (degree, key)
+                # the plan's own basis keeps its own tables
+                want = call(plan.grid.values(own))
+                assert np.max(np.abs(call(own) - want)) <= 1e-14 * np.max(np.abs(want)), key
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_zero_expansion_gives_zeros(self, mu):
+        plan = self._plan(mu)
+        zero = HermiteExpansion(plan.basis, np.zeros(plan.basis.size))
+        for key, call in self._entries(plan, self._points(len(mu))).items():
+            assert not np.any(call(zero)), key
+
+    def test_dimension_mismatch_refused_as_by_grid_values(self):
+        from dunkl_frft.polyengine import HermiteBasis
+
+        plan = self._plan([0.3, 0.7])
+        f = self._expansion(HermiteBasis(Multiplicity([0.3]), 4), 15)
+        with pytest.raises(UsageError) as expected:
+            plan.grid.values(f)
+        for key, call in self._entries(plan, self._points(2)).items():
+            with pytest.raises(UsageError) as refused:
+                call(f)
+            assert str(refused.value) == str(expected.value), key
 
 
 class TestAxisDedup:
