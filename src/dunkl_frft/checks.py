@@ -23,6 +23,7 @@ from .polyengine import (
     HermiteBasis,
     HermiteExpansion,
     MultiPoly,
+    _graded_indices,
     hermite_closed_form_1d,
     hermite_operator,
 )
@@ -103,7 +104,7 @@ def tolerance_scale(tol_scale=None):
 
 def _random_combos(basis, count, max_degree, rng):
     """Seeded random unit-norm Hermite combinations with |nu| <= max_degree."""
-    live = [i for i, nu in enumerate(basis.indices) if sum(nu) <= max_degree]
+    live = np.flatnonzero(basis.degrees <= max_degree)
     combos = []
     for _ in range(count):
         coeffs = np.zeros(basis.size, dtype=complex)
@@ -299,17 +300,6 @@ def check_mehler(seed=DEFAULT_SEED):
 # 6. Master formula and Hecke identity
 
 
-def _monomials(dim, degree):
-    if dim == 1:
-        return [MultiPoly.monomial((degree,))]
-    out = []
-    for first in range(degree + 1):
-        for rest in _monomials(dim - 1, degree - first):
-            exps = (first,) + next(iter(rest.terms))
-            out.append(MultiPoly.monomial(exps))
-    return out
-
-
 def check_master_hecke(seed=DEFAULT_SEED):
     results = []
     probe1 = np.linspace(-2.0, 2.0, 9)[:, None]
@@ -324,11 +314,12 @@ def check_master_hecke(seed=DEFAULT_SEED):
         worst = 0.0
         for alpha in (math.pi / 3.0, -2.0 * math.pi / 5.0):
             plan = TransformPlan(mult, alpha, M=0)
-            for deg in range(degmax + 1):
-                for p in _monomials(mult.dim, deg):
-                    lhs = fdt_integral(master_formula_lhs_input(p, mult), plan, probe)
-                    rhs = master_formula_rhs(p, plan, probe)
-                    worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            # every monomial of degree <= degmax, by degree, as in a HermiteBasis
+            for nu in sorted(_graded_indices(mult.dim, degmax), key=lambda nu: (sum(nu), nu)):
+                p = MultiPoly.monomial(nu)
+                lhs = fdt_integral(master_formula_lhs_input(p, mult), plan, probe)
+                rhs = master_formula_rhs(p, plan, probe)
+                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         results.append(CheckResult(f"master formula {label}", worst, 1e-7))
 
     mult = Multiplicity([0.3, 0.7])

@@ -648,19 +648,6 @@ def hermite_closed_form_1d(n, mu, t):
     return const * t * laguerre_eval(m, mu + 0.5, t * t) * np.exp(-0.5 * t * t)
 
 
-def _contract_axis(block, table, axis):
-    """sum_k block[..., k, ...] * table[k] over ``axis`` of block, in k
-    order: that axis of length len(table) becomes one of table.shape[1]."""
-    cut = (slice(None),) * axis
-    column = (-1,) + (1,) * (block.ndim - axis - 1)
-    acc = np.zeros(block.shape[:axis] + (table.shape[1],) + block.shape[axis + 1 :])
-    term = np.empty_like(acc)
-    for k in range(len(table)):
-        np.multiply(block[cut + (slice(k, k + 1),)], table[k].reshape(column), out=term)
-        acc += term
-    return acc
-
-
 def _pointwise_sum(block, tables):
     """(2, m) real and imaginary parts of sum_k T_0[k] * (the same sum over
     the remaining axes of block[:, k]) at m points, skipping all-zero
@@ -728,35 +715,20 @@ class HermiteExpansion:
     def __call__(self, x):
         """Values at the points ``x`` (last axis of length dim).
 
-        Each point gets the sums of ``tensor_values`` in the same order,
-        taken as sum_k T_0[k] * (the sum over the remaining axes of C[k]),
-        one leading index at a time, so only a few arrays of the output's
-        size are live at once.
+        The axis tables T_j are built on the points' own coordinates and
+        trimmed to the coefficient block C; each point gets sum_k T_0[k] *
+        (the sum over the remaining axes of C[k]), one leading index at a
+        time, so only a few arrays of the output's size are live at once.
+        Real and imaginary parts are summed as real arrays, so every step
+        is one rounded real multiply or add whatever the array layout.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.basis.dim:
             raise UsageError(f"points have dim {x.shape[-1]}, expansion has dim {self.basis.dim}")
-        block, tables = self._block_tables([x[..., j].ravel() for j in range(self.basis.dim)])
-        return _complex(_pointwise_sum(block, tables)).reshape(x.shape[:-1])
-
-    def tensor_values(self, axes):
-        """Values on the tensor product of the 1-D point sets ``axes``,
-        flattened row-major (first axis slowest), like a ``QuadGrid``'s nodes.
-
-        h_nu factors over the axes, so the sum is a chain of 1-D sums,
-        contracted from the last axis:  G[..., x_j, ...] =
-        sum_k G[..., k, ...] * T_j[k, x_j], in k order, with G the dense
-        coefficient block to start.  Each axis table is built on its own
-        points only.  Every element sees the same products and sums in the
-        same order as in ``__call__`` on the flattened points, so the result
-        is bitwise equal to it.
-        """
-        if len(axes) != self.basis.dim:
-            raise UsageError(f"{len(axes)} axes given, expansion has dim {self.basis.dim}")
-        block, tables = self._block_tables(axes)
-        for j in reversed(range(self.basis.dim)):
-            block = _contract_axis(block, tables[j], j + 1)
-        return _complex(block).ravel()
+        block = self.coefficient_block()
+        tables = [self.basis.axis_matrix(j, x[..., j].ravel(), d) for j, d in enumerate(block.shape)]
+        parts = _pointwise_sum(np.stack([block.real, block.imag]), tables)
+        return _complex(parts).reshape(x.shape[:-1])
 
     def coefficient_block(self):
         """The coefficients as a dense complex block (d_0, ..., d_N-1),
@@ -768,17 +740,6 @@ class HermiteExpansion:
         block = np.zeros(tuple(index.max(axis=0, initial=0) + 1), dtype=complex)
         block[tuple(index.T)] = self.coeffs[live]
         return block
-
-    def _block_tables(self, points):
-        """``coefficient_block`` as a real block (2, d_0, ..., d_N-1), real
-        and imaginary parts first, and the axis tables T_j (d_j,
-        len(points[j])) on the given 1-D points.  Real and imaginary parts
-        are summed as real arrays, so every step is one rounded real
-        multiply or add, the same on the tensor and the pointwise path
-        whatever the array layout."""
-        block = self.coefficient_block()
-        tables = [self.basis.axis_matrix(j, t, d) for j, (t, d) in enumerate(zip(points, block.shape))]
-        return np.stack([block.real, block.imag]), tables
 
     def scale_degrees(self, factors):
         """New expansion with coefficients factors[|nu|] * c_nu: every spectral

@@ -133,25 +133,16 @@ class QuadGrid:
         return tuple(len(t) for t in self.axes_nodes)
 
     def values(self, f):
-        """Evaluate f on the flattened nodes; f may already be an array.
-
-        A function that offers ``tensor_values(axes)`` (a Hermite expansion)
-        is evaluated axis by axis on ``axes_nodes``, bitwise equal to
-        ``f(self.nodes)``; any other callable gets the flattened nodes.  The
-        kernel routes do not come here for a Hermite expansion: they
-        synthesize its grid tensor by matrix products instead
-        (``transform._grid_tensor``), which need not keep this equality.
-        """
-        if isinstance(f, np.ndarray):
-            if f.shape != (self.nodes.shape[0],):
-                raise UsageError(
-                    f"value array has shape {f.shape}, grid has {self.nodes.shape[0]} nodes"
-                )
-            return f
-        tensor_values = getattr(f, "tensor_values", None)
-        if tensor_values is not None:
-            return tensor_values(self.axes_nodes)
-        return np.asarray(f(self.nodes))
+        """f's values on the flattened nodes: f itself when it is an array,
+        else ``f(self.nodes)``.  Either way they must come as one value per
+        node, shape (npts,); any other shape (a column, a scalar) would
+        broadcast against the weights, and is refused."""
+        vals = f if isinstance(f, np.ndarray) else np.asarray(f(self.nodes))
+        if vals.shape != (self.nodes.shape[0],):
+            raise UsageError(
+                f"value array has shape {vals.shape}, grid has {self.nodes.shape[0]} nodes"
+            )
+        return vals
 
     def integrate(self, f):
         """Integral of f against w_k(y) dy over the box."""

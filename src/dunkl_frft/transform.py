@@ -140,11 +140,11 @@ class TransformPlan:
     cache of the operators it prepares (the kernel axis factors of
     ``_axis_factor``: as full-axis point rows per (r, output axes) and as
     even/odd pairs on its own grid per r; Hermite analysis matrices; the
-    Hermite synthesis tables of ``_grid_tensor`` per (mu, max_degree) of an
-    input expansion's basis; fractional Hankel rules per order), filled by
-    the first call that needs each one.  Its bookkeeping is locked and the
-    cached arrays are read-only, so a plan stays safe to share between
-    threads.
+    Hermite synthesis tables of ``_grid_tensor``, through which every route
+    reads an expansion input, per (mu, max_degree) of the input's basis;
+    fractional Hankel rules per order), filled by the first call that needs
+    each one.  Its bookkeeping is locked and the cached arrays are
+    read-only, so a plan stays safe to share between threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -398,9 +398,6 @@ class SpectralTransform:
     def __call__(self, x):
         return self.expansion(x)
 
-    def tensor_values(self, axes):
-        return self.expansion.tensor_values(axes)
-
     @property
     def coefficients(self):
         return self.expansion.coeffs
@@ -426,13 +423,39 @@ class SpectralTransform:
         return self.expansion.degree_mass(basis.max_degree)
 
 
+def _grid_tensor(f, plan):
+    """f's values on the plan grid as a complex tensor: the input of every
+    route, the spectral route's analysis and the kernel routes' quadrature
+    alike.
+
+    A Hermite expansion of the grid's dimension is synthesized by one
+    ``_contract_grid`` call: the axis tables h_k(y_j), (2n, d_j), applied to
+    its trimmed coefficient block.  The full tables, (2n, max_degree + 1),
+    are kept in the plan's operator cache per (mu, max_degree) of the
+    expansion's basis.  The matrix products round differently from the
+    pointwise ``f(grid.nodes)``; the routes use these values only as an
+    intermediate.  Any other input, an expansion of another dimension
+    included, goes through ``grid.values``.
+    """
+    grid = plan.grid
+    if not (isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim):
+        return grid.to_tensor(np.asarray(grid.values(f), dtype=complex))
+    basis = f.basis
+    tables = plan._operators.get(
+        ("synthesis", basis.mult.mu, basis.max_degree),
+        lambda: [basis.axis_matrix(j, grid.axes_nodes[j]).T for j in range(grid.dim)],
+    )
+    block = f.coefficient_block()
+    return _contract_grid([t[:, :d] for t, d in zip(tables, block.shape)], block)
+
+
 def hermite_expand(f, plan):
-    """Coefficients <f, h_nu> for |nu| <= plan.M by tensor quadrature; the
-    weighted analysis matrices are kept in the plan's operator cache."""
+    """Coefficients <f, h_nu> for |nu| <= plan.M by tensor quadrature of
+    ``_grid_tensor(f, plan)``; the weighted analysis matrices are kept in
+    the plan's operator cache."""
     grid = plan.grid
     basis = plan.basis
-    fvals = np.asarray(grid.values(f), dtype=complex)
-    tensor = grid.to_tensor(fvals)
+    tensor = _grid_tensor(f, plan)
 
     def build():
         return [
@@ -441,15 +464,16 @@ def hermite_expand(f, plan):
         ]
 
     full = _contract_grid(plan._operators.get(("analysis",), build), tensor)
-    coeffs = np.array([full[nu] for nu in basis.indices], dtype=complex)
-    return HermiteExpansion(basis, coeffs)
+    return HermiteExpansion(basis, full[tuple(basis._index_array.T)])
 
 
 def fdt_spectral(f, plan, r=None):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
-    times r^|nu| (r defaults to plan.r) plus the reconstructing expansion."""
+    times r^|nu| (r defaults to plan.r) plus the reconstructing expansion.
+    f's grid values, which give both the expansion and the input norm, come
+    from ``_grid_tensor``."""
     r = _smoothing(plan, r, "fdt_spectral", upto_one=True)
-    fvals = plan.grid.values(f)
+    fvals = _grid_tensor(f, plan).ravel()
     base = hermite_expand(fvals, plan)
     norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
     phased = base.scale_degrees([(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(plan.M + 1)])
@@ -574,38 +598,12 @@ def _contract_folded(factors, tensor):
     return out
 
 
-def _grid_tensor(f, plan):
-    """f's values on the plan grid as a complex tensor, the input of the
-    kernel routes.
-
-    A Hermite expansion of the grid's dimension is synthesized by one
-    ``_contract_grid`` call: the axis tables h_k(y_j), (2n, d_j), applied to
-    its trimmed coefficient block.  The full tables, (2n, max_degree + 1),
-    are kept in the plan's operator cache per (mu, max_degree) of the
-    expansion's basis.  The matrix products round differently from
-    ``grid.values(f)``, which stays bitwise equal to f(nodes) for its other
-    callers; the kernel routes use these values only as an intermediate.
-    Any other input goes through ``grid.values``.
-    """
-    grid = plan.grid
-    if not (isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim):
-        return grid.to_tensor(np.asarray(grid.values(f), dtype=complex))
-    basis = f.basis
-    tables = plan._operators.get(
-        ("synthesis", basis.mult.mu, basis.max_degree),
-        lambda: [basis.axis_matrix(j, grid.axes_nodes[j]).T for j in range(grid.dim)],
-    )
-    block = f.coefficient_block()
-    return _contract_grid([t[:, :d] for t, d in zip(tables, block.shape)], block)
-
-
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
     None, using the tensor structure of both grids and the kernel axis
     factors (E, O) of ``_axis_factor``.  The input tensor comes from
-    ``_grid_tensor``: per-axis matrix products for a Hermite expansion,
-    ``grid.values(f)`` for anything else.
+    ``_grid_tensor``.
 
     Grid outputs contract E and O on the y > 0 half (``_fold_factors``,
     ``_contract_folded``): half the multiply-adds of a full-axis

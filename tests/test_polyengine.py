@@ -540,8 +540,10 @@ class TestFactorizedSum:
 
 
 class TestTensorValues:
-    """``QuadGrid.values`` evaluates an expansion axis by axis; the result
-    must equal the pointwise ``__call__`` on the flattened nodes bit for bit."""
+    """``QuadGrid.values`` of an expansion is its pointwise ``__call__`` on
+    the flattened nodes, bit for bit, on every grid shape; the routes read
+    an expansion through the synthesis products of ``transform._grid_tensor``
+    instead (see ``test_transform.TestExpansionInput``)."""
 
     @staticmethod
     def expansion(basis, seed):
@@ -588,7 +590,5 @@ class TestTensorValues:
     def test_dimension_must_match(self):
         basis = HermiteBasis(Multiplicity([0.3, 0.7]), 2)
         f = HermiteExpansion.from_terms(basis, {(1, 0): 1.0})
-        with pytest.raises(UsageError, match="axes"):
-            f.tensor_values([np.linspace(-1.0, 1.0, 5)])
         with pytest.raises(UsageError, match="dim"):
             f(np.array([[0.5, 0.2, 9.0]]))

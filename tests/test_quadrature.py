@@ -9,7 +9,7 @@ import pytest
 from scipy import special as scipy_special
 
 from dunkl_frft import quadrature
-from dunkl_frft.errors import CalibrationError, DomainError, RangeError
+from dunkl_frft.errors import CalibrationError, DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import HermiteBasis
 from dunkl_frft.quadrature import (
     build_grid,
@@ -19,6 +19,7 @@ from dunkl_frft.quadrature import (
     jacobi_halfline,
 )
 from dunkl_frft.specfun import Multiplicity, gamma_fn
+from dunkl_frft.transform import TransformPlan, fdt_integral_on_grid
 from frft_helpers import inner_product
 
 
@@ -125,6 +126,34 @@ class TestInnerProduct:
         # normalization against the Laguerre norm Gamma(m+a+1)/m!
         h2 = self.basis.function((2,))
         assert inner_product(h2, h2, self.grid).real == pytest.approx(1.0, abs=1e-9)
+
+
+class TestGridValues:
+    """``QuadGrid.values`` takes one value per node, shape (npts,), from an
+    array and from a callable alike; any other shape would broadcast
+    against the weights, so it is refused wherever grid values are read."""
+
+    def test_callable_of_wrong_shape_refused(self):
+        mult = Multiplicity([0.5])
+        grid = build_grid(mult)
+        plan = TransformPlan(mult, math.pi / 3, grid=grid, M=4)
+        npts = grid.nodes.shape[0]
+        bad = {
+            "column": (lambda p: np.exp(-p * p), (npts, 1)),
+            "scalar": (lambda p: 1.0, ()),
+        }
+        readers = {
+            "integrate": grid.integrate,
+            "norm_l2": grid.norm_l2,
+            "integral route": lambda f: fdt_integral_on_grid(f, plan),
+        }
+        for name, (f, shape) in bad.items():
+            for key, read in readers.items():
+                with pytest.raises(UsageError) as refused:
+                    read(f)
+                assert str(refused.value) == (
+                    f"value array has shape {shape}, grid has {npts} nodes"
+                ), (name, key)
 
 
 class TestJacobiHalfline:

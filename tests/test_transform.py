@@ -476,9 +476,9 @@ class TestIntegralRoute:
 
 class TestTensorGridInput:
     def test_routes_never_evaluate_expansions_pointwise(self, monkeypatch):
-        # Every route evaluates a Hermite-expansion input on the tensor grid
-        # (the kernel routes by synthesis products, the spectral route through
-        # QuadGrid.values); none falls back to the pointwise __call__.
+        # Every route, hermite_expand included, reads a Hermite-expansion
+        # input through the synthesis products of _grid_tensor; none falls
+        # back to the pointwise __call__.
         mult = Multiplicity([0.3, 0.7])
         plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), M=6)
         f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j})
@@ -491,7 +491,6 @@ class TestTensorGridInput:
                 "smoothed_grid": fdt_smoothed_on_grid(f, plan, r=0.9),
                 "smoothed": fdt_smoothed(f, plan, xs, r=0.9),
                 "spectral": fdt_spectral(f, plan).coefficients,
-                "spectral_grid": plan.grid.values(fdt_spectral(f, plan)),
                 "expand": transform.hermite_expand(f, plan).coeffs,
             }
 
@@ -507,9 +506,10 @@ class TestTensorGridInput:
 
 
 class TestExpansionInput:
-    """A Hermite-expansion input reaches the kernel routes as per-axis
-    synthesis products on its trimmed coefficient block, with the tables
-    kept in the plan's operator cache, instead of through grid.values."""
+    """A Hermite-expansion input reaches every route, the spectral route and
+    hermite_expand included, as per-axis synthesis products on its trimmed
+    coefficient block, with the tables kept in the plan's operator cache,
+    instead of through grid.values."""
 
     MUS = ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4])
 
@@ -541,6 +541,8 @@ class TestExpansionInput:
             "integral points": lambda f: fdt_integral(f, plan, xs),
             "smoothed grid": lambda f: fdt_smoothed_on_grid(f, plan, r=0.6),
             "smoothed points": lambda f: fdt_smoothed(f, plan, xs, r=0.6),
+            "spectral": lambda f: fdt_spectral(f, plan).coefficients,
+            "expand": lambda f: transform.hermite_expand(f, plan).coeffs,
         }
 
     @pytest.mark.parametrize("mu", MUS)
