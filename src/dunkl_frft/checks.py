@@ -43,6 +43,7 @@ from .specfun import Multiplicity, laguerre_eval
 from .transform import (
     REGIME_GENERIC,
     TransformPlan,
+    bochner_fdt,
     fdt_integral,
     fdt_integral_on_grid,
     fdt_smoothed_on_grid,
@@ -297,7 +298,7 @@ def check_mehler(seed=DEFAULT_SEED):
 
 
 # ---------------------------------------------------------------------------
-# 6. Master formula and Hecke identity
+# 6. Master formula, Hecke and Bochner identities
 
 
 def check_master_hecke(seed=DEFAULT_SEED):
@@ -331,6 +332,32 @@ def check_master_hecke(seed=DEFAULT_SEED):
         rhs = cmath.exp(1j * plan.alpha) * f(probe2)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     results.append(CheckResult("hecke identity (harmonic p)", worst, 1e-7))
+
+    # Bochner: D^a [p psi(|.|)] = e^{ina} p H^a_{n+lambda} psi for harmonic p
+    # of degree n, against the integral route on the product itself
+    worst = 0.0
+    harmonics = (
+        MultiPoly.constant(1, 2),
+        MultiPoly.variable(0, 2),
+        MultiPoly.variable(1, 2),
+        MultiPoly.monomial((1, 1)),
+    )
+    for alpha in (math.pi / 3.0, -2.0 * math.pi / 5.0):
+        plan = TransformPlan(mult, alpha, M=0)
+        for p in harmonics:
+            index = p.homogeneous_degree() + mult.lambda_index
+            for m in range(3):
+
+                def psi(y, _m=m, _a=index):
+                    return laguerre_eval(_m, _a, y * y) * np.exp(-0.5 * y * y)
+
+                def f(pts, _p=p, _psi=psi):
+                    return _p(pts) * _psi(np.sqrt(np.sum(pts * pts, axis=-1)))
+
+                lhs = fdt_integral(f, plan, probe2)
+                rhs = bochner_fdt(p, psi, plan, probe2)
+                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    results.append(CheckResult("bochner identity (harmonic p, Laguerre profile)", worst, 1e-7))
     return results
 
 

@@ -327,8 +327,8 @@ def _linspace(spec):
     return np.linspace(lo, hi, _number(count, int))
 
 
-def _csv_lines(header_cols, rows, cfg):
-    lines = [f"# dunkl-frft {__version__}", f"# config: {json.dumps(cfg.to_json(), sort_keys=True)}"]
+def _csv_lines(header_cols, rows, config):
+    lines = [f"# dunkl-frft {__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
     lines.append("# " + ",".join(header_cols))
     for row in rows:
         lines.append(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row))
@@ -348,23 +348,53 @@ def _write(out_dir, name, text):
     return path
 
 
+def _scalar(value):
+    return value is None or isinstance(value, (str, int, float))
+
+
+def _pretty(obj, indent="\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples and JSON scalars.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder.  Here each
+    list of scalars, and each table of nonempty scalar rows, is encoded by
+    one compact call of the C encoder whose item separator carries the
+    newline and indent.  No JSON string holds a raw newline and no scalar
+    ends in "]", so that separator, and "]" + separator + "[", mark only
+    item and row boundaries.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = [json.dumps(key) + ": " + _pretty(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    if all(_scalar(v) for v in obj):
+        return "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + indent + "]"
+    if all(isinstance(v, (list, tuple)) and v and all(_scalar(x) for x in v) for v in obj):
+        deep = inner + "  "
+        text = json.dumps(obj, separators=("," + deep, ": "))[2:-2]
+        text = text.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+        return "[" + inner + "[" + deep + text + inner + "]" + indent + "]"
+    return "[" + inner + ("," + inner).join(_pretty(v, inner) for v in obj) + indent + "]"
+
+
 def _emit(cfg, out_dir, fmt, header_cols, rows, extra=None):
-    stamp = cfg.to_json()
-    if extra:
-        stamp["summary"] = extra
-    _write(out_dir, "resolved_config.json", json.dumps(stamp, indent=2, sort_keys=True) + "\n")
+    config = cfg.to_json()
+    stamp = dict(config, summary=extra) if extra else config
+    _write(out_dir, "resolved_config.json", _pretty(stamp) + "\n")
     if fmt == "json":
         payload = {
             "version": __version__,
-            "config": cfg.to_json(),
+            "config": config,
             "columns": header_cols,
             "rows": rows,
         }
         if extra:
             payload["summary"] = extra
-        path = _write(out_dir, "result.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path = _write(out_dir, "result.json", _pretty(payload) + "\n")
     else:
-        path = _write(out_dir, "result.csv", _csv_lines(header_cols, rows, cfg))
+        path = _write(out_dir, "result.csv", _csv_lines(header_cols, rows, config))
     return path
 
 
@@ -544,7 +574,8 @@ _DISPATCH = {
 def run(config, out_dir="out", fmt="csv", seed=None):
     """Execute a job config; returns the process exit status.
 
-    0 on success, 1 when a check suite reports failures, 2 on usage errors.
+    0 on success, 1 when a check suite reports failures, a computation is
+    refused or the job's arrays do not fit in memory, 2 on usage errors.
     Byte-identical outputs need the BLAS thread variables set to 1.
     """
     try:
@@ -557,6 +588,9 @@ def run(config, out_dir="out", fmt="csv", seed=None):
         return 2
     except DunklError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

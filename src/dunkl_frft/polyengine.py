@@ -662,12 +662,9 @@ def _pointwise_sum(block, tables):
     return acc
 
 
-def _complex(parts):
-    """Complex array from real and imaginary parts stacked on axis 0."""
-    out = np.empty(parts.shape[1:], dtype=complex)
-    out.real = parts[0]
-    out.imag = parts[1]
-    return out
+# Points per pass of HermiteExpansion.__call__: its tables and sums are
+# that long, so a large point set holds one pass's worth of them at a time.
+_EVAL_CHUNK = 8192
 
 
 class HermiteExpansion:
@@ -715,20 +712,29 @@ class HermiteExpansion:
     def __call__(self, x):
         """Values at the points ``x`` (last axis of length dim).
 
-        The axis tables T_j are built on the points' own coordinates and
+        The points are taken in passes of ``_EVAL_CHUNK``.  In each pass the
+        axis tables T_j are built on the points' own coordinates and
         trimmed to the coefficient block C; each point gets sum_k T_0[k] *
         (the sum over the remaining axes of C[k]), one leading index at a
-        time, so only a few arrays of the output's size are live at once.
-        Real and imaginary parts are summed as real arrays, so every step
-        is one rounded real multiply or add whatever the array layout.
+        time, so only a few arrays of a pass's size are live at once.  Real
+        and imaginary parts are summed as real arrays, so every step is one
+        rounded real multiply or add whatever the array layout or the pass,
+        and the values do not depend on how the points are split.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.basis.dim:
             raise UsageError(f"points have dim {x.shape[-1]}, expansion has dim {self.basis.dim}")
         block = self.coefficient_block()
-        tables = [self.basis.axis_matrix(j, x[..., j].ravel(), d) for j, d in enumerate(block.shape)]
-        parts = _pointwise_sum(np.stack([block.real, block.imag]), tables)
-        return _complex(parts).reshape(x.shape[:-1])
+        parts = np.stack([block.real, block.imag])
+        coords = [x[..., j].ravel() for j in range(self.basis.dim)]
+        out = np.empty(coords[0].size, dtype=complex)
+        for start in range(0, out.size, _EVAL_CHUNK):
+            chunk = slice(start, start + _EVAL_CHUNK)
+            tables = [self.basis.axis_matrix(j, coords[j][chunk], d) for j, d in enumerate(block.shape)]
+            sums = _pointwise_sum(parts, tables)
+            out.real[chunk] = sums[0]
+            out.imag[chunk] = sums[1]
+        return out.reshape(x.shape[:-1])
 
     def coefficient_block(self):
         """The coefficients as a dense complex block (d_0, ..., d_N-1),

@@ -137,14 +137,22 @@ class TransformPlan:
     prefactor.
 
     The Hermite basis is built lazily.  The plan also holds a bounded
-    cache of the operators it prepares (the kernel axis factors of
-    ``_axis_factor``: as full-axis point rows per (r, output axes) and as
-    even/odd pairs on its own grid per r; Hermite analysis matrices; the
-    Hermite synthesis tables of ``_grid_tensor``, through which every route
-    reads an expansion input, per (mu, max_degree) of the input's basis;
-    fractional Hankel rules per order), filled by the first call that needs
-    each one.  Its bookkeeping is locked and the cached arrays are
-    read-only, so a plan stays safe to share between threads.
+    cache of the operators it prepares, filled by the first call that needs
+    each one:
+
+    - for sampled inputs, the kernel axis factors of ``_axis_factor``, as
+      full-axis point rows per (r, output axes) and as even/odd pairs on
+      its own grid per r;
+    - for Hermite-expansion inputs, the kernel applied to the synthesis
+      tables, T_j per (r, mu, max_degree[, output axes]); the factors they
+      come from are not kept (see ``_kernel_transform``);
+    - Hermite analysis matrices, and the synthesis tables of
+      ``_grid_tensor`` per (mu, max_degree), through which the spectral
+      route and the operator layer read an expansion input;
+    - fractional Hankel rules per order.
+
+    Its bookkeeping is locked and the cached arrays are read-only, so a
+    plan stays safe to share between threads.
     """
 
     def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
@@ -424,9 +432,9 @@ class SpectralTransform:
 
 
 def _grid_tensor(f, plan):
-    """f's values on the plan grid as a complex tensor: the input of every
-    route, the spectral route's analysis and the kernel routes' quadrature
-    alike.
+    """f's values on the plan grid as a complex tensor: the input of the
+    spectral route's analysis, and of the kernel routes' quadrature for
+    every input but a Hermite expansion (see ``_kernel_transform``).
 
     A Hermite expansion of the grid's dimension is synthesized by one
     ``_contract_grid`` call: the axis tables h_k(y_j), (2n, d_j), applied to
@@ -556,19 +564,20 @@ def _axis_factor(plan, j, x, r):
     return even, odd, rows
 
 
-def _fold_factors(plan, r):
-    """The ``_axis_factor`` pairs of the plan's own grid at smoothing r,
-    [E_0, O_0, E_1, O_1, ...], kept in the plan's operator cache under
-    ("kernel_fold", r).  The distinct |x| of a mirror-symmetric axis are
-    its n positive nodes, so each is n x n, and a non-finite row is refused
+def _fold_pair(plan, j, r):
+    """The ``_axis_factor`` pair (E, O) of axis j on the plan's own grid at
+    smoothing r.  The distinct |x| of a mirror-symmetric axis are its n
+    positive nodes, so each is n x n, and a non-finite row is refused
     naming its -x node, the first on the axis."""
-    def build():
-        factors = []
-        for j in range(plan.mult.dim):
-            factors += _axis_factor(plan, j, plan.grid.axes_nodes[j], r)[:2]
-        return factors
+    return _axis_factor(plan, j, plan.grid.axes_nodes[j], r)[:2]
 
-    return plan._operators.get(("kernel_fold", r), build)
+
+def _fold_factors(plan, r):
+    """The ``_fold_pair`` of every axis, [E_0, O_0, E_1, O_1, ...], kept in
+    the plan's operator cache under ("kernel_fold", r)."""
+    return plan._operators.get(
+        ("kernel_fold", r), lambda: [m for j in range(plan.mult.dim) for m in _fold_pair(plan, j, r)]
+    )
 
 
 def _contract_folded(factors, tensor):
@@ -581,7 +590,8 @@ def _contract_folded(factors, tensor):
     n x n products through ``_contract_grid``.  The +x half of the output
     is g_e + g_o and the -x half, mirrored, g_e - g_o.  The axes are taken
     last to first and each result axis is put in front, so the output comes
-    out C-contiguous in the tensor's own axis order.
+    out C-contiguous in the tensor's own axis order.  With one pair and a
+    two-axis tensor the grid axis is the last one, and it comes out first.
     """
     out = tensor
     last_first = (tensor.ndim - 1,) + tuple(range(tensor.ndim - 1))
@@ -598,41 +608,77 @@ def _contract_folded(factors, tensor):
     return out
 
 
+def _point_rows(plan, j, x, r):
+    """(table, rows): the full-axis rows of axis j's factor, one per
+    distinct signed coordinate of x, [reversed E - O | E + O] for x >= 0
+    and [reversed E + O | E - O] for x < 0; rows[i] is that of x[i]."""
+    even, odd, rows = _axis_factor(plan, j, x, r)
+    signed, rows = np.unique(2 * rows + (x < 0), return_inverse=True)
+    even, odd = even[signed // 2], odd[signed // 2]
+    plus, minus = even + odd, even - odd
+    neg = (signed % 2 == 1)[:, None]
+    table = np.concatenate([np.where(neg, plus, minus)[:, ::-1], np.where(neg, minus, plus)], axis=1)
+    return table, rows
+
+
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
     None, using the tensor structure of both grids and the kernel axis
-    factors (E, O) of ``_axis_factor``.  The input tensor comes from
-    ``_grid_tensor``.
+    factors (E, O) of ``_axis_factor``.
 
-    Grid outputs contract E and O on the y > 0 half (``_fold_factors``,
+    A Hermite expansion of the grid's dimension is separable like the
+    kernel, so the plan applies each axis factor once to the synthesis
+    table h_k(y_j) of that axis, by the same quadrature: T_j, (outputs on
+    axis j, max_degree + 1), kept per (r, mu, max_degree) of the input's
+    basis, and per the bytes of each output axis for point outputs.  A
+    call is then one ``_contract_grid`` of the trimmed T_j with the
+    coefficient block, or one ``_contract_points`` of their gathered rows.
+    The factors themselves are built for T_j and dropped; only T_j stays.
+
+    Any other input enters as its grid tensor (``_grid_tensor``).  Grid
+    outputs contract E and O on the y > 0 half (``_fold_factors``,
     ``_contract_folded``): half the multiply-adds of a full-axis
-    contraction.  Point outputs keep, per (r, bytes of each output axis) in
-    the plan's operator cache, one full-axis row per distinct signed x,
-    [reversed E - O | E + O] for x >= 0 and [reversed E + O | E - O] for
-    x < 0, and a call gathers its rows for ``_contract_points``.
+    contraction.  Point outputs keep, per (r, bytes of each output axis)
+    in the plan's operator cache, the ``_point_rows`` of each axis, and a
+    call gathers its rows for ``_contract_points``.
     """
+    grid = plan.grid
+    dim = plan.mult.dim
+    coords = None if xs is None else [xs[:, j] for j in range(dim)]
+    outputs = () if xs is None else tuple(x.tobytes() for x in coords)
+    if isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim:
+        basis = f.basis
+
+        def build():
+            tables, gathers = [], []
+            for j in range(dim):
+                synthesis = basis.axis_matrix(j, grid.axes_nodes[j])
+                if xs is None:
+                    tables.append(_contract_folded(_fold_pair(plan, j, r), synthesis))
+                else:
+                    table, rows = _point_rows(plan, j, coords[j], r)
+                    tables.append(table @ synthesis.T)
+                    gathers.append(rows)
+            return tables + gathers
+
+        key = ("kernel_basis", r, basis.mult.mu, basis.max_degree) + outputs
+        entry = plan._operators.get(key, build)
+        block = f.coefficient_block()
+        if xs is None:
+            return _contract_grid([t[:, :d] for t, d in zip(entry, block.shape)], block).ravel()
+        rows = zip(entry[:dim], entry[dim:], block.shape)
+        return _contract_points([t[gather, :d] for t, gather, d in rows], block)
+
     tensor = _grid_tensor(f, plan)
     if xs is None:
         return _contract_folded(_fold_factors(plan, r), tensor).ravel()
-    coords = [xs[:, j] for j in range(plan.mult.dim)]
 
     def build():
-        tables, gathers = [], []
-        for j, x in enumerate(coords):
-            even, odd, rows = _axis_factor(plan, j, x, r)
-            signed, rows = np.unique(2 * rows + (x < 0), return_inverse=True)
-            even, odd = even[signed // 2], odd[signed // 2]
-            plus, minus = even + odd, even - odd
-            neg = (signed % 2 == 1)[:, None]
-            tables.append(np.concatenate(
-                [np.where(neg, plus, minus)[:, ::-1], np.where(neg, minus, plus)], axis=1
-            ))
-            gathers.append(rows)
-        return tables + gathers
+        tables, gathers = zip(*(_point_rows(plan, j, x, r) for j, x in enumerate(coords)))
+        return list(tables) + list(gathers)
 
-    entry = plan._operators.get(("kernel", r) + tuple(x.tobytes() for x in coords), build)
-    dim = len(coords)
+    entry = plan._operators.get(("kernel", r) + outputs, build)
     return _contract_points([t[rows] for t, rows in zip(entry[:dim], entry[dim:])], tensor)
 
 

@@ -350,6 +350,22 @@ def test_overflowing_box_exits_2_with_one_line(tmp_path):
     assert len(err) == 1 and "'L'" in err[0], proc.stderr
 
 
+def test_oversized_output_request_exits_1_without_traceback(tmp_path):
+    # A linspace count of 1e12 fails at its first allocation (7.28 TiB), so
+    # no memory is used; run in a clean interpreter, as a user would.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "transform", "mu": [0.5], "function": {"kind": "gaussian"},
+                                "outputs": {"linspace": [0, 1, 1e12]}}))
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_frft.cli", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
+
+
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
     # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
     # costs a fresh job about 50 ms; run in a clean interpreter.

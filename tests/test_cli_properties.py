@@ -1,9 +1,11 @@
-"""Property test of the CLI contract: any config shape exits 0, 1 or 2.
+"""Property tests of the CLI contract: any config shape exits 0, 1 or 2,
+and the JSON writer matches ``json.dumps(indent=2, sort_keys=True)``.
 
 Sizes (M, n, q_nodes, output counts) are capped small on purpose: the
 property under test is shape handling, not problem size.
 """
 
+import json
 import math
 import tempfile
 
@@ -13,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dunkl_frft.cli import COMMANDS, run  # noqa: E402
+from dunkl_frft.cli import COMMANDS, _pretty, run  # noqa: E402
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
 # No digit strings: a size field must never parse to a large integer.
@@ -124,3 +126,27 @@ CONFIGS = st.fixed_dictionaries(
 def test_run_exits_cleanly_on_any_config_shape(config):
     with tempfile.TemporaryDirectory() as out:
         assert run(config, out_dir=out) in (0, 1, 2)
+
+
+# Strings hold what the writer's separators are made of: ", ", "]", "[",
+# newlines (escaped by JSON), quotes and non-ASCII text.
+JSON_TEXT = st.text(alphabet=st.sampled_from(list(", ][\n\"\\:aé\u03bb\U0001d400")), max_size=6)
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.sampled_from([-0.0, math.nan]), JSON_TEXT
+)
+JSON_TABLES = st.lists(st.lists(JSON_SCALARS, max_size=4), max_size=4)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_TABLES),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(obj=JSON_VALUES)
+def test_pretty_matches_json_dumps(obj):
+    assert _pretty(obj) == json.dumps(obj, indent=2, sort_keys=True)

@@ -517,6 +517,20 @@ class TestFactorizedSum:
             else:
                 assert np.max(np.abs(f(x) - want)) <= 1e-14, name
 
+    @pytest.mark.parametrize("mu", [[0.5], [0.3, 0.7], [0.3, 0.7, 0.5]])
+    def test_values_do_not_depend_on_the_passes(self, mu, monkeypatch):
+        from dunkl_frft import polyengine
+
+        basis = HermiteBasis(Multiplicity(mu), 8)
+        x = np.random.default_rng(4).uniform(-5.0, 5.0, size=(5, 9, len(mu)))
+        for name, f in self.cases(basis):
+            want = f(x)
+            for chunk in (1, 7, 45):
+                monkeypatch.setattr(polyengine, "_EVAL_CHUNK", chunk)
+                got = f(x)
+                assert got.shape == (5, 9) and got.tobytes() == want.tobytes(), (name, chunk)
+            monkeypatch.undo()
+
     def test_pointwise_memory_stays_near_output_size(self):
         # A degree-6 input on the M = 16 basis, at 25,600 points: the two
         # axis tables are trimmed to 7 rows, and beside them only a few

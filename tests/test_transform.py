@@ -612,6 +612,87 @@ class TestExpansionInput:
             assert str(refused.value) == str(expected.value), key
 
 
+class TestKernelThroughBasis:
+    """A Hermite-expansion input meets the kernel routes through T_j, each
+    axis factor applied once to the synthesis table of its axis; the plan
+    keeps T_j and not the factors it was built from."""
+
+    @staticmethod
+    def _setup():
+        mult = Multiplicity([0.3, 0.7])
+        plan = TransformPlan(mult, math.pi / 3)
+        f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j, (3, 1): 0.3})
+        xs = np.random.default_rng(8).uniform(-3.0, 3.0, size=(25, 2))
+        return plan, f, xs
+
+    @staticmethod
+    def _entries(plan, xs):
+        return {
+            "integral grid": lambda f: fdt_integral_on_grid(f, plan),
+            "integral points": lambda f: fdt_integral(f, plan, xs),
+            "smoothed grid": lambda f: fdt_smoothed_on_grid(f, plan, r=0.9),
+            "smoothed points": lambda f: fdt_smoothed(f, plan, xs, r=0.9),
+        }
+
+    def test_only_composed_tables_are_kept(self):
+        plan, f, xs = self._setup()
+        for call in self._entries(plan, xs).values():
+            call(f)
+        kinds = {key[0] for key in plan._operators._entries}
+        assert kinds == {"kernel_basis"}
+        # T_j on the default N = 2 grid (160 nodes per axis, 17 degrees) and
+        # 25 points, at two r: 198 KiB.  One cached even/odd fold at one r
+        # would add 400 KiB.
+        info = plan.operator_cache_info()
+        assert (info.misses, info.entries) == (4, 4)
+        assert info.nbytes <= 256 << 10
+
+    def test_repeat_call_does_no_bessel_work(self, monkeypatch):
+        plan, f, xs = self._setup()
+        entries = self._entries(plan, xs)
+        first = {key: call(f) for key, call in entries.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel axis factor rebuilt on a cache hit")
+
+        monkeypatch.setattr(transform, "_axis_factor", refuse)
+        g = HermiteExpansion.from_terms(plan.basis, {(2, 2): 1.0})
+        for key, call in entries.items():
+            assert call(f).tobytes() == first[key].tobytes(), key
+            call(g)
+        assert plan.operator_cache_info()[:3] == (8, 4, 4)
+
+    def test_expansion_array_expansion_agree(self):
+        plan, f, xs = self._setup()
+        values = plan.grid.values(f)
+        for key, call in self._entries(plan, xs).items():
+            first, array, again = call(f), call(values), call(f)
+            assert again.tobytes() == first.tobytes(), key
+            assert np.max(np.abs(first - array)) <= 1e-14 * np.max(np.abs(array)), key
+
+    def test_out_of_range_refused_as_for_grid_values(self):
+        mult = Multiplicity([0.3, 0.7])
+        plan = TransformPlan(mult, 1.0, grid=build_grid(mult, L=6.0, n=16), M=4)
+        f = HermiteExpansion.from_terms(plan.basis, {(1, 0): 1.0})
+        xs = np.array([[0.5, 1.0], [0.25, -1e200]])
+        wide = TransformPlan(Multiplicity([0.5]), 1.0, grid=build_grid(Multiplicity([0.5]), L=60.0, n=120), M=4)
+        g = HermiteExpansion.from_terms(wide.basis, {(2,): 1.0})
+        cases = {
+            "integral points": (f, lambda h: fdt_integral(h, plan, xs), "x1 = -1e+200"),
+            "smoothed points": (f, lambda h: fdt_smoothed(h, plan, xs, r=0.6), "x1 = -1e+200"),
+            # the smoothed kernel's Bessel values overflow where its Gaussian
+            # underflows
+            "smoothed grid": (g, lambda h: fdt_smoothed_on_grid(h, wide, r=0.3), "x0 = -"),
+        }
+        for key, (h, call, where) in cases.items():
+            messages = []
+            for arg in (h, (plan if h is f else wide).grid.values(h)):
+                with pytest.raises(RangeError, match=f"output coordinate {re.escape(where)}") as info:
+                    call(arg)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1], key
+
+
 class TestAxisDedup:
     """Point outputs are built once per distinct coordinate on each axis."""
 
