@@ -140,12 +140,10 @@ class TransformPlan:
     cache of the operators it prepares, filled by the first call that needs
     each one:
 
-    - for sampled inputs, the kernel axis factors of ``_axis_factor``, as
-      full-axis point rows per (r, output axes) and as even/odd pairs on
-      its own grid per r;
-    - for Hermite-expansion inputs, the kernel applied to the synthesis
-      tables, T_j per (r, mu, max_degree[, output axes]); the factors they
-      come from are not kept (see ``_kernel_transform``);
+    - the kernel routes' entries, one per (r, input basis, outputs) under
+      "kernel": the kernel axis factors of ``_axis_factor`` for a sampled
+      input, or those factors applied to the synthesis tables of an
+      expansion's basis (see ``_kernel_transform``);
     - Hermite analysis matrices, and the synthesis tables of
       ``_grid_tensor`` per (mu, max_degree), through which the spectral
       route and the operator layer read an expansion input;
@@ -564,20 +562,30 @@ def _axis_factor(plan, j, x, r):
     return even, odd, rows
 
 
-def _fold_pair(plan, j, r):
-    """The ``_axis_factor`` pair (E, O) of axis j on the plan's own grid at
-    smoothing r.  The distinct |x| of a mirror-symmetric axis are its n
-    positive nodes, so each is n x n, and a non-finite row is refused
-    naming its -x node, the first on the axis."""
-    return _axis_factor(plan, j, plan.grid.axes_nodes[j], r)[:2]
-
-
-def _fold_factors(plan, r):
-    """The ``_fold_pair`` of every axis, [E_0, O_0, E_1, O_1, ...], kept in
-    the plan's operator cache under ("kernel_fold", r)."""
-    return plan._operators.get(
-        ("kernel_fold", r), lambda: [m for j in range(plan.mult.dim) for m in _fold_pair(plan, j, r)]
-    )
+def _fold_factors(plan, r, xs=None, basis=None):
+    """The plan's kernel entry at smoothing r, for the output points xs (the
+    grid when None) and an input in ``basis`` (a sampled one when None).  On
+    each axis the ``_axis_factor`` meets what the input contributes: the
+    identity for a sampled input, the synthesis table h_k(y_j) of the basis
+    (made here and dropped) for an expansion.  Grid outputs give the pairs
+    [E_0, O_0, E_1, O_1, ...], each n x n (a non-finite row is refused
+    naming its -x node, the first on the axis), or T_j, each pair applied
+    to its synthesis table by ``_contract_folded``.  Point outputs give the
+    ``_point_rows`` table of each axis (times the synthesis table), then
+    each axis's gather.
+    """
+    grid = plan.grid
+    tables, gathers = [], []
+    for j in range(plan.mult.dim):
+        synthesis = None if basis is None else basis.axis_matrix(j, grid.axes_nodes[j])
+        if xs is None:
+            pair = list(_axis_factor(plan, j, grid.axes_nodes[j], r)[:2])
+            tables += pair if synthesis is None else [_contract_folded(pair, synthesis)]
+        else:
+            table, rows = _point_rows(plan, j, xs[:, j], r)
+            tables.append(table if synthesis is None else table @ synthesis.T)
+            gathers.append(rows)
+    return tables + gathers
 
 
 def _contract_folded(factors, tensor):
@@ -627,59 +635,36 @@ def _kernel_transform(f, plan, xs, r):
     None, using the tensor structure of both grids and the kernel axis
     factors (E, O) of ``_axis_factor``.
 
-    A Hermite expansion of the grid's dimension is separable like the
-    kernel, so the plan applies each axis factor once to the synthesis
-    table h_k(y_j) of that axis, by the same quadrature: T_j, (outputs on
-    axis j, max_degree + 1), kept per (r, mu, max_degree) of the input's
-    basis, and per the bytes of each output axis for point outputs.  A
-    call is then one ``_contract_grid`` of the trimmed T_j with the
-    coefficient block, or one ``_contract_points`` of their gathered rows.
-    The factors themselves are built for T_j and dropped; only T_j stays.
+    The input is decided once.  A Hermite expansion of the grid's dimension
+    is separable like the kernel and enters as its coefficient block; any
+    other input enters as its grid tensor (``_grid_tensor``).  The plan
+    keeps one entry per (r, the expansion's (mu, max_degree) or None, the
+    bytes of each output axis or "grid"), built by ``_fold_factors``, and a
+    call contracts it with the input:
 
-    Any other input enters as its grid tensor (``_grid_tensor``).  Grid
-    outputs contract E and O on the y > 0 half (``_fold_factors``,
-    ``_contract_folded``): half the multiply-adds of a full-axis
-    contraction.  Point outputs keep, per (r, bytes of each output axis)
-    in the plan's operator cache, the ``_point_rows`` of each axis, and a
-    call gathers its rows for ``_contract_points``.
+    - grid outputs, sampled input: ``_contract_folded`` of the even/odd
+      pairs, half the multiply-adds of a full-axis contraction;
+    - grid outputs, expansion: ``_contract_grid`` of the trimmed T_j, each
+      axis factor applied once to the synthesis table of its axis, with the
+      block; the n x n factors are built for T_j and dropped;
+    - point outputs: ``_contract_points`` of each axis's rows, gathered
+      from one row per distinct signed coordinate (times the synthesis
+      table for an expansion).
     """
-    grid = plan.grid
     dim = plan.mult.dim
-    coords = None if xs is None else [xs[:, j] for j in range(dim)]
-    outputs = () if xs is None else tuple(x.tobytes() for x in coords)
-    if isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim:
-        basis = f.basis
-
-        def build():
-            tables, gathers = [], []
-            for j in range(dim):
-                synthesis = basis.axis_matrix(j, grid.axes_nodes[j])
-                if xs is None:
-                    tables.append(_contract_folded(_fold_pair(plan, j, r), synthesis))
-                else:
-                    table, rows = _point_rows(plan, j, coords[j], r)
-                    tables.append(table @ synthesis.T)
-                    gathers.append(rows)
-            return tables + gathers
-
-        key = ("kernel_basis", r, basis.mult.mu, basis.max_degree) + outputs
-        entry = plan._operators.get(key, build)
-        block = f.coefficient_block()
-        if xs is None:
-            return _contract_grid([t[:, :d] for t, d in zip(entry, block.shape)], block).ravel()
-        rows = zip(entry[:dim], entry[dim:], block.shape)
-        return _contract_points([t[gather, :d] for t, gather, d in rows], block)
-
-    tensor = _grid_tensor(f, plan)
-    if xs is None:
-        return _contract_folded(_fold_factors(plan, r), tensor).ravel()
-
-    def build():
-        tables, gathers = zip(*(_point_rows(plan, j, x, r) for j, x in enumerate(coords)))
-        return list(tables) + list(gathers)
-
-    entry = plan._operators.get(("kernel", r) + outputs, build)
-    return _contract_points([t[rows] for t, rows in zip(entry[:dim], entry[dim:])], tensor)
+    basis = f.basis if isinstance(f, HermiteExpansion) and f.basis.dim == dim else None
+    tensor = _grid_tensor(f, plan) if basis is None else f.coefficient_block()
+    source = None if basis is None else (basis.mult.mu, basis.max_degree)
+    outputs = ("grid",) if xs is None else tuple(xs[:, j].tobytes() for j in range(dim))
+    entry = plan._operators.get(
+        ("kernel", r, source) + outputs, lambda: _fold_factors(plan, r, xs, basis)
+    )
+    if xs is not None:
+        rows = zip(entry[:dim], entry[dim:], tensor.shape)
+        return _contract_points([t[gather, :d] for t, gather, d in rows], tensor)
+    if basis is None:
+        return _contract_folded(entry, tensor).ravel()
+    return _contract_grid([t[:, :d] for t, d in zip(entry, tensor.shape)], tensor).ravel()
 
 
 def fdt_integral(f, plan, xs):

@@ -1,7 +1,8 @@
-"""Repository tools: the output digest's residual table."""
+"""Repository tools: the output digest's residual table and library runs."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +66,21 @@ def test_residual_table_flags_rows_that_leave_or_change(tmp_path, capsys):
         ("adjoint", "2.0000000000e-16", "1e-08", "yes"),
         ("gone", "missing", "1e-08", "no"),
     ]
+
+
+def test_library_digest_repeats_in_documented_format(capsys):
+    tool = _digest_tool()
+    outputs = []
+    for _ in range(2):
+        assert tool.main(["--library"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] == outputs[1]
+    line = re.compile(r"lib/fdt_(integral|smoothed)(_on_grid)?/[123]/(expansion|array|callable)/"
+                      r"(points|mesh|grid)/(1|0\.7)/(first|repeat) [0-9a-f]{40}")
+    assert all(line.fullmatch(text) for text in outputs[0]), outputs[0]
+    labels = [text.split()[0] for text in outputs[0]]
+    assert len(set(labels)) == len(labels) == 2 * 3 * 3 * 3 * 2
+    # the repeat, served by the plan's cache, gives the first call's bits
+    digests = dict(text.split() for text in outputs[0])
+    for label in labels[::2]:
+        assert digests[label] == digests[label.replace("/first", "/repeat")], label

@@ -638,8 +638,9 @@ class TestKernelThroughBasis:
         plan, f, xs = self._setup()
         for call in self._entries(plan, xs).values():
             call(f)
-        kinds = {key[0] for key in plan._operators._entries}
-        assert kinds == {"kernel_basis"}
+        keys = list(plan._operators._entries)
+        assert {key[0] for key in keys} == {"kernel"}
+        assert {key[2] for key in keys} == {(plan.mult.mu, f.basis.max_degree)}
         # T_j on the default N = 2 grid (160 nodes per axis, 17 degrees) and
         # 25 points, at two r: 198 KiB.  One cached even/odd fold at one r
         # would add 400 KiB.
@@ -661,6 +662,26 @@ class TestKernelThroughBasis:
             assert call(f).tobytes() == first[key].tobytes(), key
             call(g)
         assert plan.operator_cache_info()[:3] == (8, 4, 4)
+
+    def test_sampled_and_expansion_inputs_keep_separate_entries(self, monkeypatch):
+        # one "kernel" namespace: at the same r and outputs, the input's
+        # basis (None for a sampled input) tells the entries apart
+        plan, f, xs = self._setup()
+        inputs = {"expansion": f, "array": plan.grid.values(f)}
+        entries = self._entries(plan, xs)
+        first = {(key, kind): call(arg) for key, call in entries.items() for kind, arg in inputs.items()}
+        keys = list(plan._operators._entries)
+        assert {key[0] for key in keys} == {"kernel"}
+        assert {key[2] for key in keys} == {None, (plan.mult.mu, f.basis.max_degree)}
+        assert plan.operator_cache_info()[:3] == (0, 8, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel axis factor rebuilt on a cache hit")
+
+        monkeypatch.setattr(transform, "_axis_factor", refuse)
+        for (key, kind), want in first.items():
+            assert entries[key](inputs[kind]).tobytes() == want.tobytes(), (key, kind)
+        assert plan.operator_cache_info()[:3] == (8, 8, 8)
 
     def test_expansion_array_expansion_agree(self):
         plan, f, xs = self._setup()

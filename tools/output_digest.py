@@ -43,6 +43,21 @@ one markdown row per result row of each ``check/<suite>`` json run, with
 its residual before and after, its gate (the tolerance) and whether the
 after residual is still inside it.  It exits 1 if any row leaves its gate,
 or has no partner on the other side, or changed its gate.
+
+    python3 tools/output_digest.py --library [--compare FILE]
+
+runs the kernel routes in this process instead of the CLI, with every BLAS
+thread variable at 1, and prints one ``lib/<entry>/<N>/<input>/<outputs>/<r>/<call>``
+line per result: the integral route (r = 1) and the smoothed one
+(r = 0.7) at 40 scattered points with repeats and signed zeros and at a
+7^N mesh (``fdt_integral``, ``fdt_smoothed``) and on the grid
+(``fdt_*_on_grid``); for a degree-6 Hermite expansion, its grid values as
+an array, and a callable; for mu = [0.5], [0.3, 0.7] and [0.2, 0.5, 0.4]
+on ``build_grid(mult, L=6, n=24)`` at alpha = 1.1; each for its first
+call and for the repeat, which the plan's operator cache serves.  All
+runs of one mu share one plan, so sampled and expansion inputs meet in
+its cache.  A run that raises digests its exception's type and message.
+``--compare`` reads these lines like the CLI ones.
 """
 
 import argparse
@@ -86,6 +101,78 @@ def _runs(seeds):
             yield f"seed{seed}/{job.id}-{job.kind}", job.config
     for name in SUITES:
         yield f"check/{name}", {"command": "check", "mu": [0.0], "suite": name}
+
+
+def _library_runs():
+    """(label, sha1) of every in-process kernel-route run, in a fixed order."""
+    for var in BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    sys.path[:0] = [str(SRC)]
+    import numpy as np
+    import dunkl_frft as dk
+
+    def digest(call):
+        try:
+            out = np.ascontiguousarray(call())
+            data = f"{out.dtype} {out.shape}\n".encode() + out.tobytes()
+        except Exception as exc:  # a refusal is a result too
+            data = f"{type(exc).__name__}: {exc}".encode()
+        return hashlib.sha1(data).hexdigest()
+
+    for mu in ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4]):
+        mult = dk.Multiplicity(mu)
+        dim = mult.dim
+        plan = dk.TransformPlan(mult, 1.1, grid=dk.build_grid(mult, L=6.0, n=24))
+        rng = np.random.default_rng(19)
+        basis = dk.HermiteBasis(mult, 6)
+        expansion = dk.HermiteExpansion(
+            basis, rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size))
+        scattered = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 3.2], size=(40, dim))
+        scattered[30:] = scattered[:10]
+        axis = np.linspace(-3.0, 3.0, 7)
+        mesh = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+        def gaussian_times_quadratic(y):
+            return np.exp(-0.5 * np.sum(y * y, axis=-1)) * (1.0 + 0.5j * y[:, 0] - y[:, -1] ** 2)
+
+        inputs = {"expansion": expansion, "array": expansion(plan.grid.nodes),
+                  "callable": gaussian_times_quadratic}
+        for route, r in (("integral", 1.0), ("smoothed", 0.7)):
+            extra = () if r == 1.0 else (r,)
+            for name, f in inputs.items():
+                for outputs, xs in (("points", scattered), ("mesh", mesh), ("grid", None)):
+                    if xs is None:
+                        entry = f"fdt_{route}_on_grid"
+                        args = (f, plan) + extra
+                    else:
+                        entry = f"fdt_{route}"
+                        args = (f, plan, xs) + extra
+                    for call in ("first", "repeat"):
+                        label = f"lib/{entry}/{dim}/{name}/{outputs}/{r:g}/{call}"
+                        yield label, digest(lambda: getattr(dk, entry)(*args))
+
+
+def _cli_runs(seeds, tmp, keep):
+    """(label, sha1) of every CLI run, each a fresh process working in tmp;
+    with keep, each run's files are also written under it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.update({var: "1" for var in BLAS_THREAD_VARS})
+    for i, (label, config) in enumerate(_runs(seeds)):
+        cfg_path = tmp / f"config{i}.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        for fmt in ("csv", "json"):
+            out_dir = tmp / f"out{i}-{fmt}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "dunkl_frft.cli", "--config", str(cfg_path),
+                 "--out", str(out_dir), "--format", fmt],
+                env=env, capture_output=True, text=True, cwd=tmp,
+            )
+            out_dir.mkdir(exist_ok=True)
+            stdout, stderr = _clean(proc.stdout, tmp), _clean(proc.stderr, tmp)
+            run = f"{label}/{fmt}"
+            if keep is not None:
+                _keep(keep / run, proc.returncode, stdout, stderr, out_dir)
+            yield run, _digest(proc.returncode, stdout, stderr, out_dir)
 
 
 def _clean(stream, tmp):
@@ -267,40 +354,27 @@ def main(argv=None):
                         help="compare two --keep trees by value instead of running")
     parser.add_argument("--residuals", metavar=("OLD", "NEW"), type=Path, nargs=2,
                         help="print the check suites' residual table of two --keep trees")
+    parser.add_argument("--library", action="store_true",
+                        help="digest in-process kernel-route runs instead of CLI runs")
     args = parser.parse_args(argv)
     if args.numeric_diff:
         return numeric_diff(*args.numeric_diff)
     if args.residuals:
         return residuals(*args.residuals)
+    if args.library and args.keep is not None:
+        parser.error("--keep keeps CLI runs; --library runs none")
     saved = None
     if args.compare is not None:
         saved = dict(line.split() for line in args.compare.read_text().splitlines() if line)
     differ = []
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.update({var: "1" for var in BLAS_THREAD_VARS})
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for i, (label, config) in enumerate(_runs(args.seeds)):
-            cfg_path = tmp / f"config{i}.json"
-            cfg_path.write_text(json.dumps(config), encoding="utf-8")
-            for fmt in ("csv", "json"):
-                out_dir = tmp / f"out{i}-{fmt}"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "dunkl_frft.cli", "--config", str(cfg_path),
-                     "--out", str(out_dir), "--format", fmt],
-                    env=env, capture_output=True, text=True, cwd=tmp,
-                )
-                out_dir.mkdir(exist_ok=True)
-                stdout, stderr = _clean(proc.stdout, tmp), _clean(proc.stderr, tmp)
-                digest = _digest(proc.returncode, stdout, stderr, out_dir)
-                run = f"{label}/{fmt}"
-                if args.keep is not None:
-                    _keep(args.keep / run, proc.returncode, stdout, stderr, out_dir)
-                if saved is None:
-                    print(f"{run} {digest}", flush=True)
-                elif saved.pop(run, None) != digest:
-                    differ.append(run)
-                    print(f"differs: {run}", flush=True)
+        runs = _library_runs() if args.library else _cli_runs(args.seeds, Path(tmp), args.keep)
+        for run, digest in runs:
+            if saved is None:
+                print(f"{run} {digest}", flush=True)
+            elif saved.pop(run, None) != digest:
+                differ.append(run)
+                print(f"differs: {run}", flush=True)
     if saved is None:
         return 0
     for run in saved:
