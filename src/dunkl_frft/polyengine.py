@@ -466,7 +466,13 @@ def _hermite_family_1d(mu_exact, max_degree):
         den = two_q**n
         moment = sum(nums[a] * poch[(a + n) // 2] * bq ** ((n - a) // 2)
                      for a in range(n % 2, n + 1, 2))
-        norm = math.sqrt(moment / (den * bq**n) * gamma_base)
+        try:
+            norm = math.sqrt(moment / (den * bq**n) * gamma_base)
+        except OverflowError:
+            norm = math.inf
+        if norm == math.inf:
+            raise RangeError(f"the Hermite norm of degree {n} at mu = {float(mu_exact):g} "
+                             f"overflows double precision; max_degree must stay below {n}")
         ladder.append((nums, den))
         norms.append(norm)
         floats.append(np.array([c / den for c in nums]) / norm)

@@ -512,13 +512,16 @@ def _contract_grid(mats, tensor):
 
 
 def _contract_points(mats, tensor):
-    """out[z] = sum_b prod_j M_j[z, b_j] F[b1..bN] for per-point matrices."""
-    n = len(mats)
-    if n == 1:
-        return mats[0] @ tensor
-    letters = "abcdefgh"[:n]
-    parts = ",".join("z" + letter for letter in letters)
-    return np.einsum(f"{parts},{letters}->z", *mats, tensor, optimize=True)
+    """out[z] = sum_b prod_j M_j[z, b_j] F[b1..bN] for per-point matrices:
+    the first axis by one product over the flattened others, then each
+    further axis point by point."""
+    first = mats[0]
+    if len(mats) == 1:
+        return first @ tensor
+    out = np.dot(first, tensor.reshape(len(tensor), -1)).reshape(first.shape[:1] + tensor.shape[1:])
+    for mat in mats[1:]:
+        out = np.einsum("zb...,zb->z...", out, mat)
+    return out
 
 
 def _axis_factor(plan, j, x, r):
@@ -579,7 +582,7 @@ def _fold_factors(plan, r, xs=None, basis=None):
     for j in range(plan.mult.dim):
         synthesis = None if basis is None else basis.axis_matrix(j, grid.axes_nodes[j])
         if xs is None:
-            pair = list(_axis_factor(plan, j, grid.axes_nodes[j], r)[:2])
+            pair = _axis_factor(plan, j, grid.axes_nodes[j], r)[:2]
             tables += pair if synthesis is None else [_contract_folded(pair, synthesis)]
         else:
             table, rows = _point_rows(plan, j, xs[:, j], r)
@@ -632,24 +635,17 @@ def _point_rows(plan, j, x, r):
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
-    None, using the tensor structure of both grids and the kernel axis
-    factors (E, O) of ``_axis_factor``.
+    None, from the kernel axis factors (E, O) of ``_axis_factor``.
 
-    The input is decided once.  A Hermite expansion of the grid's dimension
-    is separable like the kernel and enters as its coefficient block; any
-    other input enters as its grid tensor (``_grid_tensor``).  The plan
-    keeps one entry per (r, the expansion's (mu, max_degree) or None, the
-    bytes of each output axis or "grid"), built by ``_fold_factors``, and a
-    call contracts it with the input:
-
-    - grid outputs, sampled input: ``_contract_folded`` of the even/odd
-      pairs, half the multiply-adds of a full-axis contraction;
-    - grid outputs, expansion: ``_contract_grid`` of the trimmed T_j, each
-      axis factor applied once to the synthesis table of its axis, with the
-      block; the n x n factors are built for T_j and dropped;
-    - point outputs: ``_contract_points`` of each axis's rows, gathered
-      from one row per distinct signed coordinate (times the synthesis
-      table for an expansion).
+    The input is decided once: a Hermite expansion of the grid's dimension
+    is separable like the kernel and enters as its coefficient block, any
+    other input as its grid tensor (``_grid_tensor``).  The plan keeps the
+    ``_fold_factors`` entry per (r, the expansion's (mu, max_degree) or
+    None, the bytes of each output axis or "grid"), and a call contracts it
+    with the input: ``_contract_folded`` of the even/odd pairs for a
+    sampled input on the grid (half the multiply-adds of a full-axis
+    contraction), ``_contract_grid`` of the trimmed T_j for an expansion on
+    the grid, ``_contract_points`` of the gathered rows for points.
     """
     dim = plan.mult.dim
     basis = f.basis if isinstance(f, HermiteExpansion) and f.basis.dim == dim else None
@@ -714,9 +710,10 @@ def fractional_hankel(psi, order, plan, x):
     220-node Gauss-Jacobi rule in t = y^2, so the rule is spectrally accurate
     for Gaussian-dominated psi.  The interval [0, box + 4] runs past the grid
     box because the radial integrand decays only like exp(-y^2/2).  The rule
-    is kept in the plan's operator cache per (nu, interval).  A radius whose
-    kernel row is not finite in double precision is refused with a
-    RangeError naming it.
+    is kept in the plan's operator cache per (nu, interval).  psi(y) must
+    give one value per node y, like ``QuadGrid.values``; any other shape is
+    refused.  A radius whose kernel row is not finite in double precision
+    is refused with a RangeError naming it.
     """
     _require_kernel_regime(plan, "fractional_hankel")
     if not isinstance(order, BesselOrder):
@@ -734,6 +731,8 @@ def fractional_hankel(psi, order, plan, x):
     s = math.sin(plan.alpha)
     cot = math.cos(plan.alpha) / s
     psi_vals = np.asarray(psi(y), dtype=complex)
+    if psi_vals.shape != y.shape:
+        raise UsageError(f"psi(y) has shape {psi_vals.shape}, the radii y have {y.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=U_MAX_KERNEL)
         phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))

@@ -366,6 +366,21 @@ def test_oversized_output_request_exits_1_without_traceback(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
 
 
+def test_basis_degree_past_double_range_exits_1_without_traceback(tmp_path):
+    # the Hermite norms of degree 197 and up overflow a double; run in a
+    # clean interpreter, as a user would
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "basis", "mu": [0.5], "M": 200}))
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_frft.cli", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the Hermite norm of degree 197 at mu = 0.5 "), proc.stderr
+
+
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
     # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
     # costs a fresh job about 50 ms; run in a clean interpreter.

@@ -248,6 +248,16 @@ class TestHermiteBasis:
         expected = t * np.exp(-0.5 * t * t) / math.sqrt(gamma_fn(mu + 1.5))
         assert basis.axis_matrix(0, t)[1] == pytest.approx(expected, abs=1e-14)
 
+    def test_degree_whose_norm_overflows_refused(self):
+        # the squared norm of degree n grows like a factorial and leaves
+        # double precision at n = 197 (mu <= 1/2) or 195 (mu = 1.7)
+        for mu in (0.0, 0.5):
+            assert np.all(np.isfinite(HermiteBasis(Multiplicity([mu]), 196).norms))
+            with pytest.raises(RangeError, match=rf"degree 197 at mu = {mu:g} overflows"):
+                HermiteBasis(Multiplicity([mu]), 197)
+        with pytest.raises(RangeError, match=r"degree 195 at mu = 1\.7 .*below 195$"):
+            HermiteBasis(Multiplicity([0.5, 1.7]), 196)
+
     def test_norms_match_laguerre_form(self):
         # The monic p_n = exp(-Delta_k/4) t^n is (-1)^k k! t^[n odd] L_k^(mu-1/2+[n odd])(t^2)
         # with k = n // 2, so |p_n e^{-t^2/2}|^2 = k! Gamma(k + mu + 1/2 + [n odd]).

@@ -965,6 +965,29 @@ class TestParityFold:
         assert shapes == [(half, half)] * (2 * plan.mult.dim)
 
 
+class TestContractPoints:
+    """``_contract_points`` against the plain sum it stands for."""
+
+    @pytest.mark.parametrize("cols", [(9,), (5, 8), (3, 6, 4)])
+    @pytest.mark.parametrize("z", [0, 1, 7])
+    def test_matches_plain_einsum(self, cols, z):
+        rng = np.random.default_rng(10 * len(cols) + z)
+
+        def cplx(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        mats, tensor = [cplx((z, c)) for c in cols], cplx(cols)
+        letters = "abc"[: len(cols)]
+        spec = ",".join("z" + letter for letter in letters) + f",{letters}->z"
+        want = np.einsum(spec, *mats, tensor, optimize=False)
+        scale = np.einsum(spec, *map(np.abs, mats), np.abs(tensor), optimize=False)
+        got = transform._contract_points(mats, tensor)
+        assert got.shape == (z,)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale), (cols, z)
+        if len(cols) == 1:
+            assert got.tobytes() == (mats[0] @ tensor).tobytes()
+
+
 class TestOperatorCache:
     """The plan keeps its kernel axis factors, built on the |x| rows, and its
     Hermite analysis matrices, and a cached call returns the same bits."""
@@ -1198,6 +1221,23 @@ class TestFractionalHankel:
         plan = TransformPlan(mult, 0.9, M=0)
         with pytest.raises(DomainError):
             fractional_hankel(lambda y: np.exp(-y * y), 0.5, plan, np.array([-1.0]))
+
+    def test_profile_of_wrong_shape_refused(self):
+        # one value per node of the 220-node rule, like QuadGrid.values; a
+        # column used to come back as a (1, 220) result
+        plan = TransformPlan(Multiplicity([0.5]), 0.9, M=0)
+        profiles = {
+            "column": (lambda y: np.exp(-y * y)[:, None], r"\(220, 1\)"),
+            "scalar": (lambda y: 1.0, r"\(\)"),
+            "short": (lambda y: np.exp(-y[:-1] ** 2), r"\(219,\)"),
+        }
+        for key, (psi, shape) in profiles.items():
+            for radii in ([0.5], [0.5, 1.0, 2.0], 0.5):
+                with pytest.raises(UsageError, match=rf"psi\(y\) has shape {shape}, the radii y have \(220,\)"):
+                    fractional_hankel(psi, 0.5, plan, radii)
+        plan2 = TransformPlan(Multiplicity([0.3, 0.7]), 0.9, M=0)
+        with pytest.raises(UsageError, match=r"psi\(y\) has shape \(220, 1\)"):
+            bochner_fdt(MultiPoly.variable(0, 2), profiles["column"][0], plan2, [[0.5, 1.0]])
 
 
 class TestBochner:
