@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES, run_suite
-from .errors import CalibrationError, DomainError, DunklError, UsageError
+from .errors import CalibrationError, DomainError, DunklError, RangeError, UsageError
 from .polyengine import GaussPoly, HermiteExpansion, MultiPoly
 from .quadrature import build_grid
 from .semigroup import (
@@ -336,9 +336,9 @@ def _csv_lines(header_cols, rows, config):
 
 
 def _complex_rows(points, values):
-    """Rows [*point, re, im] of Python floats, one per output point."""
+    """The float table [*point, re, im], one row per output point."""
     values = np.asarray(values)
-    return np.column_stack([points, values.real, values.imag]).tolist()
+    return np.column_stack([points, values.real, values.imag])
 
 
 def _write(out_dir, name, text):
@@ -379,7 +379,27 @@ def _pretty(obj, indent="\n"):
     return "[" + inner + ("," + inner).join(_pretty(v, inner) for v in obj) + indent + "]"
 
 
+def _finite_rows(header_cols, rows, extra):
+    """rows as lists (a float array is checked whole, then converted by one
+    ``tolist``); a non-finite number in them or in the summary is refused
+    with a RangeError naming its row and column, or its summary key."""
+    if isinstance(rows, np.ndarray):
+        bad = np.argwhere(~np.isfinite(rows)).tolist()
+        rows = rows.tolist()
+    else:
+        bad = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+               if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        i, j = bad[0]
+        raise RangeError(f"result row {i}, column '{header_cols[j]}': {rows[i][j]!r} is not a finite number")
+    for key, value in (extra or {}).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise RangeError(f"result summary '{key}': {value!r} is not a finite number")
+    return rows
+
+
 def _emit(cfg, out_dir, fmt, header_cols, rows, extra=None):
+    rows = _finite_rows(header_cols, rows, extra)
     config = cfg.to_json()
     stamp = dict(config, summary=extra) if extra else config
     _write(out_dir, "resolved_config.json", _pretty(stamp) + "\n")
@@ -420,37 +440,27 @@ def _cmd_transform(cfg, out_dir, fmt):
 def _cmd_kernel(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     spec = cfg.outputs or {}
-    pairs = spec.get("pairs")
-    if pairs is None:
+    if spec.get("pairs") is None:
         raise UsageError("config field 'outputs.pairs' is required for the kernel command")
     dim = plan.mult.dim
-    rows = []
-    for pair in _parse(pairs, "outputs.pairs", list):
-        arr = _finite(pair, "outputs.pairs")
-        if arr.shape != (2 * dim,):
-            raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
-        x, y = arr[:dim], arr[dim:]
-        if cfg.route == "spectral":
-            v = kernel_spectral(plan, x, y)
-        elif cfg.route == "smoothed":
-            v = kernel_smoothed(plan, x, y)
-        else:
-            v = kernel_alpha(plan, x, y)
-        rows.append([float(c) for c in arr] + [float(np.real(v)), float(np.imag(v))])
+    pairs = _finite(spec["pairs"], "outputs.pairs")
+    if pairs.shape[1:] != (2 * dim,) and pairs.shape != (0,):
+        raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
+    pairs = pairs.reshape(-1, 2 * dim)
+    kernel = {"spectral": kernel_spectral, "smoothed": kernel_smoothed}.get(cfg.route, kernel_alpha)
+    values = kernel(plan, pairs[:, :dim], pairs[:, dim:])
     cols = [f"x{j}" for j in range(dim)] + [f"y{j}" for j in range(dim)] + ["re", "im"]
-    _emit(cfg, out_dir, fmt, cols, rows)
+    _emit(cfg, out_dir, fmt, cols, _complex_rows(pairs, values))
     return 0
 
 
 def _cmd_basis(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     basis = plan.basis
-    mat_rows = []
-    for nu, norm in zip(basis.indices, basis.norms):
-        mat_rows.append(list(map(float, nu)) + [float(norm)])
     gram_worst = basis.gram_residual(plan.grid)
     cols = [f"nu{j}" for j in range(basis.dim)] + ["norm_constant"]
-    _emit(cfg, out_dir, fmt, cols, mat_rows, {"gram_residual": gram_worst})
+    rows = np.column_stack([basis.indices, basis.norms])
+    _emit(cfg, out_dir, fmt, cols, rows, {"gram_residual": gram_worst})
     print(f"basis: {basis.size} functions, per-axis gram residual {gram_worst:.3e}")
     return 0
 
@@ -474,10 +484,8 @@ def _cmd_hankel(cfg, out_dir, fmt):
 
 
 def _coefficient_rows(expansion):
-    rows = []
-    for nu, c in zip(expansion.basis.indices, expansion.coeffs):
-        rows.append(list(map(float, nu)) + [float(c.real), float(c.imag)])
-    return rows
+    """The float table [*nu, re, im], one row per basis index."""
+    return np.column_stack([expansion.basis.indices, expansion.coeffs.real, expansion.coeffs.imag])
 
 
 def _cmd_projection(cfg, out_dir, fmt):
@@ -487,9 +495,9 @@ def _cmd_projection(cfg, out_dir, fmt):
         sampler = GroupSampler(plan, q=cfg.q_nodes)
     rows = []
     for n in _parse(cfg.projections, "projections", lambda v: [_number(k, int) for k in v]):
-        proj = spectral_projection(f, n, sampler)
-        for row in _coefficient_rows(proj):
-            rows.append([n] + row)
+        with _refused("projections"):
+            proj = spectral_projection(f, n, sampler)
+        rows += [[n] + row for row in _coefficient_rows(proj).tolist()]
     cols = ["n"] + [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, rows)
     return 0
@@ -536,12 +544,11 @@ def _cmd_convergence(cfg, out_dir, fmt):
         if not all(0.0 < r < 1.0 for r in values):
             raise UsageError(f"config field 'values': r must lie in (0, 1), got {values}")
         samples = rng.uniform(-2.0, 2.0, size=(12, 2, plan.mult.dim))
+        x, y = samples[:, 0], samples[:, 1]
+        target = plan.prefactor * kernel_alpha(plan, x, y)
         for r in values:
-            worst = 0.0
-            for x, y in samples:
-                target = plan.prefactor * kernel_alpha(plan, x, y)
-                worst = max(worst, abs(kernel_smoothed(plan, x, y, r=float(r)) - target))
-            rows.append([float(r), worst])
+            gaps = np.abs(kernel_smoothed(plan, x, y, r=float(r)) - target)
+            rows.append([float(r), float(gaps.max())])
         cols = ["r", "kernel_residual"]
     else:
         values = _parse(cfg.values or [0.4 * 2.0**-j for j in range(8)], "values", _float_list)
@@ -575,14 +582,17 @@ def run(config, out_dir="out", fmt="csv", seed=None):
     """Execute a job config; returns the process exit status.
 
     0 on success, 1 when a check suite reports failures, a computation is
-    refused or the job's arrays do not fit in memory, 2 on usage errors.
+    refused, a result holds a non-finite number or the job's arrays do not
+    fit in memory, 2 on usage errors.  numpy's floating-point warnings are
+    off while a job runs, so an error line is all it writes to stderr.
     Byte-identical outputs need the BLAS thread variables set to 1.
     """
     try:
         cfg = config if isinstance(config, JobConfig) else parse_config(config)
         if seed is not None:
             cfg.seed = int(seed)
-        return _DISPATCH[cfg.command](cfg, out_dir, fmt)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _DISPATCH[cfg.command](cfg, out_dir, fmt)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,9 +80,6 @@ class RationalComplex:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return RationalComplex(self.re, -self.im)
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
@@ -232,9 +229,6 @@ class MultiPoly:
             shifted[j] += 1
             out[tuple(shifted)] = c
         return MultiPoly(self.dim, out)
-
-    def conjugate(self):
-        return MultiPoly(self.dim, {k: c.conjugate() for k, c in self.terms.items()})
 
     def _floats(self):
         if self._float_cache is None:

@@ -221,10 +221,6 @@ class CircleGrid:
     weights: np.ndarray = field(repr=False)
 
     @property
-    def size(self):
-        return len(self.angles)
-
-    @property
     def points(self):
         """Unit vectors (n, 2) on the circle."""
         return np.stack([np.cos(self.angles), np.sin(self.angles)], axis=-1)

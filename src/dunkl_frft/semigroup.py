@@ -59,8 +59,13 @@ def spectral_projection(f, n, sampler):
     by the equispaced trapezoid rule over the sampler nodes.
 
     Picks the total-degree-n component for n >= 0 and vanishes for n < 0
-    (computed, not assumed)."""
+    (computed, not assumed).  The Q-node rule aliases n onto degree n + kQ,
+    so it is exact on degrees 0..M only for M - Q < n < Q; other n are refused."""
     n = int(n)
+    q, top = sampler.q, sampler.plan.M
+    if not top - q < n < q:
+        raise DomainError(f"projection degree n = {n} must satisfy M - Q < n < Q (Q = {q}, M = {top}): "
+                          "the trapezoid rule aliases it onto another degree")
     s = sampler.s_nodes
     factors = [complex(np.mean(np.exp(1j * (d - n) * s))) for d in range(sampler.plan.M + 1)]
     return sampler.expand(f).scale_degrees(factors)

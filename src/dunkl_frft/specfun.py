@@ -52,9 +52,6 @@ class BesselOrder:
             raise DomainError(f"Bessel order must satisfy nu >= -1/2, got {self.nu!r}")
         object.__setattr__(self, "nu", nu)
 
-    def shift(self, by=1):
-        return BesselOrder(self.nu + by)
-
 
 @dataclass(frozen=True)
 class Multiplicity:
@@ -228,7 +225,7 @@ def _kernel_even_odd(order, u, u_max):
     # rounds differently, and each value should not depend on the call shape
     flat = np.ravel(u)
     even = normalized_ibessel(order, flat, u_max=u_max)
-    second = normalized_ibessel(order.shift(1), flat, u_max=u_max)
+    second = normalized_ibessel(BesselOrder(order.nu + 1), flat, u_max=u_max)
     odd = flat / (2.0 * (order.nu + 1.0)) * second
     return even.reshape(np.shape(u)), odd.reshape(np.shape(u))
 

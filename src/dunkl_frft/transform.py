@@ -27,6 +27,7 @@ from .polyengine import (
     HermiteBasis,
     HermiteExpansion,
     MultiPoly,
+    _pointwise_sum,
     dunkl_laplacian,
     heat_exp_poly,
 )
@@ -189,33 +190,27 @@ class TransformPlan:
 
         None in the identity/parity regimes where no integral kernel exists.
         """
-        s = math.sin(self.alpha)
-        if s == 0.0 or self.regime in (REGIME_IDENTITY, REGIME_PARITY):
+        if math.sin(self.alpha) == 0.0 or self.regime in (REGIME_IDENTITY, REGIME_PARITY):
             return None
-        ahat = 1.0 if s > 0 else -1.0
-        g = self.order_exponent
-        scale = (2.0 * abs(s)) ** g
-        if scale == 0.0:
-            raise RangeError(f"prefactor A_alpha overflows at |sin alpha| = {abs(s):.3g}")
-        return (
-            self.mult.mehta_constant
-            * cmath.exp(1j * g * (ahat * math.pi / 2.0 - self.alpha))
-            / scale
-        )
+        phase, scale = self._phase_scale(self.order_exponent, "A_alpha")
+        return self.mult.mehta_constant * phase / scale
 
     def hankel_prefactor(self, order):
         """B_nu = exp(i (nu+1)(sgn(sin a) pi/2 - a)) / (Gamma(nu+1) (2|sin a|)^(nu+1))."""
         nu = order.nu if isinstance(order, BesselOrder) else float(order)
-        s = math.sin(self.alpha)
-        if s == 0.0:
+        if math.sin(self.alpha) == 0.0:
             raise UsageError("no integral kernel exists at alpha in {0, pi}")
-        ahat = 1.0 if s > 0 else -1.0
-        scale = (2.0 * abs(s)) ** (nu + 1.0)
+        phase, scale = self._phase_scale(nu + 1.0, "B_nu")
+        return phase / (gamma_fn(nu + 1.0) * scale)
+
+    def _phase_scale(self, g, name):
+        """(exp(i g (sgn(sin a) pi/2 - a)), (2|sin a|)^g) of a kernel prefactor;
+        a scale that underflows to 0 refuses the prefactor ``name``."""
+        s = math.sin(self.alpha)
+        scale = (2.0 * abs(s)) ** g
         if scale == 0.0:
-            raise RangeError(f"prefactor B_nu overflows at |sin alpha| = {abs(s):.3g}")
-        return cmath.exp(1j * (nu + 1.0) * (ahat * math.pi / 2.0 - self.alpha)) / (
-            gamma_fn(nu + 1.0) * scale
-        )
+            raise RangeError(f"prefactor {name} overflows at |sin alpha| = {abs(s):.3g}")
+        return cmath.exp(1j * g * (math.copysign(math.pi / 2.0, s) - self.alpha)), scale
 
     def with_alpha(self, alpha):
         plan = TransformPlan(
@@ -366,24 +361,21 @@ def kernel_smoothed_bound(plan, x, y, r=None):
 
 
 def kernel_spectral(plan, x, y, r=None):
-    """Truncated eigen-sum sum_{|nu| <= plan.M} r^|nu| e^{i |nu| a} h_nu(x) h_nu(y)."""
+    """Truncated eigen-sum sum_{|nu| <= plan.M} r^|nu| e^{i |nu| a} h_nu(x) h_nu(y), summed
+    like ``HermiteExpansion.__call__``: ``_pointwise_sum`` of the phased block over the
+    per-axis tables h_k(x_j) h_k(y_j) of the broadcast pairs, each pair on its own."""
     r = _smoothing(plan, r, "kernel_spectral", upto_one=True)
     basis = plan.basis
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(x, y)
+    block = HermiteExpansion(basis, np.ones(basis.size)).scale_degrees(_degree_phases(plan, r))
+    block = block.coefficient_block()
     tables = [
-        (basis.axis_matrix(j, x[..., j]), basis.axis_matrix(j, y[..., j]))
-        for j in range(basis.dim)
+        basis.axis_matrix(j, x[..., j].ravel(), d) * basis.axis_matrix(j, y[..., j].ravel(), d)
+        for j, d in enumerate(block.shape)
     ]
-    phases = [(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(basis.max_degree + 1)]
-    out = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
-    for nu, n in zip(basis.indices, basis.degrees):
-        hx = hy = 1.0
-        for (tx, ty), k in zip(tables, nu):
-            hx = hx * tx[k]
-            hy = hy * ty[k]
-        out = out + phases[n] * hx * hy
-    return out
+    out = np.empty(x[..., 0].size, dtype=complex)
+    out.real, out.imag = _pointwise_sum(np.stack([block.real, block.imag]), tables)
+    return out.reshape(x.shape[:-1])[()]
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +465,11 @@ def hermite_expand(f, plan):
     return HermiteExpansion(basis, full[tuple(basis._index_array.T)])
 
 
+def _degree_phases(plan, r):
+    """r^n e^{i n a} for n = 0..plan.M, the spectral factor of total degree n."""
+    return [(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(plan.M + 1)]
+
+
 def fdt_spectral(f, plan, r=None):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
     times r^|nu| (r defaults to plan.r) plus the reconstructing expansion.
@@ -482,7 +479,7 @@ def fdt_spectral(f, plan, r=None):
     fvals = _grid_tensor(f, plan).ravel()
     base = hermite_expand(fvals, plan)
     norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
-    phased = base.scale_degrees([(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(plan.M + 1)])
+    phased = base.scale_degrees(_degree_phases(plan, r))
     return SpectralTransform(
         expansion=phased,
         base_coefficients=base.coeffs,

@@ -189,6 +189,9 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "projections": [0, 1.5]}, "'projections'"),
         ({"command": "projection", "mu": [0.5], "M": 4, "function": combo,
           "projections": [True]}, "'projections'"),
+        # degrees the 64-node rule aliases at M = 24 (only -40 < n < 64 is exact)
+        *(({"command": "projection", "mu": [0.5], "alpha": 0.0, "function": combo,
+            "projections": [3, n]}, "'projections'") for n in (64, -40, 67, 10**30)),
         ({"command": "resolvent", "mu": [0.5], "M": 4, "function": combo,
           "resolvent_lambda": [1.0, True]}, "'resolvent_lambda'"),
         ({"command": "transform", "mu": [0.5], "M": 4, "function": combo,
@@ -229,6 +232,12 @@ def test_malformed_config_points_at_field(tmp_path, capsys):
           "outputs": {"points": [[0.5], [True]]}}, "'outputs.points'"),
         ({"command": "kernel", "mu": [0.5], "M": 4, "route": "spectral",
           "outputs": {"pairs": [[0.5, False]]}}, "'outputs.pairs'"),
+        # the pair list is one (m, 2N) array: wrong widths and ragged lists are refused
+        *(({"command": "kernel", "mu": [0.3, 0.7], "M": 4, "route": "spectral",
+            "outputs": {"pairs": pairs}}, "'outputs.pairs'")
+          for pairs in ([[0.5, 1.0, 2.0]], [[0.5, 1.0, 2.0, 3.0], [0.5, 1.0]],
+                        [[0.5, 1.0, 2.0, 3.0], [0.5, 1.0, 2.0, 3.0, 4.0]], [0.5, 1.0, 2.0, 3.0],
+                        [[[0.5, 1.0, 2.0, 3.0]]])),
         ({"command": "transform", "mu": [0.5], "L": 6.0, "n": 16, "function": {
             "kind": "samples", "values_re": [0.0] * 31 + [True]}}, "'function.values_re'"),
         # out-of-range values are refused by field, before any work is done
@@ -305,7 +314,7 @@ def test_complex_rows_equal_per_element_floats(dim):
         pts, vals = points[:m], values[:m]
         ref = [[float(c) for c in pt] + [float(np.real(v)), float(np.imag(v))]
                for pt, v in zip(pts, vals)]
-        got = cli._complex_rows(pts, vals)
+        got = cli._finite_rows(["x", "y", "re", "im"], cli._complex_rows(pts, vals), None)
         assert repr(got) == repr(ref)
         assert all(type(v) is float for row in got for v in row)
 
@@ -364,6 +373,36 @@ def test_oversized_output_request_exits_1_without_traceback(tmp_path):
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory: "), proc.stderr
+
+
+@pytest.mark.parametrize("config, where", [
+    # x^400 overflows on the grid: the integral route's rows are nan
+    ({"command": "transform", "mu": [0.5], "function": {"kind": "gauss_poly", "poly": {
+        "dim": 1, "terms": [{"exp": [400], "re": 1}]}}}, "result row 0, column 're'"),
+    # x^200 at N = 1: the spectral summary's tail mass is inf
+    ({"command": "transform", "mu": [0.5], "route": "spectral", "function": {
+        "kind": "gauss_poly", "poly": {"dim": 1, "terms": [{"exp": [200], "re": 1}]}}},
+     "result summary 'tail_mass'"),
+])
+def test_nonfinite_result_exits_1_with_one_line(tmp_path, config, where):
+    # A result holding nan or inf is refused before any file is written (nan
+    # and inf are not JSON), and no numpy warning reaches stderr; run in a
+    # clean interpreter, as a user would.
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunkl_frft.cli", "--config", str(path), "--out", str(out),
+             "--format", fmt],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {where}: "), proc.stderr
+        assert err[0].endswith(" is not a finite number"), proc.stderr
+        assert not out.exists()
 
 
 def test_basis_degree_past_double_range_exits_1_without_traceback(tmp_path):
@@ -608,6 +647,61 @@ def test_huge_kernel_and_hankel_coordinates(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and route in err[0] and coordinate in err[0]
         assert not (out / "result.csv").exists()
+
+
+@pytest.mark.parametrize("route, name", [("integral", "kernel_alpha"),
+                                         ("smoothed", "kernel_smoothed"),
+                                         ("spectral", "kernel_spectral")])
+def test_kernel_job_calls_kernel_once(tmp_path, monkeypatch, route, name):
+    # All pairs of a kernel job go to the library in one call, whose rows
+    # are written as computed.
+    calls = []
+    kernel = getattr(cli, name)
+
+    def counted(plan, x, y, *args, **kwargs):
+        calls.append((x.copy(), y.copy()))
+        return kernel(plan, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    pairs = [[0.5, -1.0, 0.25, 2.0], [-0.0, 0.0, 1.5, -2.5], [0.5, -1.0, 0.25, 2.0]]
+    cfg = {"command": "kernel", "mu": [0.3, 0.7], "alpha": 1.0, "route": route, "r": 0.6,
+           "M": 8, "outputs": {"pairs": pairs}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
+    assert len(calls) == 1
+    x, y = calls[0]
+    assert x.tolist() == [p[:2] for p in pairs] and y.tolist() == [p[2:] for p in pairs]
+    plan = cli._make_plan(parse_config(dict(cfg)))
+    want = kernel(plan, x, y)
+    rows = json.loads((tmp_path / "out" / "result.json").read_text())["rows"]
+    assert [row[:4] for row in rows] == pairs
+    assert [complex(*row[4:]) for row in rows] == want.tolist()
+    # an empty pair list writes no rows
+    path.write_text(json.dumps(dict(cfg, outputs={"pairs": []})))
+    assert main(["--config", str(path), "--out", str(tmp_path / "empty"), "--format", "json"]) == 0
+    assert json.loads((tmp_path / "empty" / "result.json").read_text())["rows"] == []
+
+
+def test_convergence_sweep_calls_kernels_once_per_r(tmp_path, monkeypatch):
+    # The r-sweep computes its target once and each r's kernels in one call.
+    calls = []
+
+    def counting(name):
+        kernel = getattr(cli, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return counted
+
+    for name in ("kernel_alpha", "kernel_smoothed"):
+        monkeypatch.setattr(cli, name, counting(name))
+    cfg = {"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": [0.5, 0.9, 0.99]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["kernel_alpha"] + ["kernel_smoothed"] * 3
 
 
 def test_spectral_grid_output_matches_pointwise(tmp_path):

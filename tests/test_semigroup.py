@@ -107,6 +107,18 @@ class TestSpectralProjection:
         assert res.coefficient((2,)) == pytest.approx(0.0, abs=1e-10)
         assert res.coefficient((3,)) == pytest.approx(1.0 / (lam - 3.0j), abs=1e-10)
 
+    def test_aliased_degrees_refused(self):
+        # Q = 64 nodes at M = 24: e^{i(d-n)s} averages to 1 whenever d - n is a
+        # multiple of 64, so only -40 < n < 64 leaves every degree d <= 24 alone
+        plan = TransformPlan(Multiplicity([0.5]), 0.0)
+        sampler = GroupSampler(plan, q=64)
+        f = plan.basis.function((3,))
+        for n in (63, -39):
+            assert spectral_projection(f, n, sampler).norm_l2() <= 1e-12
+        for n in (64, -40, 67, -61, 88, 10**30):
+            with pytest.raises(DomainError, match=rf"n = {n} .*Q = 64, M = 24"):
+                spectral_projection(f, n, sampler)
+
     def test_nyquist_guard(self, context):
         mult, plan, _ = context
         with pytest.raises(DomainError):

@@ -75,12 +75,17 @@ def test_library_digest_repeats_in_documented_format(capsys):
         assert tool.main(["--library"]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
     assert outputs[0] == outputs[1]
-    line = re.compile(r"lib/fdt_(integral|smoothed)(_on_grid)?/[123]/(expansion|array|callable)/"
-                      r"(points|mesh|grid)/(1|0\.7)/(first|repeat) [0-9a-f]{40}")
-    assert all(line.fullmatch(text) for text in outputs[0]), outputs[0]
+    route = re.compile(r"lib/fdt_(integral|smoothed)(_on_grid)?/[123]/(expansion|array|callable)/"
+                       r"(points|mesh|grid)/(1|0\.7)/(first|repeat) [0-9a-f]{40}")
+    pair = re.compile(r"lib/(kernel_alpha/[123]/pairs/points/1|kernel_smoothed/[123]/pairs/points/0\.7|"
+                      r"kernel_spectral/[123]/pairs/points/(1|0\.6))/(batch|single) [0-9a-f]{40}")
+    routes = [text for text in outputs[0] if route.fullmatch(text)]
+    pairs = [text for text in outputs[0] if pair.fullmatch(text)]
+    assert len(routes) + len(pairs) == len(outputs[0]), outputs[0]
     labels = [text.split()[0] for text in outputs[0]]
-    assert len(set(labels)) == len(labels) == 2 * 3 * 3 * 3 * 2
+    assert len(set(labels)) == len(labels)
+    assert len(routes) == 2 * 3 * 3 * 3 * 2 and len(pairs) == 3 * 4 * 2
     # the repeat, served by the plan's cache, gives the first call's bits
     digests = dict(text.split() for text in outputs[0])
-    for label in labels[::2]:
+    for label in [text.split()[0] for text in routes[::2]]:
         assert digests[label] == digests[label.replace("/first", "/repeat")], label

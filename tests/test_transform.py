@@ -308,6 +308,48 @@ class TestKernelSpectral:
                 )
         assert complex(got) == pytest.approx(complex(ref), rel=1e-13)
 
+    @staticmethod
+    def _per_index_sum(plan, x, y, r):
+        # one full-length complex term per basis index, in graded order
+        basis = plan.basis
+        tables = [(basis.axis_matrix(j, x[..., j]), basis.axis_matrix(j, y[..., j]))
+                  for j in range(basis.dim)]
+        phases = [(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(basis.max_degree + 1)]
+        out = np.zeros(np.broadcast(x[..., 0], y[..., 0]).shape, dtype=complex)
+        for nu, n in zip(basis.indices, basis.degrees):
+            hx = hy = 1.0
+            for (tx, ty), k in zip(tables, nu):
+                hx = hx * tx[k]
+                hy = hy * ty[k]
+            out = out + phases[n] * hx * hy
+        return out
+
+    @pytest.mark.parametrize("mu", [[0.5], [0.3, 0.7], [0.2, 0.5, 0.4]])
+    def test_matches_per_index_sum(self, mu):
+        mult = Multiplicity(mu)
+        dim = mult.dim
+        plan = TransformPlan(mult, 1.1, grid=build_grid(mult, n=24))
+        rng = np.random.default_rng(41)
+        shapes = [((dim,), (dim,)), ((7, dim), (7, dim)), ((dim,), (5, dim))]
+        for r in (1.0, 0.8, 0.3):
+            for xs, ys in shapes:
+                x, y = rng.uniform(-3.0, 3.0, xs), rng.uniform(-3.0, 3.0, ys)
+                got = kernel_spectral(plan, x, y, r=r)
+                want = self._per_index_sum(plan, x, y, r)
+                assert np.shape(got) == np.shape(want)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+    def test_batch_equals_per_pair_bitwise(self):
+        mult = Multiplicity([0.3, 0.7])
+        plan = TransformPlan(mult, 0.9, grid=build_grid(mult, n=24))
+        rng = np.random.default_rng(43)
+        x, y = rng.uniform(-3.0, 3.0, (9, 2)), rng.uniform(-3.0, 3.0, (9, 2))
+        x[3] = [-0.0, 0.0]
+        for r in (1.0, 0.6):
+            batch = kernel_spectral(plan, x, y, r=r)
+            single = np.array([kernel_spectral(plan, a, b, r=r) for a, b in zip(x, y)])
+            assert batch.tobytes() == single.tobytes()
+
     def test_mehler_limit_monotone(self):
         mult = Multiplicity([0.5])
         plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=40))

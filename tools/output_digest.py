@@ -54,7 +54,11 @@ line per result: the integral route (r = 1) and the smoothed one
 (``fdt_*_on_grid``); for a degree-6 Hermite expansion, its grid values as
 an array, and a callable; for mu = [0.5], [0.3, 0.7] and [0.2, 0.5, 0.4]
 on ``build_grid(mult, L=6, n=24)`` at alpha = 1.1; each for its first
-call and for the repeat, which the plan's operator cache serves.  All
+call and for the repeat, which the plan's operator cache serves.  Then
+the pair kernels on 40 (x, y) pairs with repeats and signed zeros:
+``kernel_alpha``, ``kernel_smoothed`` at r = 0.7 and ``kernel_spectral``
+at r = 1 and 0.6, each as one batch call and pair by pair (input
+``pairs``, outputs ``points``, call ``batch`` or ``single``).  All
 runs of one mu share one plan, so sampled and expansion inputs meet in
 its cache.  A run that raises digests its exception's type and message.
 ``--compare`` reads these lines like the CLI ones.
@@ -150,6 +154,16 @@ def _library_runs():
                     for call in ("first", "repeat"):
                         label = f"lib/{entry}/{dim}/{name}/{outputs}/{r:g}/{call}"
                         yield label, digest(lambda: getattr(dk, entry)(*args))
+        pairs = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 3.2], size=(40, 2 * dim))
+        pairs[30:] = pairs[:10]
+        x, y = pairs[:, :dim], pairs[:, dim:]
+        for entry, r in (("kernel_alpha", 1.0), ("kernel_smoothed", 0.7),
+                         ("kernel_spectral", 1.0), ("kernel_spectral", 0.6)):
+            extra = () if entry == "kernel_alpha" else (r,)
+            kernel = getattr(dk, entry)
+            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/batch", digest(lambda: kernel(plan, x, y, *extra))
+            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/single", digest(
+                lambda: [kernel(plan, a, b, *extra) for a, b in zip(x, y)])
 
 
 def _cli_runs(seeds, tmp, keep):
