@@ -13,7 +13,6 @@ from .errors import CalibrationError, DomainError, DunklError, RangeError, Usage
 from .specfun import (
     BesselOrder,
     Multiplicity,
-    U_MAX_DEFAULT,
     dunkl_kernel_1d,
     dunkl_kernel_prod,
     gamma_fn,
@@ -21,7 +20,6 @@ from .specfun import (
     normalized_ibessel,
 )
 from .quadrature import (
-    CircleGrid,
     QuadGrid,
     build_grid,
     circle_grid,

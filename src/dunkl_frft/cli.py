@@ -427,7 +427,8 @@ def _cmd_transform(cfg, out_dir, fmt):
     if cfg.route == "spectral":
         result = fdt_spectral(f, plan)
         values = plan.grid.values(result) if on_grid else result(points)
-        extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack}
+        extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack,
+                 "gram_residual": result.gram_residual}
     elif cfg.route == "smoothed":
         values = fdt_smoothed_on_grid(f, plan) if on_grid else fdt_smoothed(f, plan, points)
     else:

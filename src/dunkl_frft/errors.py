@@ -10,11 +10,8 @@ class DomainError(DunklError, ValueError):
 
 
 class RangeError(DunklError, ValueError):
-    """An argument exceeds the validated numerical range of an algorithm.
-
-    Typically signals the caller to shrink a quadrature box or raise an
-    explicit ceiling.
-    """
+    """An argument or a result exceeds the numerical range of an algorithm
+    or of double precision."""
 
 
 class UsageError(DunklError, ValueError):

@@ -3,9 +3,9 @@
 Grids are tensor products of half-axis Gauss-Jacobi rules (the weight
 |y|^(2 mu_j) is folded into the node weights exactly, and the two half-axis
 panels meet at the cusp without placing a node on it).  Every grid is
-validated at construction against the Mehta integral.  A uniform-angle
-rule on the unit circle carries the normalized surface measure used by the
-Funk-Hecke checks.
+validated at construction against the Mehta integral.  The Funk-Hecke
+checks integrate over the unit circle with the uniform-angle points of
+``circle_grid``, each of weight 1/n under the normalized surface measure.
 """
 
 from __future__ import annotations
@@ -159,17 +159,18 @@ class QuadGrid:
 def build_grid(mult, L=8.0, n=None):
     """Build the tensor rule for integral over [-L, L]^N of f(y) w_k(y) dy.
 
-    ``n`` is the point count per half-axis panel (2n points per axis);
-    defaults to 120 for N = 1 and 80 for N >= 2.  Construction verifies the
-    Mehta calibration sum(w * exp(-|y|^2)) = 1/c_k to relative 1e-9 and
-    raises CalibrationError otherwise (a NaN sum included).
+    ``n``, 8 to 512 for every mu, is the point count per half-axis panel (2n
+    per axis); defaults to 120 for N = 1 and 80 for N >= 2.  Construction
+    verifies the Mehta calibration sum(w * exp(-|y|^2)) = 1/c_k to relative
+    1e-9 and raises CalibrationError otherwise (a NaN sum included).
     """
     if not 0 < L < math.inf:
         raise DomainError(f"box half-width must be positive and finite, got {L}")
     if n is None:
         n = 120 if mult.dim == 1 else 80
-    if n < 8:
-        raise DomainError(f"need at least 8 points per panel, got {n}")
+    if not 8 <= n <= 512:
+        raise DomainError(f"need 8 to 512 points per panel, got {n}")
+    target = 1.0 / mult.mehta_constant
     axes_nodes, axes_weights = [], []
     for m in mult.mu:
         t, wt = jacobi_halfline(n, 2.0 * m, L)
@@ -184,7 +185,6 @@ def build_grid(mult, L=8.0, n=None):
     with np.errstate(over="ignore"):
         for t, wt in zip(axes_nodes, axes_weights):
             total *= float(np.sum(wt * np.exp(-(t**2))))
-    target = 1.0 / mult.mehta_constant
     if not abs(total - target) <= _CALIBRATION_RTOL * abs(target):
         raise CalibrationError(
             f"grid failed Mehta calibration: got {total!r}, expected {target!r} "
@@ -207,53 +207,25 @@ def build_grid(mult, L=8.0, n=None):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CircleGrid:
-    """Uniform-angle rule for the normalized surface measure on S^1.
-
-    Weights are exactly 1/n each, so the total mass is exactly 1; the rule
-    is spectrally accurate for smooth periodic integrands (the non-smooth
-    weight w_k converges algebraically, so identity checks against it use
-    large n).
-    """
-
-    angles: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-    @property
-    def points(self):
-        """Unit vectors (n, 2) on the circle."""
-        return np.stack([np.cos(self.angles), np.sin(self.angles)], axis=-1)
-
-    def integrate(self, values):
-        return np.sum(self.weights * np.asarray(values))
-
-    def surface_weight_mass(self, mult):
-        """d_k = integral of w_k over the circle against d(sigma)."""
-        if mult.dim != 2:
-            raise UsageError("circle rule carries the N = 2 surface measure")
-        return float(self.integrate(mult.weight(self.points)))
-
-
 def circle_grid(n):
-    """Uniform trapezoid rule on the circle with weights 1/n."""
+    """Unit vectors (n, 2) at the angles 2 pi k / n: the trapezoid rule for the
+    normalized surface measure on S^1, each point of weight 1/n."""
     if n < 8:
         raise DomainError(f"circle_grid needs n >= 8, got {n}")
     n = int(n)
     angles = 2.0 * math.pi * np.arange(n) / n
-    return CircleGrid(angles=angles, weights=np.full(n, 1.0 / n))
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 def circle_identity_residual(mult, n=1 << 20):
     """Relative residual of c_k^-1 = pi^(N/2) Gamma(lambda+1) d_k / Gamma(N/2).
 
-    Relates the Mehta constant to the circle mass d_k for N = 2; the
-    default n overcomes the algebraic cusp of w_k on the circle.
+    Relates the Mehta constant to the circle mass d_k (the mean of w_k over
+    ``circle_grid(n)``) for N = 2; the default n overcomes the cusp of w_k.
     """
     if mult.dim != 2:
         raise UsageError("the c_k/d_k relation is exercised for N = 2 only")
-    circle = circle_grid(n)
-    d_k = circle.surface_weight_mass(mult)
+    d_k = float(np.sum(1.0 / n * mult.weight(circle_grid(n))))
     lhs = 1.0 / mult.mehta_constant
     rhs = math.pi * gamma_fn(mult.lambda_index + 1.0) * d_k / gamma_fn(1.0)
     return abs(lhs - rhs) / abs(lhs)

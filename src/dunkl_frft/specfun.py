@@ -17,27 +17,21 @@ from scipy import special as _sp
 
 from .errors import DomainError, RangeError, UsageError
 
-# Default ceiling on |u| for normalized_ibessel and the kernels built on it.
-# Callers that know their quadrature geometry may raise it explicitly.
-U_MAX_DEFAULT = 80.0
-
-# The ceiling the library's own kernels pass: there |K| <= 1 and the
-# quadrature grid, not the range of the Bessel evaluator, sets the accuracy.
-U_MAX_KERNEL = math.inf
-
 
 def gamma_fn(x):
     """Gamma function for real x > 0.
 
     Backed by the C library implementation (relative error well under
-    1e-13 on [0.5, 50]); non-positive or non-finite arguments are domain
-    errors because every caller in this package needs a finite positive
-    value.
+    1e-13 on [0.5, 50]).  Every caller needs a finite positive value: x <= 0
+    or non-finite is a DomainError, x > 171.62 (overflow) a RangeError.
     """
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x!r}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise RangeError(f"gamma_fn: Gamma({x!r}) overflows double precision") from None
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def _hyp0f1_real(b, z):
     return _sp.hyp0f1(b, z)
 
 
-def normalized_ibessel(order, u, u_max=U_MAX_DEFAULT):
+def normalized_ibessel(order, u):
     """Normalized entire Bessel-type function
 
         jhat_nu(u) = 0F1(; nu+1; u^2/4) = Gamma(nu+1) sum_n (u/2)^(2n) / (n! Gamma(n+nu+1)).
@@ -141,23 +135,16 @@ def normalized_ibessel(order, u, u_max=U_MAX_DEFAULT):
     element through scipy's 0F1 (D. E. Amos's routines, ACM TOMS 12(3),
     1986): the real-argument 0F1 at -t^2/4 on the imaginary axis u = i t,
     the complex 0F1 elsewhere and cosh u at nu = -1/2, so each value depends
-    only on its own argument.  Accepts scalar or array u (complex); |u|
-    above ``u_max`` raises RangeError, which signals the caller to shrink
-    its quadrature box (or pass a larger ceiling after checking its own
-    resolution).
+    only on its own argument.  Accepts scalar or array u (complex) of any
+    modulus; a non-finite argument raises RangeError.
     """
     if not isinstance(order, BesselOrder):
         order = BesselOrder(order)
     nu = order.nu
     u_arr = np.asarray(u, dtype=complex)
-    amax = float(np.max(np.abs(u_arr))) if u_arr.size else 0.0
-    if not math.isfinite(amax):
+    if not np.all(np.isfinite(u_arr)):
+        amax = float(np.max(np.abs(u_arr)))
         raise RangeError(f"normalized_ibessel: argument is not finite (|u| = {amax})")
-    if amax > u_max:
-        raise RangeError(
-            f"normalized_ibessel: |u| = {amax:.3g} exceeds u_max = {u_max:.3g}; "
-            "shrink the quadrature box or raise u_max explicitly"
-        )
     if nu == -0.5:
         out = np.cosh(u_arr)
     else:
@@ -193,7 +180,7 @@ def laguerre_eval(m, a, t):
     return cur
 
 
-def dunkl_kernel_1d(order, z, y, u_max=U_MAX_DEFAULT):
+def dunkl_kernel_1d(order, z, y):
     """One-dimensional Dunkl kernel for Z2 at Bessel order nu,
 
         K_nu(z, y) = jhat_nu(z y) + (z y / (2 (nu+1))) jhat_{nu+1}(z y),
@@ -206,14 +193,14 @@ def dunkl_kernel_1d(order, z, y, u_max=U_MAX_DEFAULT):
     if not isinstance(order, BesselOrder):
         order = BesselOrder(order)
     u = np.asarray(z, dtype=complex) * np.asarray(y, dtype=complex)
-    even, odd = _kernel_even_odd(order, u, u_max)
+    even, odd = _kernel_even_odd(order, u)
     out = even + odd
     if out.ndim == 0:
         return complex(out)
     return out
 
 
-def _kernel_even_odd(order, u, u_max):
+def _kernel_even_odd(order, u):
     """The parts of K_nu even and odd in u, shaped like the complex array u:
     jhat_nu(u) and u jhat_{nu+1}(u) / (2 (nu+1)).
 
@@ -224,13 +211,13 @@ def _kernel_even_odd(order, u, u_max):
     # a scalar takes numpy's array loops too: its scalar complex product
     # rounds differently, and each value should not depend on the call shape
     flat = np.ravel(u)
-    even = normalized_ibessel(order, flat, u_max=u_max)
-    second = normalized_ibessel(BesselOrder(order.nu + 1), flat, u_max=u_max)
+    even = normalized_ibessel(order, flat)
+    second = normalized_ibessel(BesselOrder(order.nu + 1), flat)
     odd = flat / (2.0 * (order.nu + 1.0)) * second
     return even.reshape(np.shape(u)), odd.reshape(np.shape(u))
 
 
-def dunkl_kernel_prod(mult, z, y, u_max=U_MAX_DEFAULT):
+def dunkl_kernel_prod(mult, z, y):
     """Product Dunkl kernel for W = Z2^N: K(z, y) = prod_j K_{nu_j}(z_j, y_j).
 
     z and y are vectors (or arrays with trailing axis of length N); equals
@@ -245,6 +232,6 @@ def dunkl_kernel_prod(mult, z, y, u_max=U_MAX_DEFAULT):
         )
     out = None
     for j, order in enumerate(mult.orders):
-        factor = dunkl_kernel_1d(order, z[..., j], y[..., j], u_max=u_max)
+        factor = dunkl_kernel_1d(order, z[..., j], y[..., j])
         out = factor if out is None else out * factor
     return out

@@ -16,7 +16,7 @@ import cmath
 import math
 import threading
 from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +33,6 @@ from .polyengine import (
 )
 from .quadrature import build_grid, jacobi_halfline
 from .specfun import (
-    U_MAX_KERNEL,
     BesselOrder,
     _kernel_even_odd,
     dunkl_kernel_prod,
@@ -148,7 +147,7 @@ class TransformPlan:
     - Hermite analysis matrices, and the synthesis tables of
       ``_grid_tensor`` per (mu, max_degree), through which the spectral
       route and the operator layer read an expansion input;
-    - fractional Hankel rules per order.
+    - fractional Hankel rules per order, and the basis's Gram residual.
 
     Its bookkeeping is locked and the cached arrays are read-only, so a
     plan stays safe to share between threads.
@@ -290,7 +289,7 @@ def _kernel_value(plan, x, y, r):
     y = np.asarray(y, dtype=float)
     zscale, gcoef, pref = _mehler_form(plan, r)
     with np.errstate(over="ignore", invalid="ignore"):
-        kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
+        kern = dunkl_kernel_prod(plan.mult, zscale * x, y)
         gauss = np.exp(-gcoef * (np.sum(x * x, axis=-1) + np.sum(y * y, axis=-1)))
         value = kern * gauss if r == 1.0 else pref * gauss * kern
     _refuse_nonfinite_pairs(plan, x, y, np.isfinite(value), r)
@@ -350,7 +349,7 @@ def kernel_smoothed_bound(plan, x, y, r=None):
     a = plan.alpha
     zscale, gcoef, _ = _mehler_form(plan, r)
     with np.errstate(over="ignore", invalid="ignore"):
-        kern = dunkl_kernel_prod(plan.mult, zscale * x, y, u_max=U_MAX_KERNEL)
+        kern = dunkl_kernel_prod(plan.mult, zscale * x, y)
         gauss = np.exp(-gcoef * np.sum(y * y, axis=-1))
         lhs = np.abs(gauss * kern)
         xsq = np.sum(x * x, axis=-1)
@@ -392,6 +391,7 @@ class SpectralTransform:
     alpha: float
     smoothing: float
     input_norm_sq: float
+    plan: TransformPlan = field(repr=False, compare=False)
 
     def __call__(self, x):
         return self.expansion(x)
@@ -419,6 +419,14 @@ class SpectralTransform:
         underresolution."""
         basis = self.expansion.basis
         return self.expansion.degree_mass(basis.max_degree)
+
+    @property
+    def gram_residual(self):
+        """How far the grid's rule is from keeping the basis orthonormal: the
+        plan's ``HermiteBasis.gram_residual``, kept in its operator cache."""
+        plan = self.plan
+        entry = plan._operators.get(("gram",), lambda: [np.array(plan.basis.gram_residual(plan.grid))])
+        return float(entry[0])
 
 
 def _grid_tensor(f, plan):
@@ -486,6 +494,7 @@ def fdt_spectral(f, plan, r=None):
         alpha=plan.alpha,
         smoothing=r,
         input_norm_sq=norm_sq,
+        plan=plan,
     )
 
 
@@ -549,7 +558,7 @@ def _axis_factor(plan, j, x, r):
     yk = plan.grid.axes_nodes[j][None, n:]
     u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        even, odd = _kernel_even_odd(plan.mult.orders[j], u, U_MAX_KERNEL)
+        even, odd = _kernel_even_odd(plan.mult.orders[j], u)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
         wk = plan.grid.axes_weights[j][None, n:]
         weighted = phase * wk if j else pref * phase * wk
@@ -731,7 +740,7 @@ def fractional_hankel(psi, order, plan, x):
     if psi_vals.shape != y.shape:
         raise UsageError(f"psi(y) has shape {psi_vals.shape}, the radii y have {y.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s, u_max=U_MAX_KERNEL)
+        kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s)
         phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))
         rows = kern * phase
     finite = np.all(np.isfinite(rows), axis=1)
@@ -799,23 +808,23 @@ def funk_hecke_radial(mult, x, circle):
     """Circle average (1/d_k) * integral_{S^1} K(ix, y) w_k(y) dsigma(y) for
     N = 2; equals j_lambda(|x|) with lambda = gamma + N/2 - 1.
 
-    Uses the same uniform rule for d_k and the numerator so the algebraic
-    cusp of w_k cancels to first order.
+    ``circle`` holds the n points of ``circle_grid``, each of weight 1/n; the
+    same rule for d_k and the numerator cancels the cusp of w_k to first order.
     """
     if mult.dim != 2:
         raise UsageError("funk_hecke_radial is the N = 2 radial case")
     x = np.asarray(x, dtype=float)
     if x.shape != (2,):
         raise UsageError(f"x must be a 2-vector, got shape {x.shape}")
-    pts = circle.points
-    wk = mult.weight(pts)
-    d_k = float(np.sum(circle.weights * wk))
-    kern = dunkl_kernel_prod(mult, 1j * x, pts, u_max=U_MAX_KERNEL)
-    return complex(np.sum(circle.weights * wk * kern) / d_k)
+    weight = 1.0 / len(circle)
+    wk = mult.weight(circle)
+    d_k = float(np.sum(weight * wk))
+    kern = dunkl_kernel_prod(mult, 1j * x, circle)
+    return complex(np.sum(weight * wk * kern) / d_k)
 
 
 def radial_bessel(mult, radius):
     """j_lambda(radius) (the normalized Bessel function at the radial
     index), the right-hand side of the radial Funk-Hecke identity."""
     order = BesselOrder(mult.lambda_index)
-    return normalized_ibessel(order, 1j * np.asarray(radius, dtype=float), u_max=U_MAX_KERNEL)
+    return normalized_ibessel(order, 1j * np.asarray(radius, dtype=float))

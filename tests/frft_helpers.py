@@ -9,7 +9,7 @@ import numpy as np
 from dunkl_frft.errors import DomainError, UsageError
 from dunkl_frft.polyengine import MultiPoly, heat_exp_poly
 from dunkl_frft.semigroup import spectral_projection
-from dunkl_frft.specfun import U_MAX_KERNEL, dunkl_kernel_prod
+from dunkl_frft.specfun import dunkl_kernel_prod
 
 
 def inner_product(f, g, grid):
@@ -51,14 +51,14 @@ def gaussian_bilinear_check(mult, z, w, a_const, grid):
     w = np.asarray(w, dtype=complex)
     if z.shape != (mult.dim,) or w.shape != (mult.dim,):
         raise UsageError("z and w must be N-vectors")
-    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes, u_max=U_MAX_KERNEL)
-    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes, u_max=U_MAX_KERNEL)
+    kern = dunkl_kernel_prod(mult, 2.0 * z, grid.nodes)
+    kern = kern * dunkl_kernel_prod(mult, 2.0 * w, grid.nodes)
     gauss = np.exp(-a_const * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * kern * gauss)
     rhs = cmath.exp((_quadratic_sum(z) + _quadratic_sum(w)) / a_const) * a_const ** (
         -(mult.gamma_index + 0.5 * mult.dim)
     )
-    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w, u_max=U_MAX_KERNEL)
+    rhs = rhs * dunkl_kernel_prod(mult, 2.0 * z / a_const, w)
     return abs(lhs - rhs)
 
 
@@ -81,7 +81,7 @@ def gaussian_moment_check(p, mult, omega, xs, grid):
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (mult.dim,):
         raise UsageError("x must be an N-vector")
-    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes, u_max=U_MAX_KERNEL)
+    kern = dunkl_kernel_prod(mult, 2.0 * xs, grid.nodes)
     pvals = p(grid.nodes)
     gauss = np.exp(-omega * np.sum(grid.nodes**2, axis=-1))
     lhs = mult.mehta_constant * np.sum(grid.weights * pvals * kern * gauss)

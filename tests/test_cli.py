@@ -420,6 +420,53 @@ def test_basis_degree_past_double_range_exits_1_without_traceback(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: the Hermite norm of degree 197 at mu = 0.5 "), proc.stderr
 
 
+@pytest.mark.parametrize("config", [
+    {"command": "basis", "mu": [200.0], "M": 4},
+    {"command": "transform", "mu": [200.0], "function": {"kind": "gaussian"}, "outputs": [[0.5]]},
+])
+def test_multiplicity_past_gamma_range_exits_1_without_traceback(tmp_path, config):
+    # Gamma(mu + 1/2) overflows a double above mu ~ 171.1; run in a clean
+    # interpreter, as a user would
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(dunkl_frft.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl_frft.cli", "--config", str(path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Gamma(200.5)" in err[0], proc.stderr
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_panel_size_past_512_exits_2_naming_grid_fields(tmp_path, capsys, mu):
+    config = {"command": "transform", "mu": [mu], "function": {"kind": "gaussian"},
+              "outputs": [[0.5]]}
+    assert run(dict(config, n=512), out_dir=str(tmp_path / "ok")) == 0
+    capsys.readouterr()
+    assert run(dict(config, n=513), out_dir=str(tmp_path / "refused")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'L' and 'n'" in err[0] and "got 513" in err[0], err
+    assert not (tmp_path / "refused").exists()
+
+
+def test_spectral_transform_reports_gram_residual(tmp_path):
+    # at mu = 1/2 the default box (L = 8, n = 120) keeps the M = 24 basis
+    # orthonormal to 1e-4, and M = 100 not at all
+    config = {"command": "transform", "mu": [0.5], "route": "spectral",
+              "function": {"kind": "gaussian"}, "outputs": [[0.5]]}
+    summaries = {}
+    for M in (None, 100):
+        out = tmp_path / f"M{M}"
+        assert run(dict(config, M=M), out_dir=str(out), fmt="json") == 0
+        summaries[M] = json.loads((out / "result.json").read_text())["summary"]
+    assert summaries[None]["gram_residual"] < 1e-3
+    assert summaries[100]["gram_residual"] > 1.0
+    assert set(summaries[None]) == {"tail_mass", "parseval_slack", "gram_residual"}
+
+
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
     # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
     # costs a fresh job about 50 ms; run in a clean interpreter.

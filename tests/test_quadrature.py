@@ -85,6 +85,14 @@ class TestBuildGrid:
             build_grid(Multiplicity([0.5]), L=-1.0)
         with pytest.raises(DomainError):
             build_grid(Multiplicity([0.5]), n=4)
+        # 512 points per panel, the reach of gauss_legendre at mu = 0, bounds every mu
+        for mu in ([0.0], [0.5]):
+            assert build_grid(Multiplicity(mu), n=512).shape == (1024,)
+            with pytest.raises(DomainError, match="got 513"):
+                build_grid(Multiplicity(mu), n=513)
+        # Gamma(200.5) overflows: refused before the weights can overflow
+        with pytest.raises(RangeError, match=re.escape("Gamma(200.5)")):
+            build_grid(Multiplicity([200.0]))
 
     @pytest.mark.parametrize("mu, L", [([0.0], 1e300), ([0.0, 0.0], 1e200), ([0.3, 0.7], 1e100)])
     def test_overflowing_box_refused_without_warning(self, mu, L):
@@ -217,14 +225,16 @@ class TestJacobiHalflineMatchesScipy:
 
 class TestCircleGrid:
     def test_total_mass_exactly_one(self):
+        # n unit vectors at the angles 2 pi k / n, each of weight 1/n
         circle = circle_grid(64)
-        assert np.sum(circle.weights) == pytest.approx(1.0, rel=1e-15)
+        assert circle.shape == (64, 2)
+        assert np.allclose(np.hypot(circle[:, 0], circle[:, 1]), 1.0, rtol=0, atol=1e-15)
+        assert circle[16].tolist() == pytest.approx([0.0, 1.0], abs=1e-16)
 
     def test_surface_weight_vs_beta_identity(self):
         # d_k for mu = (0.3, 0.7) equals B(0.8, 1.2)/pi
         mult = Multiplicity([0.3, 0.7])
-        circle = circle_grid(1 << 22)
-        d_k = circle.surface_weight_mass(mult)
+        d_k = np.mean(mult.weight(circle_grid(1 << 22)))
         beta = gamma_fn(0.8) * gamma_fn(1.2) / gamma_fn(2.0)
         assert d_k == pytest.approx(beta / math.pi, rel=1e-9)
 
@@ -236,3 +246,18 @@ class TestCircleGrid:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             circle_grid(4)
+
+    @pytest.mark.parametrize("n", [1 << 12, 1000])
+    def test_bit_equal_to_weight_array_rule(self, n):
+        # reference: the rule with an array of n weights 1/n, whose products
+        # the scalar weight 1/n forms too, so the residual matches bit for bit
+        angles = 2.0 * math.pi * np.arange(n) / n
+        points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        assert circle_grid(n).tobytes() == points.tobytes()
+        weights = np.full(n, 1.0 / n)
+        for mu in ((0.0, 0.0), (0.3, 0.7)):
+            mult = Multiplicity(mu)
+            d_k = float(np.sum(weights * mult.weight(points)))
+            lhs = 1.0 / mult.mehta_constant
+            rhs = math.pi * gamma_fn(mult.lambda_index + 1.0) * d_k / gamma_fn(1.0)
+            assert circle_identity_residual(mult, n) == abs(lhs - rhs) / abs(lhs)

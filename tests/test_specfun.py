@@ -2,6 +2,7 @@
 Dunkl kernels."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -35,6 +36,14 @@ def mp_jhat(nu, u, terms=30):
         return complex(total)
 
 
+def mp_hyp0f1_jhat(nu, u):
+    """jhat_nu(u) = 0F1(; nu+1; u^2/4) by mpmath at 50 digits, for arguments
+    too large for the fixed-length series of ``mp_jhat``."""
+    with mpmath.workdps(50):
+        u = mpmath.mpc(u)
+        return complex(mpmath.hyp0f1(mpmath.mpf(nu) + 1, u * u / 4))
+
+
 class TestGamma:
     def test_gamma_one(self):
         assert gamma_fn(1.0) == 1.0
@@ -53,6 +62,15 @@ class TestGamma:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             gamma_fn(bad)
+
+    def test_overflow_is_a_range_error(self):
+        # Gamma(x) leaves double precision just above x = 171.62
+        assert math.isfinite(gamma_fn(171.6))
+        for x in (171.7, 200.5, 1e6):
+            with pytest.raises(RangeError, match=re.escape(f"Gamma({x!r})")):
+                gamma_fn(x)
+        with pytest.raises(RangeError, match=re.escape("Gamma(200.5)")):
+            Multiplicity([200.0]).mehta_constant
 
     def test_accuracy_across_contract_interval(self):
         xs = np.linspace(0.5, 50.0, 173)
@@ -101,7 +119,7 @@ class TestNormalizedIBessel:
         for nu in (-0.45, -0.2, -0.05):
             for t in [0.0, 1e-300, 12.0, *rng.uniform(0.0, 80.0, 8)]:
                 ref = mp_jhat(nu, 1j * t, terms=200)
-                got = normalized_ibessel(BesselOrder(nu), 1j * t, u_max=80.0)
+                got = normalized_ibessel(BesselOrder(nu), 1j * t)
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_series_scipy_crossover_consistent(self):
@@ -132,14 +150,24 @@ class TestNormalizedIBessel:
                 single = np.array([fn(*args(v)) for v in u])
                 assert whole.view(float).tobytes() == single.view(float).tobytes()
 
+    def test_no_ceiling_on_the_argument(self):
+        # |K(ix, y)| <= 1 needs the Bessel values at every |u|: past |u| = 80
+        # they match mpmath to |u| eps absolute on the imaginary axis and to
+        # 1e-14 relative at real and complex u with |u| <= 300
+        eps = np.finfo(float).eps
+        for nu in (-0.5, -0.2, 0.0, 0.7, 2.5):
+            for t in (81.0, 1e3, 1e5):
+                got = normalized_ibessel(BesselOrder(nu), 1j * t)
+                assert abs(got - mp_hyp0f1_jhat(nu, 1j * t)) <= t * eps, (nu, t)
+            for u in (81.0, -200.0, 300.0, 0.5 + 85j, 150 + 100j, -90 + 200j, 60 - 280j, -290 - 50j):
+                ref = mp_hyp0f1_jhat(nu, u)
+                got = normalized_ibessel(BesselOrder(nu), u)
+                assert abs(got - ref) <= 1e-14 * abs(ref), (nu, u)
+
     def test_range_error_and_override(self):
-        with pytest.raises(RangeError):
-            normalized_ibessel(BesselOrder(0.5), 81.0)
-        val = normalized_ibessel(BesselOrder(0.5), 81.0, u_max=100.0)
-        assert np.isfinite(val.real)
         for bad in (math.nan, math.inf):
             with pytest.raises(RangeError, match="not finite"):
-                normalized_ibessel(BesselOrder(0.5), bad, u_max=math.inf)
+                normalized_ibessel(BesselOrder(0.5), bad)
 
     def test_array_shape(self):
         u = np.array([[0.0, 1.0j], [2.0, 5.0 + 1.0j]])

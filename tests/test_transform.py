@@ -16,7 +16,13 @@ from dunkl_frft import transform
 from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import GaussPoly, HermiteExpansion, MultiPoly, heat_exp_poly
 from dunkl_frft.quadrature import build_grid, circle_grid
-from dunkl_frft.specfun import BesselOrder, Multiplicity, dunkl_kernel_1d, laguerre_eval
+from dunkl_frft.specfun import (
+    BesselOrder,
+    Multiplicity,
+    dunkl_kernel_1d,
+    dunkl_kernel_prod,
+    laguerre_eval,
+)
 from dunkl_frft.transform import (
     REGIME_GENERIC,
     REGIME_IDENTITY,
@@ -772,9 +778,9 @@ class TestAxisDedup:
         shapes = []
         original = transform._kernel_even_odd
 
-        def recording(order, u, u_max):
+        def recording(order, u):
             shapes.append(np.shape(u))
-            return original(order, u, u_max)
+            return original(order, u)
 
         monkeypatch.setattr(transform, "_kernel_even_odd", recording)
         plan = self._plan()
@@ -840,7 +846,7 @@ class TestHalfAxisKernel:
         xk = np.asarray(x, dtype=float)[:, None]
         yk = plan.grid.axes_nodes[j][None, :]
         u = np.asarray(zscale * xk, dtype=complex) * np.asarray(yk, dtype=complex)
-        even, odd = transform._kernel_even_odd(plan.mult.orders[j], u, math.inf)
+        even, odd = transform._kernel_even_odd(plan.mult.orders[j], u)
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
         wk = plan.grid.axes_weights[j][None, :]
         weighted = phase * wk if j else pref * phase * wk
@@ -852,7 +858,7 @@ class TestHalfAxisKernel:
         zscale, gcoef, pref = transform._mehler_form(plan, r)
         xk = np.asarray(x, dtype=float)[:, None]
         yk = plan.grid.axes_nodes[j][None, :]
-        kern = dunkl_kernel_1d(plan.mult.orders[j], zscale * xk, yk, u_max=math.inf)
+        kern = dunkl_kernel_1d(plan.mult.orders[j], zscale * xk, yk)
         # phase is named: on a large temporary numpy may multiply in place
         # with the operands swapped, which can round differently
         phase = np.exp(-gcoef * (xk * xk + yk * yk))
@@ -994,9 +1000,9 @@ class TestParityFold:
         shapes = []
         original = transform._kernel_even_odd
 
-        def recording(order, u, u_max):
+        def recording(order, u):
             shapes.append(np.shape(u))
-            return original(order, u, u_max)
+            return original(order, u)
 
         monkeypatch.setattr(transform, "_kernel_even_odd", recording)
         plan = TestAxisDedup._plan()
@@ -1414,6 +1420,22 @@ class TestFunkHecke:
     def test_dimension_guard(self):
         with pytest.raises(UsageError):
             funk_hecke_radial(Multiplicity([0.5]), np.array([1.0, 0.0]), circle_grid(64))
+
+    @pytest.mark.parametrize("n", [1 << 12, 1000])
+    def test_bit_equal_to_weight_array_rule(self, n):
+        # reference: the rule with an array of n weights 1/n, whose products
+        # the scalar weight 1/n forms too, so the average matches bit for bit
+        circle = circle_grid(n)
+        weights = np.full(n, 1.0 / n)
+        for mu in ((0.0, 0.0), (0.3, 0.7)):
+            mult = Multiplicity(mu)
+            for x in ([0.0, 0.0], [1.3, -2.1], [-7.0, 4.5]):
+                x = np.array(x)
+                wk = mult.weight(circle)
+                kern = dunkl_kernel_prod(mult, 1j * x, circle)
+                want = complex(np.sum(weights * wk * kern) / float(np.sum(weights * wk)))
+                got = funk_hecke_radial(mult, x, circle)
+                assert (got.real, got.imag) == (want.real, want.imag), (mu, x)
 
 
 class TestGaussianIdentities:

@@ -60,8 +60,15 @@ the pair kernels on 40 (x, y) pairs with repeats and signed zeros:
 at r = 1 and 0.6, each as one batch call and pair by pair (input
 ``pairs``, outputs ``points``, call ``batch`` or ``single``).  All
 runs of one mu share one plan, so sampled and expansion inputs meet in
-its cache.  A run that raises digests its exception's type and message.
-``--compare`` reads these lines like the CLI ones.
+its cache.  Last come the special functions, one
+``lib/<function>/<N>/<parameter>/<points>`` line each:
+``normalized_ibessel`` at nu = -1/2, -0.2, 0 and 0.7 on 101 points of the
+imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
+|u| < 80 (``complex``); ``funk_hecke_radial`` on ``circle_grid(2^12)``
+at nine x for mu = (0, 0) and (0.3, 0.7); and ``circle_identity_residual``
+for both mu at n = 2^12 and 1000.  A run that raises digests its
+exception's type and message.  ``--compare`` reads these lines like the
+CLI ones.
 """
 
 import argparse
@@ -164,6 +171,25 @@ def _library_runs():
             yield f"lib/{entry}/{dim}/pairs/points/{r:g}/batch", digest(lambda: kernel(plan, x, y, *extra))
             yield f"lib/{entry}/{dim}/pairs/points/{r:g}/single", digest(
                 lambda: [kernel(plan, a, b, *extra) for a, b in zip(x, y)])
+
+    axis = 1j * np.linspace(0.0, 80.0, 101)
+    spiral = np.linspace(0.3, 79.0, 37) * np.exp(1j * np.linspace(0.05, 6.2, 37))
+    for nu in (-0.5, -0.2, 0.0, 0.7):
+        for points, u in (("axis", axis), ("complex", spiral)):
+            yield f"lib/normalized_ibessel/1/nu={nu:g}/{points}", digest(
+                lambda: dk.normalized_ibessel(nu, u))
+    circle = dk.circle_grid(1 << 12)
+    xs = [radius * np.array([math.cos(theta), math.sin(theta)])
+          for radius, theta in zip((0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 10.0, 20.0),
+                                   np.linspace(0.0, 2.8, 9))]
+    for mu in ((0.0, 0.0), (0.3, 0.7)):
+        mult = dk.Multiplicity(mu)
+        label = "mu=" + ",".join(f"{m:g}" for m in mu)
+        yield f"lib/funk_hecke_radial/2/{label}/circle{1 << 12}", digest(
+            lambda: [dk.funk_hecke_radial(mult, x, circle) for x in xs])
+        for n in (1 << 12, 1000):
+            yield f"lib/circle_identity_residual/2/{label}/circle{n}", digest(
+                lambda: dk.quadrature.circle_identity_residual(mult, n))
 
 
 def _cli_runs(seeds, tmp, keep):
