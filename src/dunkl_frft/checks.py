@@ -290,8 +290,8 @@ def check_mehler(seed=DEFAULT_SEED):
         r = rng.uniform(0.05, 0.99)
         x = rng.uniform(-2.0, 2.0, size=2)
         y = rng.uniform(-2.0, 2.0, size=2)
-        p = TransformPlan(mult, alpha, grid=plan.grid, r=r, M=4)
-        lhs, rhs = kernel_smoothed_bound(p, x, y)
+        p = TransformPlan(mult, alpha, grid=plan.grid, M=4)
+        lhs, rhs = kernel_smoothed_bound(p, x, y, r)
         worst_margin = max(worst_margin, float(lhs - rhs))
     results.append(CheckResult("mehler kernel bound margin >= 0", max(worst_margin, 0.0), 1e-12))
     return results

@@ -216,8 +216,11 @@ def _make_plan(cfg):
         normalize_alpha(cfg.alpha, cfg.s_min)
     if cfg.M is not None and cfg.M < 0:
         raise UsageError(f"config field 'M': must be >= 0, got {cfg.M}")
-    with _refused("r"):
-        return TransformPlan(mult, cfg.alpha, grid=grid, r=cfg.r, M=cfg.M, s_min=cfg.s_min)
+    if not 0.0 < cfg.r <= 1.0:
+        raise UsageError(f"config field 'r': smoothing parameter must lie in (0, 1], got {cfg.r!r}")
+    if cfg.r != 1.0 and cfg.route == "integral" and cfg.command in ("transform", "kernel"):
+        raise UsageError(f"config fields 'r' and 'route': the integral route does not smooth, got r = {cfg.r!r}")
+    return TransformPlan(mult, cfg.alpha, grid=grid, M=cfg.M, s_min=cfg.s_min)
 
 
 def build_function(spec, plan):
@@ -236,6 +239,10 @@ def build_function(spec, plan):
         table = {}
         for t in _field(spec, "terms", list, required=True, prefix="function."):
             nu, parts = _parse(t, "function.terms", _combo_term)
+            if len(nu) != plan.mult.dim or min(nu) < 0:
+                raise UsageError(f"config field 'function.terms': {nu} needs {plan.mult.dim} entries >= 0")
+            if sum(nu) > plan.M:
+                raise UsageError(f"config fields 'function.terms' and 'M': {nu} has degree > M = {plan.M}")
             re, im = _finite(parts, "function.terms")
             table[nu] = table.get(nu, 0.0) + complex(re, im)
         return HermiteExpansion.from_terms(plan.basis, table)
@@ -248,7 +255,7 @@ def build_function(spec, plan):
     if kind in ("gaussian", "laguerre_gaussian"):
         profile = _profile(spec, kind)
         return lambda pts: profile(np.sum(np.asarray(pts) ** 2, axis=-1))
-    npts = plan.grid.nodes.shape[0]
+    npts = math.prod(plan.grid.shape)
     parts = {}
     for key, required in (("values_re", True), ("values_im", False)):
         raw = _field(spec, key, list, required=required, default=[0.0] * npts, prefix="function.")
@@ -313,7 +320,7 @@ def _output_points(cfg, plan):
         _finite(spec["linspace"], "outputs.linspace")
         axis = _parse(spec["linspace"], "outputs.linspace", _linspace)
     elif spec.get("grid", False):
-        return plan.grid.nodes
+        return None
     else:
         axis = np.linspace(-3.0, 3.0, 25)
     if plan.mult.dim == 1:
@@ -422,19 +429,19 @@ def _cmd_transform(cfg, out_dir, fmt):
     plan = _make_plan(cfg)
     f = build_function(cfg.function, plan)
     points = _output_points(cfg, plan)
-    on_grid = points is plan.grid.nodes
+    on_grid = points is None
     extra = None
     if cfg.route == "spectral":
-        result = fdt_spectral(f, plan)
+        result = fdt_spectral(f, plan, cfg.r)
         values = plan.grid.values(result) if on_grid else result(points)
         extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack,
                  "gram_residual": result.gram_residual}
     elif cfg.route == "smoothed":
-        values = fdt_smoothed_on_grid(f, plan) if on_grid else fdt_smoothed(f, plan, points)
+        values = fdt_smoothed_on_grid(f, plan, cfg.r) if on_grid else fdt_smoothed(f, plan, points, cfg.r)
     else:
         values = fdt_integral_on_grid(f, plan) if on_grid else fdt_integral(f, plan, points)
     cols = [f"x{j}" for j in range(plan.mult.dim)] + ["re", "im"]
-    _emit(cfg, out_dir, fmt, cols, _complex_rows(points, values), extra)
+    _emit(cfg, out_dir, fmt, cols, _complex_rows(plan.grid.nodes if on_grid else points, values), extra)
     return 0
 
 
@@ -448,8 +455,9 @@ def _cmd_kernel(cfg, out_dir, fmt):
     if pairs.shape[1:] != (2 * dim,) and pairs.shape != (0,):
         raise UsageError(f"config field 'outputs.pairs': each entry needs {2 * dim} numbers")
     pairs = pairs.reshape(-1, 2 * dim)
-    kernel = {"spectral": kernel_spectral, "smoothed": kernel_smoothed}.get(cfg.route, kernel_alpha)
-    values = kernel(plan, pairs[:, :dim], pairs[:, dim:])
+    kernel = {"spectral": kernel_spectral, "smoothed": kernel_smoothed}.get(cfg.route)
+    x, y = pairs[:, :dim], pairs[:, dim:]
+    values = kernel_alpha(plan, x, y) if kernel is None else kernel(plan, x, y, cfg.r)
     cols = [f"x{j}" for j in range(dim)] + [f"y{j}" for j in range(dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, _complex_rows(pairs, values))
     return 0

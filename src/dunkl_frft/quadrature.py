@@ -2,14 +2,16 @@
 
 Grids are tensor products of half-axis Gauss-Jacobi rules (the weight
 |y|^(2 mu_j) is folded into the node weights exactly, and the two half-axis
-panels meet at the cusp without placing a node on it).  Every grid is
-validated at construction against the Mehta integral.  The Funk-Hecke
-checks integrate over the unit circle with the uniform-angle points of
-``circle_grid``, each of weight 1/n under the normalized surface measure.
+panels meet at the cusp without placing a node on it); a grid stores these
+axes and builds its mesh on first use.  Every grid is validated at
+construction against the Mehta integral.  The Funk-Hecke checks integrate
+over the unit circle with the uniform-angle points of ``circle_grid``, each
+of weight 1/n under the normalized surface measure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,11 +103,11 @@ def jacobi_halfline(n, exponent, length):
 class QuadGrid:
     """Tensor quadrature grid on [-L, L]^N with w_k folded into the weights.
 
-    ``axes_nodes[j]`` / ``axes_weights[j]`` are the per-axis rules (weights
-    already include |t|^(2 mu_j)); ``nodes`` (npts, N) and ``weights``
-    (npts,) are the flattened tensor product in row-major (first axis
-    slowest) order.  Summation is numpy's pairwise reduction, deterministic
-    at a fixed thread count of 1.
+    It stores only the per-axis rules ``axes_nodes[j]`` / ``axes_weights[j]``
+    (weights already include |t|^(2 mu_j)).  ``nodes`` (npts, N) and
+    ``weights`` (npts,), their flattened tensor product in row-major (first
+    axis slowest) order, are built on first use and kept.  Summation is
+    numpy's pairwise reduction, deterministic at a fixed thread count of 1.
 
     Every axis is mirror-symmetric by construction (``build_grid`` places
     the negative panel as the exact negated reverse of the positive one, and
@@ -118,11 +120,8 @@ class QuadGrid:
 
     mult: Multiplicity
     box: float
-    points_per_axis: int
     axes_nodes: tuple = field(repr=False)
     axes_weights: tuple = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     @property
     def dim(self):
@@ -132,16 +131,28 @@ class QuadGrid:
     def shape(self):
         return tuple(len(t) for t in self.axes_nodes)
 
+    @property
+    def points_per_axis(self):
+        return len(self.axes_nodes[0]) // 2
+
+    @functools.cached_property
+    def nodes(self):
+        mesh = np.meshgrid(*self.axes_nodes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    @functools.cached_property
+    def weights(self):
+        return functools.reduce(np.multiply.outer, self.axes_weights).ravel()
+
     def values(self, f):
         """f's values on the flattened nodes: f itself when it is an array,
         else ``f(self.nodes)``.  Either way they must come as one value per
         node, shape (npts,); any other shape (a column, a scalar) would
         broadcast against the weights, and is refused."""
+        npts = math.prod(self.shape)
         vals = f if isinstance(f, np.ndarray) else np.asarray(f(self.nodes))
-        if vals.shape != (self.nodes.shape[0],):
-            raise UsageError(
-                f"value array has shape {vals.shape}, grid has {self.nodes.shape[0]} nodes"
-            )
+        if vals.shape != (npts,):
+            raise UsageError(f"value array has shape {vals.shape}, grid has {npts} nodes")
         return vals
 
     def integrate(self, f):
@@ -178,9 +189,9 @@ def build_grid(mult, L=8.0, n=None):
         t, wt = t[order], wt[order]
         axes_nodes.append(np.concatenate([-t[::-1], t]))
         axes_weights.append(np.concatenate([wt[::-1], wt]))
-    # Calibrated on the axes, before the mesh, whose weight products can
-    # overflow for a box far too wide.  A box so wide that t^2 overflows
-    # (L >~ 1e154) gives a total of 0 here and is refused without a warning.
+    # Calibrated on the axes: the mesh's weight products can overflow for a
+    # box far too wide.  A box so wide that t^2 overflows (L >~ 1e154) gives
+    # a total of 0 here and is refused without a warning.
     total = 1.0
     with np.errstate(over="ignore"):
         for t, wt in zip(axes_nodes, axes_weights):
@@ -190,21 +201,7 @@ def build_grid(mult, L=8.0, n=None):
             f"grid failed Mehta calibration: got {total!r}, expected {target!r} "
             f"(L={L}, n={n}, mu={mult.mu})"
         )
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for w in wmesh:
-        weights = weights * w.ravel()
-    return QuadGrid(
-        mult=mult,
-        box=float(L),
-        points_per_axis=int(n),
-        axes_nodes=tuple(axes_nodes),
-        axes_weights=tuple(axes_weights),
-        nodes=nodes,
-        weights=weights,
-    )
+    return QuadGrid(mult=mult, box=float(L), axes_nodes=tuple(axes_nodes), axes_weights=tuple(axes_weights))
 
 
 def circle_grid(n):

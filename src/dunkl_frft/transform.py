@@ -133,8 +133,8 @@ class _OperatorCache:
 
 class TransformPlan:
     """Prepared context for one transform order: canonical alpha, regime,
-    smoothing r, spectral truncation M, quadrature grid and the integral
-    prefactor.
+    spectral truncation M, quadrature grid and the integral prefactor.  The
+    smoothing r is not the order's: each call that smooths takes its own.
 
     The Hermite basis is built lazily.  The plan also holds a bounded
     cache of the operators it prepares, filled by the first call that needs
@@ -153,13 +153,10 @@ class TransformPlan:
     plan stays safe to share between threads.
     """
 
-    def __init__(self, mult, alpha, grid=None, r=1.0, M=None, s_min=DEFAULT_S_MIN):
+    def __init__(self, mult, alpha, grid=None, M=None, s_min=DEFAULT_S_MIN):
         self.mult = mult
         self.s_min = float(s_min)
         self.alpha, self.regime = normalize_alpha(alpha, self.s_min)
-        if not (0.0 < r <= 1.0):
-            raise DomainError(f"smoothing parameter must lie in (0, 1], got {r!r}")
-        self.r = float(r)
         self.M = int(M) if M is not None else (24 if mult.dim == 1 else 16)
         self.grid = grid if grid is not None else build_grid(mult)
         if self.grid.mult.mu != mult.mu:
@@ -212,9 +209,7 @@ class TransformPlan:
         return cmath.exp(1j * g * (math.copysign(math.pi / 2.0, s) - self.alpha)), scale
 
     def with_alpha(self, alpha):
-        plan = TransformPlan(
-            self.mult, alpha, grid=self.grid, r=self.r, M=self.M, s_min=self.s_min
-        )
+        plan = TransformPlan(self.mult, alpha, grid=self.grid, M=self.M, s_min=self.s_min)
         plan._basis = self._basis
         return plan
 
@@ -261,10 +256,9 @@ def _mehler_form(plan, r):
     return zscale, gcoef, plan.mult.mehta_constant * denom ** (-plan.order_exponent)
 
 
-def _smoothing(plan, r, op, upto_one=False):
-    """r (plan.r when None), which must lie in (0, 1), or in (0, 1] when
-    ``upto_one``."""
-    r = plan.r if r is None else float(r)
+def _smoothing(r, op, upto_one=False):
+    """r as a float, which must lie in (0, 1), or in (0, 1] when ``upto_one``."""
+    r = float(r)
     if not (0.0 < r < 1.0 or (upto_one and r == 1.0)):
         raise UsageError(f"{op} needs 0 < r {'<=' if upto_one else '<'} 1, got {r!r}")
     return r
@@ -320,7 +314,7 @@ def kernel_alpha(plan, x, y):
     return _kernel_value(plan, x, y, 1.0)
 
 
-def kernel_smoothed(plan, x, y, r=None):
+def kernel_smoothed(plan, x, y, r):
     """Mehler closed form of the smoothed kernel,
 
         K_a(r,x,y) = c_k (1 - r^2 e^{2ia})^{-(gamma+N/2)}
@@ -330,11 +324,10 @@ def kernel_smoothed(plan, x, y, r=None):
     finite for every alpha including 0 and pi.  Principal branch of the
     power (safe: Re(1 - r^2 e^{2ia}) >= 1 - r^2 > 0 for r < 1).
     """
-    r = _smoothing(plan, r, "kernel_smoothed")
-    return _kernel_value(plan, x, y, r)
+    return _kernel_value(plan, x, y, _smoothing(r, "kernel_smoothed"))
 
 
-def kernel_smoothed_bound(plan, x, y, r=None):
+def kernel_smoothed_bound(plan, x, y, r):
     """(lhs, rhs) of the smoothed-kernel majorization: the modulus of the
     y-Gaussian times the kernel factor against
 
@@ -343,7 +336,7 @@ def kernel_smoothed_bound(plan, x, y, r=None):
     A pair for which either side is not finite is refused like a kernel
     value (see ``_kernel_value``).
     """
-    r = _smoothing(plan, r, "kernel_smoothed_bound")
+    r = _smoothing(r, "kernel_smoothed_bound")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = plan.alpha
@@ -359,11 +352,11 @@ def kernel_smoothed_bound(plan, x, y, r=None):
     return lhs, rhs
 
 
-def kernel_spectral(plan, x, y, r=None):
+def kernel_spectral(plan, x, y, r=1.0):
     """Truncated eigen-sum sum_{|nu| <= plan.M} r^|nu| e^{i |nu| a} h_nu(x) h_nu(y), summed
     like ``HermiteExpansion.__call__``: ``_pointwise_sum`` of the phased block over the
     per-axis tables h_k(x_j) h_k(y_j) of the broadcast pairs, each pair on its own."""
-    r = _smoothing(plan, r, "kernel_spectral", upto_one=True)
+    r = _smoothing(r, "kernel_spectral", upto_one=True)
     basis = plan.basis
     x, y = np.broadcast_arrays(x, y)
     block = HermiteExpansion(basis, np.ones(basis.size)).scale_degrees(_degree_phases(plan, r))
@@ -478,12 +471,12 @@ def _degree_phases(plan, r):
     return [(r**n) * cmath.exp(1j * n * plan.alpha) for n in range(plan.M + 1)]
 
 
-def fdt_spectral(f, plan, r=None):
+def fdt_spectral(f, plan, r=1.0):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
-    times r^|nu| (r defaults to plan.r) plus the reconstructing expansion.
+    times r^|nu|, 0 < r <= 1, plus the reconstructing expansion.
     f's grid values, which give both the expansion and the input norm, come
     from ``_grid_tensor``."""
-    r = _smoothing(plan, r, "fdt_spectral", upto_one=True)
+    r = _smoothing(r, "fdt_spectral", upto_one=True)
     fvals = _grid_tensor(f, plan).ravel()
     base = hermite_expand(fvals, plan)
     norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
@@ -688,18 +681,18 @@ def fdt_integral_on_grid(f, plan):
     return _kernel_transform(f, plan, None, 1.0)
 
 
-def fdt_smoothed(f, plan, xs, r=None):
+def fdt_smoothed(f, plan, xs, r):
     """Smoothed transform D_{k,r}^a f(x) = integral K_a(r,x,y) f(y) w_k(y) dy
     via the Mehler closed form (0 < r < 1)."""
     _require_kernel_regime(plan, "fdt_smoothed")
-    r = _smoothing(plan, r, "fdt_smoothed")
+    r = _smoothing(r, "fdt_smoothed")
     return _kernel_transform(f, plan, _as_points(xs, plan.mult.dim), r)
 
 
-def fdt_smoothed_on_grid(f, plan, r=None):
+def fdt_smoothed_on_grid(f, plan, r):
     """Smoothed transform evaluated at every grid node (flattened)."""
     _require_kernel_regime(plan, "fdt_smoothed")
-    return _kernel_transform(f, plan, None, _smoothing(plan, r, "fdt_smoothed"))
+    return _kernel_transform(f, plan, None, _smoothing(r, "fdt_smoothed"))
 
 
 # ---------------------------------------------------------------------------

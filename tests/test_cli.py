@@ -711,8 +711,10 @@ def test_kernel_job_calls_kernel_once(tmp_path, monkeypatch, route, name):
 
     monkeypatch.setattr(cli, name, counted)
     pairs = [[0.5, -1.0, 0.25, 2.0], [-0.0, 0.0, 1.5, -2.5], [0.5, -1.0, 0.25, 2.0]]
-    cfg = {"command": "kernel", "mu": [0.3, 0.7], "alpha": 1.0, "route": route, "r": 0.6,
+    cfg = {"command": "kernel", "mu": [0.3, 0.7], "alpha": 1.0, "route": route,
            "M": 8, "outputs": {"pairs": pairs}}
+    if route != "integral":
+        cfg["r"] = 0.6
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
@@ -720,7 +722,7 @@ def test_kernel_job_calls_kernel_once(tmp_path, monkeypatch, route, name):
     x, y = calls[0]
     assert x.tolist() == [p[:2] for p in pairs] and y.tolist() == [p[2:] for p in pairs]
     plan = cli._make_plan(parse_config(dict(cfg)))
-    want = kernel(plan, x, y)
+    want = kernel(plan, x, y) if route == "integral" else kernel(plan, x, y, 0.6)
     rows = json.loads((tmp_path / "out" / "result.json").read_text())["rows"]
     assert [row[:4] for row in rows] == pairs
     assert [complex(*row[4:]) for row in rows] == want.tolist()
@@ -777,9 +779,11 @@ def test_kernel_grid_output_is_on_grid_transform(tmp_path, route):
     # Grid outputs of the kernel routes take the on-grid transform; json rows
     # carry every bit of it, and it agrees with the points path.
     terms = [{"nu": [1, 2], "re": 0.5, "im": -0.25}, {"nu": [0, 0], "re": 1.0}]
-    cfg = {"command": "transform", "mu": [0.3, 0.7], "alpha": 0.8, "route": route, "r": 0.7,
+    cfg = {"command": "transform", "mu": [0.3, 0.7], "alpha": 0.8, "route": route,
            "M": 6, "grid": {"L": 8.0, "n": 20}, "outputs": {"grid": True},
            "function": {"kind": "hermite_combo", "terms": terms}}
+    if route == "smoothed":
+        cfg["r"] = 0.7
     path = tmp_path / "job.json"
     path.write_text(json.dumps(cfg))
     assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--format", "json"]) == 0
@@ -798,11 +802,84 @@ def test_kernel_grid_output_is_on_grid_transform(tmp_path, route):
     if route == "integral":
         want, points = fdt_integral_on_grid(f, plan), fdt_integral(f, plan, nodes)
     else:
-        want, points = fdt_smoothed_on_grid(f, plan), fdt_smoothed(f, plan, nodes)
+        want, points = fdt_smoothed_on_grid(f, plan, 0.7), fdt_smoothed(f, plan, nodes, 0.7)
     assert [row[:2] for row in rows] == nodes.tolist()
     got = np.array([complex(*row[2:]) for row in rows])
     assert got.tolist() == want.tolist()
     assert np.max(np.abs(got - points)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["transform", "kernel"])
+def test_integral_route_refuses_smoothing_r(tmp_path, capsys, command):
+    # The integral route does not smooth: an r other than 1 there is refused
+    # (exit 2, one stderr line naming both fields), and r = 1 is the default.
+    cfg = {"command": command, "mu": [0.5], "alpha": 1.0, "route": "integral"}
+    if command == "transform":
+        cfg.update(function={"kind": "gaussian", "a": 1.0}, outputs=[[0.5]])
+    else:
+        cfg.update(outputs={"pairs": [[0.5, -1.0], [0.0, 2.0]]})
+    path = tmp_path / "job.json"
+    results = {}
+    for label, r in (("smoothing", 0.5), ("one", 1.0), ("default", None)):
+        path.write_text(json.dumps(cfg if r is None else dict(cfg, r=r)))
+        out = tmp_path / label
+        code = main(["--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if r == 0.5:
+            assert code == 2 and len(err) == 1
+            assert "'r'" in err[0] and "'route'" in err[0]
+            assert not (out / "result.csv").exists()
+        else:
+            assert code == 0 and err == []
+            results[label] = (out / "result.csv").read_bytes()
+    assert results["one"] == results["default"]
+    if command == "transform":
+        value = complex(*read_csv(tmp_path / "one" / "result.csv")[0, 1:])
+        assert abs(value - (0.511252 + 0.106606j)) <= 1e-6
+
+
+@pytest.mark.parametrize("nu, M, fields", [([1], None, ["'function.terms'"]),
+                                           ([9], 4, ["'function.terms'", "'M'"]),
+                                           ([-1], None, ["'function.terms'"])])
+def test_combo_term_outside_basis_names_field(tmp_path, capsys, nu, M, fields):
+    # A term of the wrong length (here at N = 2), of a degree above M or with
+    # a negative entry is a config error, not a refused computation.
+    mu = [0.3, 0.7] if nu == [1] else [0.5]
+    cfg = {"command": "transform", "mu": mu, "M": M,
+           "function": {"kind": "hermite_combo", "terms": [{"nu": nu, "re": 1.0}]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and all(field in err[0] for field in fields), err
+    assert ("'M'" in err[0]) == ("'M'" in fields)
+
+
+def test_n3_integral_job_builds_no_mesh(tmp_path):
+    # An N = 3 expansion input at a few points never needs the 4.1M-node
+    # mesh of the default grid; a fresh process reads its own peak RSS.
+    cfg = {"command": "transform", "mu": [0.2, 0.5, 0.4], "alpha": 1.0, "route": "integral",
+           "function": {"kind": "hermite_combo", "terms": [{"nu": [1, 0, 2], "re": 1.0}]},
+           "outputs": [[0.5, 0.0, -1.0]]}
+    job = tmp_path / "job.py"
+    job.write_text(
+        "import resource, sys\n"
+        "from dunkl_frft.cli import run\n"
+        f"assert run({cfg!r}, out_dir=sys.argv[1]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux carries the spawning process's peak RSS into a child's ru_maxrss
+    # at exec, so the job starts from a small launcher, not from the test
+    # runner, whose peak would mask its own.
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, str(job), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150.0, peak_mb
 
 
 @pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])

@@ -1,5 +1,6 @@
 """Quadrature layer: Gauss-Legendre, weighted tensor grids, circle rule."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -162,6 +163,38 @@ class TestGridValues:
                 assert str(refused.value) == (
                     f"value array has shape {shape}, grid has {npts} nodes"
                 ), (name, key)
+
+
+def meshgrid_reference(grid):
+    """(nodes, weights) by the formula ``build_grid`` used when the grid
+    stored its mesh: meshgrid of the axes, and the weights as a running
+    product from ones."""
+    mesh = np.meshgrid(*grid.axes_nodes, indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    weights = np.ones(nodes.shape[0])
+    for w in np.meshgrid(*grid.axes_weights, indexing="ij"):
+        weights = weights * w.ravel()
+    return nodes, weights
+
+
+class TestLazyMesh:
+    """A grid stores its per-axis rules only; the flattened mesh is derived
+    on first use, bit for bit the mesh it used to store."""
+
+    def test_fields_are_the_axes(self):
+        names = [f.name for f in dataclasses.fields(quadrature.QuadGrid)]
+        assert names == ["mult", "box", "axes_nodes", "axes_weights"]
+
+    @pytest.mark.parametrize("mu", [[0.5], [0.3, 0.7], [0.2, 0.5, 0.4]])
+    @pytest.mark.parametrize("L, n", [(8.0, None), (6.0, 24)])
+    def test_mesh_matches_meshgrid_formula(self, mu, L, n):
+        grid = build_grid(Multiplicity(mu), L=L, n=n)
+        assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+        nodes, weights = meshgrid_reference(grid)
+        assert grid.nodes.tobytes() == nodes.tobytes() and grid.nodes.shape == nodes.shape
+        assert grid.weights.tobytes() == weights.tobytes() and grid.weights.shape == weights.shape
+        assert grid.points_per_axis == (n or (120 if len(mu) == 1 else 80))
+        assert grid.nodes is grid.nodes and grid.weights is grid.weights
 
 
 class TestJacobiHalfline:

@@ -82,14 +82,16 @@ def test_library_digest_repeats_in_documented_format(capsys):
     special = re.compile(r"lib/(normalized_ibessel/1/nu=(-0\.5|-0\.2|0|0\.7)/(axis|complex)|"
                          r"funk_hecke_radial/2/mu=(0,0|0\.3,0\.7)/circle4096|"
                          r"circle_identity_residual/2/mu=(0,0|0\.3,0\.7)/circle(4096|1000)) [0-9a-f]{40}")
+    grid = re.compile(r"lib/build_grid/[123]/(default|L=6,n=24)/(nodes|weights|points_per_axis) [0-9a-f]{40}")
     routes = [text for text in outputs[0] if route.fullmatch(text)]
     pairs = [text for text in outputs[0] if pair.fullmatch(text)]
     specials = [text for text in outputs[0] if special.fullmatch(text)]
-    assert len(routes) + len(pairs) + len(specials) == len(outputs[0]), outputs[0]
+    grids = [text for text in outputs[0] if grid.fullmatch(text)]
+    assert len(routes) + len(pairs) + len(specials) + len(grids) == len(outputs[0]), outputs[0]
     labels = [text.split()[0] for text in outputs[0]]
     assert len(set(labels)) == len(labels)
     assert len(routes) == 2 * 3 * 3 * 3 * 2 and len(pairs) == 3 * 4 * 2
-    assert len(specials) == 4 * 2 + 2 * (1 + 2)
+    assert len(specials) == 4 * 2 + 2 * (1 + 2) and len(grids) == 3 * 2 * 3
     # the repeat, served by the plan's cache, gives the first call's bits
     digests = dict(text.split() for text in outputs[0])
     for label in [text.split()[0] for text in routes[::2]]:

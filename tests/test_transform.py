@@ -133,11 +133,17 @@ class TestTransformPlan:
         assert abs(p1.prefactor - p2.prefactor) <= 1e-13 * abs(p1.prefactor)
 
     def test_smoothing_validation(self):
+        # r is an argument of each call that smooths, validated there
         mult = Multiplicity([0.5])
-        with pytest.raises(DomainError):
-            TransformPlan(mult, 0.5, r=0.0)
-        with pytest.raises(DomainError):
-            TransformPlan(mult, 0.5, r=1.5)
+        plan = TransformPlan(mult, 0.5, grid=build_grid(mult, n=24), M=4)
+        assert not hasattr(plan, "r")
+        with pytest.raises(TypeError):
+            TransformPlan(mult, 0.5, r=0.5)
+        x = np.array([0.5])
+        with pytest.raises(UsageError):
+            kernel_smoothed(plan, x, x, 0.0)
+        with pytest.raises(UsageError):
+            fdt_spectral(plan.basis.function((1,)), plan, 1.5)
 
     def test_default_truncation_by_dimension(self):
         g1 = build_grid(Multiplicity([0.5]), n=24)
@@ -257,10 +263,10 @@ class TestKernelSmoothed:
         # |u| = 87.3 here, past the direct-caller ceiling of 80; the kernel and
         # its majorization are both evaluated rather than refused
         mult = Multiplicity([0.5, 1.0])
-        plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), r=0.5)
+        plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32))
         x = np.array([10.0, 1.0])
-        assert np.isfinite(complex(kernel_smoothed(plan, x, x)))
-        lhs, rhs = kernel_smoothed_bound(plan, x, x)
+        assert np.isfinite(complex(kernel_smoothed(plan, x, x, 0.5)))
+        lhs, rhs = kernel_smoothed_bound(plan, x, x, 0.5)
         assert lhs <= rhs
 
     def test_bound_refuses_huge_coordinates(self):
@@ -269,7 +275,7 @@ class TestKernelSmoothed:
         # escapes (the suite makes it an error).
         for mu in ([0.5], [0.3, 0.7]):
             mult = Multiplicity(mu)
-            plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=24), r=0.9)
+            plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=24))
             one = np.ones(mult.dim)
             last = mult.dim - 1
             for huge in (1e200, -1e200):
@@ -277,7 +283,7 @@ class TestKernelSmoothed:
                 for x, y, name in ((big, one, f"x{last}"), (one, big, f"y{last}")):
                     message = f"smoothed route: kernel coordinate {name} = {huge!r}"
                     with pytest.raises(RangeError, match=re.escape(message)):
-                        kernel_smoothed_bound(plan, x, y)
+                        kernel_smoothed_bound(plan, x, y, 0.9)
 
 
 class TestKernelSpectral:
@@ -523,6 +529,22 @@ class TestIntegralRoute:
 
 
 class TestTensorGridInput:
+    @pytest.mark.parametrize("route", ["integral", "smoothed"])
+    def test_n3_expansion_at_points_builds_no_mesh(self, route):
+        # The kernel routes read an expansion input and point outputs through
+        # the grid's per-axis rules only: the default N = 3 grid (160^3 nodes)
+        # never builds its flattened mesh.
+        mult = Multiplicity([0.2, 0.5, 0.4])
+        plan = TransformPlan(mult, 1.0, M=4)
+        f = HermiteExpansion.from_terms(plan.basis, {(1, 0, 2): 1.0, (0, 0, 0): 0.5j})
+        xs = np.array([[0.5, 0.0, -1.0], [1.0, -2.0, 0.25]])
+        if route == "integral":
+            got = fdt_integral(f, plan, xs)
+        else:
+            got = fdt_smoothed(f, plan, xs, 0.6)
+        assert got.shape == (2,) and np.all(np.isfinite(got))
+        assert "nodes" not in vars(plan.grid) and "weights" not in vars(plan.grid)
+
     def test_routes_never_evaluate_expansions_pointwise(self, monkeypatch):
         # Every route, hermite_expand included, reads a Hermite-expansion
         # input through the synthesis products of _grid_tensor; none falls

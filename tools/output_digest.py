@@ -60,15 +60,18 @@ the pair kernels on 40 (x, y) pairs with repeats and signed zeros:
 at r = 1 and 0.6, each as one batch call and pair by pair (input
 ``pairs``, outputs ``points``, call ``batch`` or ``single``).  All
 runs of one mu share one plan, so sampled and expansion inputs meet in
-its cache.  Last come the special functions, one
+its cache.  Then come the special functions, one
 ``lib/<function>/<N>/<parameter>/<points>`` line each:
 ``normalized_ibessel`` at nu = -1/2, -0.2, 0 and 0.7 on 101 points of the
 imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
 |u| < 80 (``complex``); ``funk_hecke_radial`` on ``circle_grid(2^12)``
 at nine x for mu = (0, 0) and (0.3, 0.7); and ``circle_identity_residual``
-for both mu at n = 2^12 and 1000.  A run that raises digests its
-exception's type and message.  ``--compare`` reads these lines like the
-CLI ones.
+for both mu at n = 2^12 and 1000.  Last, one
+``lib/build_grid/<N>/<grid>/<attribute>`` line each for the ``nodes``,
+``weights`` and ``points_per_axis`` of ``build_grid`` for the three mu
+above, at the default (L, n) (``default``) and at L = 6, n = 24.  A run
+that raises digests its exception's type and message.  ``--compare``
+reads these lines like the CLI ones.
 """
 
 import argparse
@@ -190,6 +193,12 @@ def _library_runs():
         for n in (1 << 12, 1000):
             yield f"lib/circle_identity_residual/2/{label}/circle{n}", digest(
                 lambda: dk.quadrature.circle_identity_residual(mult, n))
+    for mu in ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4]):
+        mult = dk.Multiplicity(mu)
+        for label, grid_args in (("default", {}), ("L=6,n=24", {"L": 6.0, "n": 24})):
+            grid = dk.build_grid(mult, **grid_args)
+            for name in ("nodes", "weights", "points_per_axis"):
+                yield f"lib/build_grid/{mult.dim}/{label}/{name}", digest(lambda: getattr(grid, name))
 
 
 def _cli_runs(seeds, tmp, keep):
