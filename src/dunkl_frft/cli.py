@@ -216,11 +216,22 @@ def _make_plan(cfg):
         normalize_alpha(cfg.alpha, cfg.s_min)
     if cfg.M is not None and cfg.M < 0:
         raise UsageError(f"config field 'M': must be >= 0, got {cfg.M}")
+    _check_r(cfg)
+    return TransformPlan(mult, cfg.alpha, grid=grid, M=cfg.M, s_min=cfg.s_min)
+
+
+def _check_r(cfg):
+    """Refuse a smoothing r outside (0, 1], and an r other than 1 where the
+    job would not read it: only the spectral and smoothed routes of
+    transform and kernel smooth."""
     if not 0.0 < cfg.r <= 1.0:
         raise UsageError(f"config field 'r': smoothing parameter must lie in (0, 1], got {cfg.r!r}")
-    if cfg.r != 1.0 and cfg.route == "integral" and cfg.command in ("transform", "kernel"):
+    if cfg.r == 1.0:
+        return
+    if cfg.command not in ("transform", "kernel"):
+        raise UsageError(f"config field 'r': the {cfg.command} command does not smooth, got r = {cfg.r!r}")
+    if cfg.route == "integral":
         raise UsageError(f"config fields 'r' and 'route': the integral route does not smooth, got r = {cfg.r!r}")
-    return TransformPlan(mult, cfg.alpha, grid=grid, M=cfg.M, s_min=cfg.s_min)
 
 
 def build_function(spec, plan):
@@ -527,6 +538,7 @@ def _cmd_resolvent(cfg, out_dir, fmt):
 
 
 def _cmd_check(cfg, out_dir, fmt):
+    _check_r(cfg)
     if cfg.suite != "all" and cfg.suite not in SUITES:
         raise UsageError(
             f"config field 'suite': unknown suite {cfg.suite!r}; available: all, "

@@ -644,7 +644,10 @@ def _kernel_transform(f, plan, xs, r):
     with the input: ``_contract_folded`` of the even/odd pairs for a
     sampled input on the grid (half the multiply-adds of a full-axis
     contraction), ``_contract_grid`` of the trimmed T_j for an expansion on
-    the grid, ``_contract_points`` of the gathered rows for points.
+    the grid, ``_contract_points`` of the gathered rows for points.  Both
+    grid products run last axis first, so their result is C-contiguous in
+    the grid's axis order and the flattened output is written once, not
+    copied out of a transposed view; at N = 1 there is no order to change.
     """
     dim = plan.mult.dim
     basis = f.basis if isinstance(f, HermiteExpansion) and f.basis.dim == dim else None
@@ -659,7 +662,8 @@ def _kernel_transform(f, plan, xs, r):
         return _contract_points([t[gather, :d] for t, gather, d in rows], tensor)
     if basis is None:
         return _contract_folded(entry, tensor).ravel()
-    return _contract_grid([t[:, :d] for t, d in zip(entry, tensor.shape)], tensor).ravel()
+    mats = [t[:, :d] for t, d in zip(entry, tensor.shape)]
+    return _contract_grid(mats[::-1], tensor.T).T.ravel()
 
 
 def fdt_integral(f, plan, xs):

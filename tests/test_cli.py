@@ -838,6 +838,37 @@ def test_integral_route_refuses_smoothing_r(tmp_path, capsys, command):
         assert abs(value - (0.511252 + 0.106606j)) <= 1e-6
 
 
+_COMBO_H2 = {"kind": "hermite_combo", "terms": [{"nu": [2], "re": 1.0}]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "basis", "mu": [0.5], "M": 4},
+    {"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
+     "function": {"kind": "gaussian"}, "outputs": {"radii": [0.5, 1.0]}},
+    {"command": "projection", "mu": [0.5], "alpha": 0.0, "M": 4, "function": _COMBO_H2,
+     "projections": [2]},
+    {"command": "resolvent", "mu": [0.5], "alpha": 0.0, "M": 4, "function": _COMBO_H2},
+    {"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": [0.5, 0.9]},
+    {"command": "check", "mu": [0.0], "suite": "basis"},
+], ids=lambda cfg: cfg["command"])
+def test_commands_that_do_not_smooth_refuse_r(tmp_path, capsys, cfg):
+    # These commands never read the config's r: an r other than 1 used to
+    # be recorded and ignored with exit 0; it is refused (exit 2, one stderr
+    # line naming 'r' and the command), and r = 1 is the default.
+    path = tmp_path / "job.json"
+    for r, want in ((0.5, 2), (1.0, 0)):
+        path.write_text(json.dumps(dict(cfg, r=r)))
+        out = tmp_path / f"r{r}"
+        code = main(["--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == want, err
+        if want == 2:
+            assert len(err) == 1 and "'r'" in err[0] and cfg["command"] in err[0], err
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert err == [] and (out / "result.csv").exists()
+
+
 @pytest.mark.parametrize("nu, M, fields", [([1], None, ["'function.terms'"]),
                                            ([9], 4, ["'function.terms'", "'M'"]),
                                            ([-1], None, ["'function.terms'"])])

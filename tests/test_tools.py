@@ -1,9 +1,12 @@
-"""Repository tools: the output digest's residual table and library runs."""
+"""Repository tools: the output digest's residual table, library runs and
+the numeric diff of kept library results."""
 
 import importlib.util
 import json
 import re
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,3 +99,42 @@ def test_library_digest_repeats_in_documented_format(capsys):
     digests = dict(text.split() for text in outputs[0])
     for label in [text.split()[0] for text in routes[::2]]:
         assert digests[label] == digests[label.replace("/first", "/repeat")], label
+
+
+def test_library_keep_saves_results_that_numeric_diff_sizes(tmp_path, capsys, monkeypatch):
+    # --library --keep saves each result as .npy (a refusal as .err) without
+    # changing its digest line, and --numeric-diff sizes library results
+    # like CLI runs, flagging any difference that is not a change of number
+    tool = _digest_tool()
+    sides = {
+        "old": [("lib/a/2/grid/first", np.array([1.0, 2.0 + 1.0j])),
+                ("lib/b/1/points/refused", "RangeError: output coordinate x0 = 1e+200"),
+                ("lib/c/1/points/same", np.arange(3.0))],
+        "new": [("lib/a/2/grid/first", np.array([1.0, 2.5 + 1.0j])),
+                ("lib/b/1/points/refused", "RangeError: output coordinate x0 = 1e+200"),
+                ("lib/c/1/points/same", np.arange(3.0))],
+        "bad": [("lib/a/2/grid/first", np.array([1.0, np.nan + 1.0j])),
+                ("lib/b/1/points/refused", np.zeros(2)),
+                ("lib/c/1/points/same", np.arange(4.0))],
+    }
+    for side, results in sides.items():
+        monkeypatch.setattr(tool, "_library_runs", lambda: iter(results))
+        assert tool.main(["--library"]) == 0
+        plain = capsys.readouterr().out
+        assert tool.main(["--library", "--keep", str(tmp_path / side)]) == 0
+        assert capsys.readouterr().out == plain
+    kept = tmp_path / "old" / "lib"
+    assert np.load(kept / "a" / "2" / "grid" / "first.npy").tolist() == [1.0, 2.0 + 1.0j]
+    assert (kept / "b" / "1" / "points" / "refused.err").read_text() == sides["old"][1][1]
+    assert tool.main(["--numeric-diff", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "lib/a/2/grid/first max|diff| 0.5",
+        "1 run(s) differ, 0 flagged, 2 identical",
+    ]
+    assert tool.main(["--numeric-diff", str(tmp_path / "old"), str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FLAG lib/a/2/grid/first: NaN on one side only",
+        "FLAG lib/b/1/points/refused: .err != .npy",
+        "FLAG lib/c/1/points/same: float64 (3,) != float64 (4,)",
+        "3 run(s) differ, 3 flagged, 0 identical",
+    ]

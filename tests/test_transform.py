@@ -688,11 +688,17 @@ class TestKernelThroughBasis:
     keeps T_j and not the factors it was built from."""
 
     @staticmethod
-    def _setup():
-        mult = Multiplicity([0.3, 0.7])
-        plan = TransformPlan(mult, math.pi / 3)
-        f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j, (3, 1): 0.3})
-        xs = np.random.default_rng(8).uniform(-3.0, 3.0, size=(25, 2))
+    def _setup(dim=2):
+        if dim == 2:
+            mult = Multiplicity([0.3, 0.7])
+            plan = TransformPlan(mult, math.pi / 3)
+            terms = {(0, 0): 0.6, (1, 2): -0.8j, (3, 1): 0.3}
+        else:
+            mult = Multiplicity([0.3, 0.7, 0.2])
+            plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, L=6.0, n=16))
+            terms = {(0, 0, 0): 0.6, (1, 2, 0): -0.8j, (3, 0, 1): 0.3, (0, 1, 2): 0.5}
+        f = HermiteExpansion.from_terms(plan.basis, terms)
+        xs = np.random.default_rng(8).uniform(-3.0, 3.0, size=(25, dim))
         return plan, f, xs
 
     @staticmethod
@@ -754,12 +760,31 @@ class TestKernelThroughBasis:
         assert plan.operator_cache_info()[:3] == (8, 8, 8)
 
     def test_expansion_array_expansion_agree(self):
-        plan, f, xs = self._setup()
-        values = plan.grid.values(f)
-        for key, call in self._entries(plan, xs).items():
-            first, array, again = call(f), call(values), call(f)
-            assert again.tobytes() == first.tobytes(), key
-            assert np.max(np.abs(first - array)) <= 1e-14 * np.max(np.abs(array)), key
+        for dim in (2, 3):
+            plan, f, xs = self._setup(dim)
+            values = plan.grid.values(f)
+            for key, call in self._entries(plan, xs).items():
+                first, array, again = call(f), call(values), call(f)
+                assert again.tobytes() == first.tobytes(), (dim, key)
+                assert np.max(np.abs(first - array)) <= 1e-14 * np.max(np.abs(array)), (dim, key)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grid_output_is_the_contraction_unflattened(self, monkeypatch, dim):
+        # the expansion's grid product comes out C-contiguous in the grid's
+        # axis order, so the flattened result is a view of it, not a copy
+        plan, f, xs = self._setup(dim)
+        contract, results = transform._contract_grid, []
+
+        def recorded(mats, tensor):
+            results.append(contract(mats, tensor))
+            return results[-1]
+
+        monkeypatch.setattr(transform, "_contract_grid", recorded)
+        for key in ("integral grid", "smoothed grid"):
+            results.clear()
+            out = self._entries(plan, xs)[key](f)
+            assert out.shape == (math.prod(plan.grid.shape),)
+            assert np.shares_memory(results[-1], out), key
 
     def test_out_of_range_refused_as_for_grid_values(self):
         mult = Multiplicity([0.3, 0.7])

@@ -72,6 +72,17 @@ for both mu at n = 2^12 and 1000.  Last, one
 above, at the default (L, n) (``default``) and at L = 6, n = 24.  A run
 that raises digests its exception's type and message.  ``--compare``
 reads these lines like the CLI ones.
+
+    python3 tools/output_digest.py --library --keep old/   # in the parent checkout
+    python3 tools/output_digest.py --library --keep new/   # in the changed one
+    python3 tools/output_digest.py --numeric-diff old/ new/
+
+``--library --keep DIR`` also saves each result as ``DIR/<label>.npy``
+(a refusal as ``DIR/<label>.err``, its text), and ``--numeric-diff``
+sizes these like CLI runs: the largest absolute difference of each
+result whose bytes differ, flagging a result only one side has, a
+refusal on one side or with another text, another dtype or shape, or a
+NaN on one side only.
 """
 
 import argparse
@@ -118,20 +129,19 @@ def _runs(seeds):
 
 
 def _library_runs():
-    """(label, sha1) of every in-process kernel-route run, in a fixed order."""
+    """(label, result) of every in-process kernel-route run, in a fixed
+    order: the result as a C-contiguous array, or its refusal's text."""
     for var in BLAS_THREAD_VARS:
         os.environ[var] = "1"
     sys.path[:0] = [str(SRC)]
     import numpy as np
     import dunkl_frft as dk
 
-    def digest(call):
+    def result(call):
         try:
-            out = np.ascontiguousarray(call())
-            data = f"{out.dtype} {out.shape}\n".encode() + out.tobytes()
+            return np.ascontiguousarray(call())
         except Exception as exc:  # a refusal is a result too
-            data = f"{type(exc).__name__}: {exc}".encode()
-        return hashlib.sha1(data).hexdigest()
+            return f"{type(exc).__name__}: {exc}"
 
     for mu in ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4]):
         mult = dk.Multiplicity(mu)
@@ -163,7 +173,7 @@ def _library_runs():
                         args = (f, plan, xs) + extra
                     for call in ("first", "repeat"):
                         label = f"lib/{entry}/{dim}/{name}/{outputs}/{r:g}/{call}"
-                        yield label, digest(lambda: getattr(dk, entry)(*args))
+                        yield label, result(lambda: getattr(dk, entry)(*args))
         pairs = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 3.2], size=(40, 2 * dim))
         pairs[30:] = pairs[:10]
         x, y = pairs[:, :dim], pairs[:, dim:]
@@ -171,15 +181,15 @@ def _library_runs():
                          ("kernel_spectral", 1.0), ("kernel_spectral", 0.6)):
             extra = () if entry == "kernel_alpha" else (r,)
             kernel = getattr(dk, entry)
-            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/batch", digest(lambda: kernel(plan, x, y, *extra))
-            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/single", digest(
+            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/batch", result(lambda: kernel(plan, x, y, *extra))
+            yield f"lib/{entry}/{dim}/pairs/points/{r:g}/single", result(
                 lambda: [kernel(plan, a, b, *extra) for a, b in zip(x, y)])
 
     axis = 1j * np.linspace(0.0, 80.0, 101)
     spiral = np.linspace(0.3, 79.0, 37) * np.exp(1j * np.linspace(0.05, 6.2, 37))
     for nu in (-0.5, -0.2, 0.0, 0.7):
         for points, u in (("axis", axis), ("complex", spiral)):
-            yield f"lib/normalized_ibessel/1/nu={nu:g}/{points}", digest(
+            yield f"lib/normalized_ibessel/1/nu={nu:g}/{points}", result(
                 lambda: dk.normalized_ibessel(nu, u))
     circle = dk.circle_grid(1 << 12)
     xs = [radius * np.array([math.cos(theta), math.sin(theta)])
@@ -188,17 +198,42 @@ def _library_runs():
     for mu in ((0.0, 0.0), (0.3, 0.7)):
         mult = dk.Multiplicity(mu)
         label = "mu=" + ",".join(f"{m:g}" for m in mu)
-        yield f"lib/funk_hecke_radial/2/{label}/circle{1 << 12}", digest(
+        yield f"lib/funk_hecke_radial/2/{label}/circle{1 << 12}", result(
             lambda: [dk.funk_hecke_radial(mult, x, circle) for x in xs])
         for n in (1 << 12, 1000):
-            yield f"lib/circle_identity_residual/2/{label}/circle{n}", digest(
+            yield f"lib/circle_identity_residual/2/{label}/circle{n}", result(
                 lambda: dk.quadrature.circle_identity_residual(mult, n))
     for mu in ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4]):
         mult = dk.Multiplicity(mu)
         for label, grid_args in (("default", {}), ("L=6,n=24", {"L": 6.0, "n": 24})):
             grid = dk.build_grid(mult, **grid_args)
             for name in ("nodes", "weights", "points_per_axis"):
-                yield f"lib/build_grid/{mult.dim}/{label}/{name}", digest(lambda: getattr(grid, name))
+                yield f"lib/build_grid/{mult.dim}/{label}/{name}", result(lambda: getattr(grid, name))
+
+
+def _library_lines(keep):
+    """(label, sha1) of every library run; with keep, each result is also
+    saved under it by ``_keep_result``."""
+    for label, result in _library_runs():
+        if isinstance(result, str):
+            data = result.encode()
+        else:
+            data = f"{result.dtype} {result.shape}\n".encode() + result.tobytes()
+        if keep is not None:
+            _keep_result(keep / label, result)
+        yield label, hashlib.sha1(data).hexdigest()
+
+
+def _keep_result(path, result):
+    """Save a library result as ``<path>.npy``, or its refusal's text as
+    ``<path>.err``."""
+    import numpy as np
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(result, str):
+        path.with_name(path.name + ".err").write_text(result, encoding="utf-8")
+    else:
+        np.save(path.with_name(path.name + ".npy"), result, allow_pickle=False)
 
 
 def _cli_runs(seeds, tmp, keep):
@@ -307,7 +342,8 @@ def _largest_csv(a, b, where):
 
 
 def _compare_run(old, new):
-    """Largest numeric difference between two kept runs, or _Mismatch."""
+    """(largest numeric difference, whether any byte differs) between two
+    kept CLI runs, or _Mismatch."""
     for name in ("exit", "stderr"):
         if (old / name).read_bytes() != (new / name).read_bytes():
             raise _Mismatch(f"{name} differs")
@@ -319,39 +355,75 @@ def _compare_run(old, new):
     if files[0] != files[1]:
         raise _Mismatch(f"files {[str(f) for f in files[0]]} != {[str(f) for f in files[1]]}")
     worst = 0.0
+    changed = (old / "stdout").read_bytes() != (new / "stdout").read_bytes()
     for rel in files[0]:
         a, b = ((d / "out" / rel).read_text(encoding="utf-8") for d in (old, new))
         if a == b:
             continue
+        changed = True
         if rel.suffix == ".json":
             worst = max(worst, _largest_json(json.loads(a), json.loads(b), str(rel)))
         else:
             worst = max(worst, _largest_csv(a, b, str(rel)))
-    return worst
+    return worst, changed
+
+
+def _compare_result(old, new):
+    """(largest |old - new|, whether any byte differs) between two kept
+    library results, or _Mismatch: a refusal on one side only or with
+    another text, another dtype or shape, or a NaN on one side only."""
+    import numpy as np
+
+    if old.suffix != new.suffix:
+        raise _Mismatch(f"{old.suffix} != {new.suffix}")
+    if old.suffix == ".err":
+        a, b = (p.read_text(encoding="utf-8") for p in (old, new))
+        if a != b:
+            raise _Mismatch(f"{a!r} != {b!r}")
+        return 0.0, False
+    a, b = (np.load(p, allow_pickle=False) for p in (old, new))
+    if (a.dtype, a.shape) != (b.dtype, b.shape):
+        raise _Mismatch(f"{a.dtype} {a.shape} != {b.dtype} {b.shape}")
+    if np.any(np.isnan(a) != np.isnan(b)):
+        raise _Mismatch("NaN on one side only")
+    with np.errstate(invalid="ignore"):
+        diff = np.where((a == b) | np.isnan(a), 0.0, np.abs(a - b))
+    return float(diff.max(initial=0.0)), a.tobytes() != b.tobytes()
+
+
+def _kept(root):
+    """{run: path} of a --keep tree: a CLI run's directory, which holds its
+    ``exit`` file, and a library result's .npy or .err file."""
+    runs = {p.parent.relative_to(root): p.parent for p in root.rglob("exit")}
+    runs.update((p.relative_to(root).with_suffix(""), p) for p in root.glob("lib/**/*")
+                if p.suffix in (".npy", ".err"))
+    return runs
 
 
 def numeric_diff(old_root, new_root):
-    """Print every kept run that differs between two --keep trees; return 1
-    if any difference is not a change of number."""
-    runs = [{p.parent.relative_to(root) for p in root.rglob("exit")}
-            for root in (old_root, new_root)]
+    """Print every kept run, CLI run or library result, that differs between
+    two --keep trees; return 1 if any difference is not a change of number."""
+    runs = [_kept(root) for root in (old_root, new_root)]
     flagged = same = 0
-    for run in sorted(runs[0] | runs[1]):
+    for run in sorted(runs[0].keys() | runs[1].keys()):
         if run not in runs[0] or run not in runs[1]:
             print(f"FLAG {run}: only in {old_root if run in runs[0] else new_root}")
             flagged += 1
             continue
+        old, new = runs[0][run], runs[1][run]
         try:
-            worst = _compare_run(old_root / run, new_root / run)
+            compare = _compare_run if old.is_dir() and new.is_dir() else _compare_result
+            worst, changed = compare(old, new)
         except _Mismatch as exc:
             print(f"FLAG {run}: {exc}")
             flagged += 1
             continue
-        if worst or (old_root / run / "stdout").read_bytes() != (new_root / run / "stdout").read_bytes():
+        if changed:
             print(f"{run} max|diff| {worst:.3g}")
         else:
             same += 1
-    print(f"{len(runs[0] | runs[1]) - same} run(s) differ, {flagged} flagged, {same} identical")
+    print(f"{len(runs[0].keys() | runs[1].keys()) - same} run(s) differ, {flagged} flagged, "
+          f"{same} identical")
     return 1 if flagged else 0
 
 
@@ -410,14 +482,12 @@ def main(argv=None):
         return numeric_diff(*args.numeric_diff)
     if args.residuals:
         return residuals(*args.residuals)
-    if args.library and args.keep is not None:
-        parser.error("--keep keeps CLI runs; --library runs none")
     saved = None
     if args.compare is not None:
         saved = dict(line.split() for line in args.compare.read_text().splitlines() if line)
     differ = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = _library_runs() if args.library else _cli_runs(args.seeds, Path(tmp), args.keep)
+        runs = _library_lines(args.keep) if args.library else _cli_runs(args.seeds, Path(tmp), args.keep)
         for run, digest in runs:
             if saved is None:
                 print(f"{run} {digest}", flush=True)
