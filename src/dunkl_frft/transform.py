@@ -574,7 +574,7 @@ def _fold_factors(plan, r, xs=None, basis=None):
     naming its -x node, the first on the axis), or T_j, each pair applied
     to its synthesis table by ``_contract_folded``.  Point outputs give the
     ``_point_rows`` table of each axis (times the synthesis table), then
-    each axis's gather.
+    each axis's gather; at N = 1 an expansion's table comes gathered.
     """
     grid = plan.grid
     tables, gathers = [], []
@@ -587,6 +587,8 @@ def _fold_factors(plan, r, xs=None, basis=None):
             table, rows = _point_rows(plan, j, xs[:, j], r)
             tables.append(table if synthesis is None else table @ synthesis.T)
             gathers.append(rows)
+    if basis is not None and xs is not None and plan.mult.dim == 1:
+        return [tables[0][gathers[0]]]
     return tables + gathers
 
 
@@ -647,16 +649,28 @@ def _kernel_transform(f, plan, xs, r):
     the grid, ``_contract_points`` of the gathered rows for points.  Both
     grid products run last axis first, so their result is C-contiguous in
     the grid's axis order and the flattened output is written once, not
-    copied out of a transposed view; at N = 1 there is no order to change.
+    copied out of a transposed view.  At N = 1 the basis order is the
+    degree order: the block is the coefficients up to the last nonzero one,
+    the entry one (outputs x degrees) matrix, T_0 or the gathered point
+    rows, and a call one product, ``@`` (the contractions' zgemv, without
+    ``np.dot``'s copy of the columns), or ``np.dot`` as in ``_contract_grid``
+    for one term on the grid, where the two round differently.
     """
     dim = plan.mult.dim
     basis = f.basis if isinstance(f, HermiteExpansion) and f.basis.dim == dim else None
-    tensor = _grid_tensor(f, plan) if basis is None else f.coefficient_block()
+    if basis is not None and dim == 1:
+        live = f.coeffs.nonzero()[0]
+        tensor = f.coeffs[: live[-1] + 1 if live.size else 0]
+    else:
+        tensor = _grid_tensor(f, plan) if basis is None else f.coefficient_block()
     source = None if basis is None else (basis.mult.mu, basis.max_degree)
     outputs = ("grid",) if xs is None else tuple(xs[:, j].tobytes() for j in range(dim))
     entry = plan._operators.get(
         ("kernel", r, source) + outputs, lambda: _fold_factors(plan, r, xs, basis)
     )
+    if basis is not None and dim == 1:
+        product = np.dot if xs is None and len(tensor) == 1 else np.matmul
+        return product(entry[0][:, : len(tensor)], tensor)
     if xs is not None:
         rows = zip(entry[:dim], entry[dim:], tensor.shape)
         return _contract_points([t[gather, :d] for t, gather, d in rows], tensor)

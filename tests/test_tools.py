@@ -80,6 +80,8 @@ def test_library_digest_repeats_in_documented_format(capsys):
     assert outputs[0] == outputs[1]
     route = re.compile(r"lib/fdt_(integral|smoothed)(_on_grid)?/[123]/(expansion|array|callable)/"
                        r"(points|mesh|grid)/(1|0\.7)/(first|repeat) [0-9a-f]{40}")
+    edge = re.compile(r"lib/fdt_(integral|smoothed)(_on_grid)?/1/expansion-(tail0|zero|h0|deg30)/"
+                      r"(points|empty|grid)/(1|0\.7)/(first|repeat) [0-9a-f]{40}")
     pair = re.compile(r"lib/(kernel_alpha/[123]/pairs/points/1|kernel_smoothed/[123]/pairs/points/0\.7|"
                       r"kernel_spectral/[123]/pairs/points/(1|0\.6))/(batch|single) [0-9a-f]{40}")
     special = re.compile(r"lib/(normalized_ibessel/1/nu=(-0\.5|-0\.2|0|0\.7)/(axis|complex)|"
@@ -87,17 +89,20 @@ def test_library_digest_repeats_in_documented_format(capsys):
                          r"circle_identity_residual/2/mu=(0,0|0\.3,0\.7)/circle(4096|1000)) [0-9a-f]{40}")
     grid = re.compile(r"lib/build_grid/[123]/(default|L=6,n=24)/(nodes|weights|points_per_axis) [0-9a-f]{40}")
     routes = [text for text in outputs[0] if route.fullmatch(text)]
+    edges = [text for text in outputs[0] if edge.fullmatch(text)]
     pairs = [text for text in outputs[0] if pair.fullmatch(text)]
     specials = [text for text in outputs[0] if special.fullmatch(text)]
     grids = [text for text in outputs[0] if grid.fullmatch(text)]
-    assert len(routes) + len(pairs) + len(specials) + len(grids) == len(outputs[0]), outputs[0]
+    matched = len(routes) + len(edges) + len(pairs) + len(specials) + len(grids)
+    assert matched == len(outputs[0]), outputs[0]
     labels = [text.split()[0] for text in outputs[0]]
     assert len(set(labels)) == len(labels)
     assert len(routes) == 2 * 3 * 3 * 3 * 2 and len(pairs) == 3 * 4 * 2
+    assert len(edges) == 2 * 4 * 3 * 2
     assert len(specials) == 4 * 2 + 2 * (1 + 2) and len(grids) == 3 * 2 * 3
     # the repeat, served by the plan's cache, gives the first call's bits
     digests = dict(text.split() for text in outputs[0])
-    for label in [text.split()[0] for text in routes[::2]]:
+    for label in [text.split()[0] for text in (routes + edges)[::2]]:
         assert digests[label] == digests[label.replace("/first", "/repeat")], label
 
 

@@ -809,6 +809,114 @@ class TestKernelThroughBasis:
             assert messages[0] == messages[1], key
 
 
+class TestOneDimensionalExpansion:
+    """At N = 1 an expansion input meets one (outputs x degrees) matrix, T_0
+    or the gathered point rows, in one product on its coefficients up to the
+    last nonzero one; every result keeps the bits of the trimmed-block
+    contraction it replaces (``_reference``)."""
+
+    XS = np.array([[0.0], [-0.0], [1.25], [-1.25], [1.25], [-2.5], [-0.0], [3.0]])
+
+    @staticmethod
+    def _plan():
+        mult = Multiplicity([0.5])
+        return TransformPlan(mult, 1.1, grid=build_grid(mult, L=6.0, n=24), M=8)
+
+    @staticmethod
+    def _reference(plan, f, xs, r):
+        """The trimmed coefficient block through ``_contract_grid`` on the
+        grid and through ``_contract_points`` on the gathered rows."""
+        block = f.coefficient_block()
+        d = len(block)
+        synthesis = f.basis.axis_matrix(0, plan.grid.axes_nodes[0])
+        if xs is None:
+            even, odd, _ = transform._axis_factor(plan, 0, plan.grid.axes_nodes[0], r)
+            table = transform._contract_folded([even, odd], synthesis)
+            return transform._contract_grid([table[:, :d]], block.T).T.ravel()
+        table, rows = transform._point_rows(plan, 0, xs[:, 0], r)
+        return transform._contract_points([(table @ synthesis.T)[rows, :d]], block)
+
+    @staticmethod
+    def _expansions(plan):
+        from dunkl_frft.polyengine import HermiteBasis
+
+        rng = np.random.default_rng(24)
+        out = {}
+        for degree in (plan.M - 3, plan.M, plan.M + 3):
+            basis = HermiteBasis(plan.mult, degree)
+            coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+            out[f"random {degree}"] = HermiteExpansion(basis, coeffs)
+            tail = coeffs.copy()
+            tail[1], tail[3], tail[-3:] = complex(-0.0, 0.0), complex(1.5, -0.0), 0.0
+            tail[-1] = complex(-0.0, -0.0)
+            out[f"trailing zeros {degree}"] = HermiteExpansion(basis, tail)
+            out[f"h0 {degree}"] = HermiteExpansion.from_terms(basis, {(0,): 0.8 - 0.6j})
+            out[f"top {degree}"] = HermiteExpansion.from_terms(basis, {(degree,): -1.25j})
+            out[f"zero {degree}"] = HermiteExpansion(basis, np.zeros(basis.size))
+            out[f"negative zero {degree}"] = HermiteExpansion(basis, -np.zeros(basis.size))
+        return out
+
+    @classmethod
+    def _calls(cls, plan):
+        """{(route, outputs): (call, xs, r)}."""
+        calls = {("integral", "grid"): (lambda f: fdt_integral_on_grid(f, plan), None, 1.0),
+                 ("smoothed", "grid"): (lambda f: fdt_smoothed_on_grid(f, plan, r=0.6), None, 0.6)}
+        for name, xs in (("points", cls.XS), ("no points", np.empty((0, 1)))):
+            calls["integral", name] = (lambda f, xs=xs: fdt_integral(f, plan, xs), xs, 1.0)
+            calls["smoothed", name] = (lambda f, xs=xs: fdt_smoothed(f, plan, xs, r=0.6), xs, 0.6)
+        return calls
+
+    def test_bitwise_equal_to_trimmed_block_contraction(self):
+        plan = self._plan()
+        for name, f in self._expansions(plan).items():
+            for key, (call, xs, r) in self._calls(plan).items():
+                want = self._reference(plan, f, xs, r)
+                for attempt in ("first", "repeat"):
+                    got = call(f)
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (name, key)
+                    assert got.tobytes() == want.tobytes(), (name, key, attempt)
+
+    def test_entry_is_one_matrix(self):
+        plan = self._plan()
+        f = self._expansions(plan)[f"random {plan.M + 3}"]
+        width = f.basis.max_degree + 1
+        for call, _, _ in self._calls(plan).values():
+            call(f)
+        entries = [arrays for arrays, _ in plan._operators._entries.values()]
+        shapes = sorted(tuple(a.shape for a in arrays) for arrays in entries)
+        assert shapes == sorted([((len(plan.grid.nodes), width),)] * 2
+                                + [((len(self.XS), width),)] * 2 + [((0, width),)] * 2)
+
+    def test_result_is_fresh_and_writable(self):
+        plan = self._plan()
+        f = self._expansions(plan)[f"random {plan.M}"]
+        for key, (call, _, _) in self._calls(plan).items():
+            first = call(f)
+            want = first.copy()
+            got = call(f)
+            assert got.flags.writeable and got.flags.c_contiguous, key
+            for arrays, _ in plan._operators._entries.values():
+                for arr in arrays:
+                    assert not arr.flags.writeable
+                    assert not np.shares_memory(got, arr), key
+            got[...] = 7.0
+            assert call(f).tobytes() == want.tobytes(), key
+
+    def test_repeat_call_builds_no_axis_factor(self, monkeypatch):
+        plan = self._plan()
+        expansions = self._expansions(plan)
+        calls = self._calls(plan)
+        first = {(name, key): call(f) for name, f in expansions.items()
+                 for key, (call, _, _) in calls.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel axis factor rebuilt on a cache hit")
+
+        monkeypatch.setattr(transform, "_axis_factor", refuse)
+        for (name, key), want in first.items():
+            assert calls[key][0](expansions[name]).tobytes() == want.tobytes(), (name, key)
+
+
 class TestAxisDedup:
     """Point outputs are built once per distinct coordinate on each axis."""
 

@@ -53,8 +53,10 @@ line per result: the integral route (r = 1) and the smoothed one
 7^N mesh (``fdt_integral``, ``fdt_smoothed``) and on the grid
 (``fdt_*_on_grid``); for a degree-6 Hermite expansion, its grid values as
 an array, and a callable; for mu = [0.5], [0.3, 0.7] and [0.2, 0.5, 0.4]
-on ``build_grid(mult, L=6, n=24)`` at alpha = 1.1; each for its first
-call and for the repeat, which the plan's operator cache serves.  Then
+on ``build_grid(mult, L=6, n=24)`` at alpha = 1.1; at N = 1 also four
+edge-case expansions (``_edge_expansions``) at the scattered points, at
+no point (outputs ``empty``) and on the grid; each for its first call
+and for the repeat, which the plan's operator cache serves.  Then
 the pair kernels on 40 (x, y) pairs with repeats and signed zeros:
 ``kernel_alpha``, ``kernel_smoothed`` at r = 0.7 and ``kernel_spectral``
 at r = 1 and 0.6, each as one batch call and pair by pair (input
@@ -161,19 +163,24 @@ def _library_runs():
 
         inputs = {"expansion": expansion, "array": expansion(plan.grid.nodes),
                   "callable": gaussian_times_quadratic}
+        sets = [(inputs, (("points", scattered), ("mesh", mesh), ("grid", None)))]
+        if dim == 1:
+            edges = (("points", scattered), ("empty", scattered[:0]), ("grid", None))
+            sets.append((_edge_expansions(dk, basis), edges))
         for route, r in (("integral", 1.0), ("smoothed", 0.7)):
             extra = () if r == 1.0 else (r,)
-            for name, f in inputs.items():
-                for outputs, xs in (("points", scattered), ("mesh", mesh), ("grid", None)):
-                    if xs is None:
-                        entry = f"fdt_{route}_on_grid"
-                        args = (f, plan) + extra
-                    else:
-                        entry = f"fdt_{route}"
-                        args = (f, plan, xs) + extra
-                    for call in ("first", "repeat"):
-                        label = f"lib/{entry}/{dim}/{name}/{outputs}/{r:g}/{call}"
-                        yield label, result(lambda: getattr(dk, entry)(*args))
+            for functions, targets in sets:
+                for name, f in functions.items():
+                    for outputs, xs in targets:
+                        if xs is None:
+                            entry = f"fdt_{route}_on_grid"
+                            args = (f, plan) + extra
+                        else:
+                            entry = f"fdt_{route}"
+                            args = (f, plan, xs) + extra
+                        for call in ("first", "repeat"):
+                            label = f"lib/{entry}/{dim}/{name}/{outputs}/{r:g}/{call}"
+                            yield label, result(lambda: getattr(dk, entry)(*args))
         pairs = rng.choice([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 3.2], size=(40, 2 * dim))
         pairs[30:] = pairs[:10]
         x, y = pairs[:, :dim], pairs[:, dim:]
@@ -209,6 +216,25 @@ def _library_runs():
             grid = dk.build_grid(mult, **grid_args)
             for name in ("nodes", "weights", "points_per_axis"):
                 yield f"lib/build_grid/{mult.dim}/{label}/{name}", result(lambda: getattr(grid, name))
+
+
+def _edge_expansions(dk, basis):
+    """The N = 1 edge-case expansions of ``_library_runs``: trailing zero
+    coefficients (the last one -0.0, and a signed zero inside), the zero
+    expansion, h_0 alone, and a basis of degree 30, above the plan's M = 24."""
+    import numpy as np
+
+    rng = np.random.default_rng(23)
+    tail = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    tail[1], tail[4:], tail[-1] = complex(-0.0, 0.0), 0.0, complex(-0.0, -0.0)
+    wide = dk.HermiteBasis(basis.mult, 30)
+    return {
+        "expansion-tail0": dk.HermiteExpansion(basis, tail),
+        "expansion-zero": dk.HermiteExpansion(basis, np.zeros(basis.size)),
+        "expansion-h0": dk.HermiteExpansion.from_terms(basis, {(0,): 0.8 - 0.6j}),
+        "expansion-deg30": dk.HermiteExpansion(
+            wide, rng.standard_normal(wide.size) + 1j * rng.standard_normal(wide.size)),
+    }
 
 
 def _library_lines(keep):
