@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -345,12 +346,11 @@ def _linspace(spec):
     return np.linspace(lo, hi, _number(count, int))
 
 
-def _csv_lines(header_cols, rows, config):
-    lines = [f"# dunkl-frft {__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
-    lines.append("# " + ",".join(header_cols))
-    for row in rows:
-        lines.append(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv_chunks(header_cols, rows, config):
+    yield f"# dunkl-frft {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n# {','.join(header_cols)}\n"
+    for block in _blocks(rows):
+        yield "".join(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in block)
 
 
 def _complex_rows(points, values):
@@ -359,11 +359,29 @@ def _complex_rows(points, values):
     return np.column_stack([points, values.real, values.imag])
 
 
-def _write(out_dir, name, text):
+def _write(out_dir, name, chunks):
+    """Write text chunks to a temporary file, renamed to name once complete."""
     path = Path(out_dir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
+
+
+# Rows per block of a written table: one block's floats and text are held at once.
+_BLOCK_ROWS = 512
+
+
+def _blocks(rows):
+    """The rows as lists, _BLOCK_ROWS at a time (one ``tolist`` per array block)."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        yield block.tolist() if isinstance(block, np.ndarray) else block
 
 
 def _scalar(value):
@@ -375,11 +393,11 @@ def _pretty(obj, indent="\n"):
     dicts with str keys, lists, tuples and JSON scalars.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder.  Here each
-    list of scalars, and each table of nonempty scalar rows, is encoded by
-    one compact call of the C encoder whose item separator carries the
-    newline and indent.  No JSON string holds a raw newline and no scalar
-    ends in "]", so that separator, and "]" + separator + "[", mark only
-    item and row boundaries.
+    list of scalars, and each block of a table of nonempty scalar rows, is
+    encoded by one compact call of the C encoder whose item separator
+    carries the newline and indent.  No JSON string holds a raw newline and
+    no scalar ends in "]", so that separator, and "]" + separator + "[",
+    mark only item and row boundaries.
     """
     inner = indent + "  "
     if isinstance(obj, dict) and obj:
@@ -390,50 +408,62 @@ def _pretty(obj, indent="\n"):
     if all(_scalar(v) for v in obj):
         return "[" + inner + json.dumps(obj, separators=("," + inner, ": "))[1:-1] + indent + "]"
     if all(isinstance(v, (list, tuple)) and v and all(_scalar(x) for x in v) for v in obj):
-        deep = inner + "  "
-        text = json.dumps(obj, separators=("," + deep, ": "))[2:-2]
-        text = text.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
-        return "[" + inner + "[" + deep + text + inner + "]" + indent + "]"
+        return "".join(_table(obj, indent))
     return "[" + inner + ("," + inner).join(_pretty(v, inner) for v in obj) + indent + "]"
 
 
+def _table(rows, indent):
+    """``_pretty``'s layout of nonempty scalar rows, one C encoder call per block."""
+    inner = indent + "  "
+    deep = inner + "  "
+    between = inner + "]," + inner + "[" + deep
+    for k, block in enumerate(_blocks(rows)):
+        yield between if k else "[" + inner + "[" + deep
+        yield json.dumps(block, separators=("," + deep, ": "))[2:-2].replace("]," + deep + "[", between)
+    yield inner + "]" + indent + "]"
+
+
+def _json_chunks(payload, rows):
+    """``_pretty(dict(payload, rows=rows)) + "\\n"``; float array rows block by block."""
+    # only the top-level "rows" key starts a line with a two-space indent
+    head, _, tail = _pretty(dict(payload, rows=[])).partition('\n  "rows": []')
+    yield head + '\n  "rows": '
+    if isinstance(rows, np.ndarray) and len(rows):
+        yield from _table(rows, "\n  ")
+    else:
+        yield _pretty(list(rows), "\n  ")
+    yield tail + "\n"
+
+
 def _finite_rows(header_cols, rows, extra):
-    """rows as lists (a float array is checked whole, then converted by one
-    ``tolist``); a non-finite number in them or in the summary is refused
-    with a RangeError naming its row and column, or its summary key."""
+    """A non-finite number in the rows (a float array is checked whole) or
+    in the summary is refused with a RangeError naming its row and column,
+    or its summary key."""
     if isinstance(rows, np.ndarray):
         bad = np.argwhere(~np.isfinite(rows)).tolist()
-        rows = rows.tolist()
     else:
         bad = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
                if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         i, j = bad[0]
-        raise RangeError(f"result row {i}, column '{header_cols[j]}': {rows[i][j]!r} is not a finite number")
+        raise RangeError(f"result row {i}, column '{header_cols[j]}': {float(rows[i][j])!r} is not a finite number")
     for key, value in (extra or {}).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise RangeError(f"result summary '{key}': {value!r} is not a finite number")
-    return rows
 
 
 def _emit(cfg, out_dir, fmt, header_cols, rows, extra=None):
-    rows = _finite_rows(header_cols, rows, extra)
+    """Write resolved_config.json and the result file; nothing for a refused result."""
+    _finite_rows(header_cols, rows, extra)
     config = cfg.to_json()
     stamp = dict(config, summary=extra) if extra else config
-    _write(out_dir, "resolved_config.json", _pretty(stamp) + "\n")
+    _write(out_dir, "resolved_config.json", [_pretty(stamp) + "\n"])
     if fmt == "json":
-        payload = {
-            "version": __version__,
-            "config": config,
-            "columns": header_cols,
-            "rows": rows,
-        }
+        payload = {"version": __version__, "config": config, "columns": header_cols}
         if extra:
             payload["summary"] = extra
-        path = _write(out_dir, "result.json", _pretty(payload) + "\n")
-    else:
-        path = _write(out_dir, "result.csv", _csv_lines(header_cols, rows, config))
-    return path
+        return _write(out_dir, "result.json", _json_chunks(payload, rows))
+    return _write(out_dir, "result.csv", _csv_chunks(header_cols, rows, config))
 
 
 def _cmd_transform(cfg, out_dir, fmt):

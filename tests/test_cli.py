@@ -14,7 +14,7 @@ import pytest
 import dunkl_frft
 from dunkl_frft import cli
 from dunkl_frft.cli import main, parse_config, run
-from dunkl_frft.errors import UsageError
+from dunkl_frft.errors import RangeError, UsageError
 from dunkl_frft.polyengine import HermiteBasis
 from dunkl_frft.specfun import Multiplicity
 
@@ -314,7 +314,9 @@ def test_complex_rows_equal_per_element_floats(dim):
         pts, vals = points[:m], values[:m]
         ref = [[float(c) for c in pt] + [float(np.real(v)), float(np.imag(v))]
                for pt, v in zip(pts, vals)]
-        got = cli._finite_rows(["x", "y", "re", "im"], cli._complex_rows(pts, vals), None)
+        rows = cli._complex_rows(pts, vals)
+        cli._finite_rows(["x", "y", "re", "im"], rows, None)
+        got = [row for block in cli._blocks(rows) for row in block]
         assert repr(got) == repr(ref)
         assert all(type(v) is float for row in got for v in row)
 
@@ -886,19 +888,12 @@ def test_combo_term_outside_basis_names_field(tmp_path, capsys, nu, M, fields):
     assert ("'M'" in err[0]) == ("'M'" in fields)
 
 
-def test_n3_integral_job_builds_no_mesh(tmp_path):
-    # An N = 3 expansion input at a few points never needs the 4.1M-node
-    # mesh of the default grid; a fresh process reads its own peak RSS.
-    cfg = {"command": "transform", "mu": [0.2, 0.5, 0.4], "alpha": 1.0, "route": "integral",
-           "function": {"kind": "hermite_combo", "terms": [{"nu": [1, 0, 2], "re": 1.0}]},
-           "outputs": [[0.5, 0.0, -1.0]]}
-    job = tmp_path / "job.py"
-    job.write_text(
-        "import resource, sys\n"
-        "from dunkl_frft.cli import run\n"
-        f"assert run({cfg!r}, out_dir=sys.argv[1]) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
+def _fresh_peak_mb(tmp_path, name, body):
+    """The peak RSS in MB of a fresh interpreter running body (its argv[1]
+    is a fresh output directory) with one BLAS thread."""
+    job = tmp_path / f"{name}.py"
+    job.write_text("import resource, sys\n" + body
+                   + "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     # Linux carries the spawning process's peak RSS into a child's ru_maxrss
     # at exec, so the job starts from a small launcher, not from the test
     # runner, whose peak would mask its own.
@@ -906,11 +901,77 @@ def test_n3_integral_job_builds_no_mesh(tmp_path):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, str(job), str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, str(job), str(tmp_path / name)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
+    return int(proc.stdout.split()[-1]) / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+def test_n3_integral_job_builds_no_mesh(tmp_path):
+    # An N = 3 expansion input at a few points never needs the 4.1M-node
+    # mesh of the default grid; a fresh process reads its own peak RSS.
+    cfg = {"command": "transform", "mu": [0.2, 0.5, 0.4], "alpha": 1.0, "route": "integral",
+           "function": {"kind": "hermite_combo", "terms": [{"nu": [1, 0, 2], "re": 1.0}]},
+           "outputs": [[0.5, 0.0, -1.0]]}
+    body = f"from dunkl_frft.cli import run\nassert run({cfg!r}, out_dir=sys.argv[1]) == 0\n"
+    peak_mb = _fresh_peak_mb(tmp_path, "job", body)
     assert peak_mb < 150.0, peak_mb
+
+
+def test_grid_json_job_holds_one_block_of_text(tmp_path):
+    # The default N = 2 grid writes 25,600 rows (3.2 MB of JSON).  Streamed
+    # in blocks, the job peaks a few MB above the bare import; holding the
+    # whole table as lists and text took about 20 MB more.
+    cfg = {"command": "transform", "mu": [0.5, 0.3], "alpha": 1.0, "route": "integral",
+           "function": {"kind": "gaussian", "a": 0.5}, "outputs": {"grid": True}}
+    body = (f"from dunkl_frft.cli import run\n"
+            f"assert run({cfg!r}, out_dir=sys.argv[1], fmt='json') == 0\n")
+    import_mb = _fresh_peak_mb(tmp_path, "bare", "import dunkl_frft.cli\n")
+    job_mb = _fresh_peak_mb(tmp_path, "job", body)
+    assert len(json.loads((tmp_path / "job" / "result.json").read_text())["rows"]) == 25600
+    assert job_mb - import_mb < 10.0, (job_mb, import_mb)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("exc, code", [(MemoryError, 1), (RuntimeError, None)])
+def test_result_file_appears_whole_or_not_at_all(tmp_path, monkeypatch, capsys, fmt, exc, code):
+    # A table of 2B + 1 rows is written in three blocks.  When the encoder
+    # fails after the first, neither the result file nor its temporary file
+    # is left behind; a job that completes leaves exactly its two files.
+    cfg = {"command": "transform", "mu": [0.5], "function": {"kind": "gaussian"},
+           "outputs": {"linspace": [-3, 3, 2 * cli._BLOCK_ROWS + 1]}}
+    assert run(cfg, out_dir=tmp_path / "whole", fmt=fmt) == 0
+    assert sorted(os.listdir(tmp_path / "whole")) == sorted(["resolved_config.json", f"result.{fmt}"])
+    blocks = cli._blocks
+
+    def failing(rows):
+        gen = blocks(rows)
+        yield next(gen)
+        raise exc("encoder failed after one block")
+
+    monkeypatch.setattr(cli, "_blocks", failing)
+    if code is None:
+        with pytest.raises(exc):
+            run(cfg, out_dir=tmp_path / "cut", fmt=fmt)
+    else:
+        assert run(cfg, out_dir=tmp_path / "cut", fmt=fmt) == code
+        assert capsys.readouterr().err == "error: out of memory: encoder failed after one block\n"
+    assert os.listdir(tmp_path / "cut") == ["resolved_config.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_nonfinite_value_in_last_block_refused_before_any_write(tmp_path, fmt, as_array):
+    # The whole table is checked before the first block is written: an
+    # infinity in the last row of the last block still leaves no file, and
+    # the message names its row, column and repr as for any other row.
+    rows = np.full((2 * cli._BLOCK_ROWS + 1, 3), 0.5)
+    rows[-1, 2] = -math.inf
+    cfg = parse_config({"command": "transform", "mu": [0.5]})
+    with pytest.raises(RangeError) as info:
+        cli._emit(cfg, tmp_path / "out", fmt, ["x0", "re", "im"], rows if as_array else rows.tolist())
+    assert str(info.value) == f"result row {2 * cli._BLOCK_ROWS}, column 'im': -inf is not a finite number"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])

@@ -1,5 +1,6 @@
 """Property tests of the CLI contract: any config shape exits 0, 1 or 2,
-and the JSON writer matches ``json.dumps(indent=2, sort_keys=True)``.
+the JSON writer matches ``json.dumps(indent=2, sort_keys=True)``, and the
+block-streamed result tables match their whole-table encodings.
 
 Sizes (M, n, q_nodes, output counts) are capped small on purpose: the
 property under test is shape handling, not problem size.
@@ -9,13 +10,17 @@ import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dunkl_frft.cli import COMMANDS, _pretty, run  # noqa: E402
+from dunkl_frft import __version__  # noqa: E402
+from dunkl_frft.cli import (  # noqa: E402
+    _BLOCK_ROWS, COMMANDS, _csv_chunks, _json_chunks, _pretty, _table, run,
+)
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
 # No digit strings: a size field must never parse to a large integer.
@@ -150,3 +155,62 @@ JSON_VALUES = st.recursive(
 @given(obj=JSON_VALUES)
 def test_pretty_matches_json_dumps(obj):
     assert _pretty(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _csv_lines(header_cols, rows, config):
+    """The CSV text as the writer built it whole, before it streamed blocks."""
+    lines = [f"# dunkl-frft {__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
+    lines.append("# " + ",".join(header_cols))
+    for row in rows:
+        lines.append(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_streams_match(rows):
+    """rows (a float array or a list of rows) through the streamed JSON and
+    CSV writers against json.dumps and _csv_lines of the whole table."""
+    table = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    width = len(table[0]) if table else 1
+    cols = [f"c{j}" for j in range(width)]
+    config = {"command": "transform", "outputs": {"rows": []}, "rows": [[1.5, "a"]]}
+    payload = {"version": __version__, "config": config, "columns": cols, "summary": {"k": 0.25}}
+    streamed = "".join(_json_chunks(payload, rows))
+    assert streamed == json.dumps(dict(payload, rows=table), indent=2, sort_keys=True) + "\n"
+    if table:
+        # the table alone, at the indent of a top-level payload value
+        assert "".join(_table(rows, "\n  ")) == json.dumps(table, indent=2).replace("\n", "\n  ")
+    assert "".join(_csv_chunks(cols, rows, config)) == _csv_lines(cols, table, config)
+
+
+ROW_COUNTS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -3.0, 2.0**53, 1e16, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("count", ROW_COUNTS)
+@pytest.mark.parametrize("width", range(1, 7))
+def test_streamed_edge_tables_match_whole_encodings(count, width):
+    # every edge value in every column, across each block boundary
+    rows = np.resize(np.array(EDGE_FLOATS), count * width).reshape(count, width)
+    _assert_streams_match(rows)
+    _assert_streams_match(rows.tolist())
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    count=st.sampled_from(ROW_COUNTS),
+    width=st.integers(1, 6),
+    pool=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+                            st.integers(-(2**53), 2**53).map(float)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_tables_match_whole_encodings(count, width, pool, seed):
+    rows = np.random.default_rng(seed).choice(np.array(pool, dtype=float), size=(count, width))
+    _assert_streams_match(rows)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(JSON_TEXT, st.floats(allow_nan=False, allow_infinity=False),
+                               st.integers(0, 1)).map(list), max_size=2 * _BLOCK_ROWS + 1))
+def test_streamed_list_rows_match_whole_encodings(rows):
+    # list rows mixing text, floats and ints, as the check command writes
+    _assert_streams_match(rows)
