@@ -144,9 +144,7 @@ class TransformPlan:
       "kernel": the kernel axis factors of ``_axis_factor`` for a sampled
       input, or those factors applied to the synthesis tables of an
       expansion's basis (see ``_kernel_transform``);
-    - Hermite analysis matrices, and the synthesis tables of
-      ``_grid_tensor`` per (mu, max_degree), through which the spectral
-      route and the operator layer read an expansion input;
+    - the Hermite analysis matrices of ``hermite_expand``'s quadrature;
     - fractional Hankel rules per order, and the basis's Gram residual.
 
     Its bookkeeping is locked and the cached arrays are read-only, so a
@@ -423,38 +421,28 @@ class SpectralTransform:
 
 
 def _grid_tensor(f, plan):
-    """f's values on the plan grid as a complex tensor: the input of the
-    spectral route's analysis, and of the kernel routes' quadrature for
-    every input but a Hermite expansion (see ``_kernel_transform``).
-
-    A Hermite expansion of the grid's dimension is synthesized by one
-    ``_contract_grid`` call: the axis tables h_k(y_j), (2n, d_j), applied to
-    its trimmed coefficient block.  The full tables, (2n, max_degree + 1),
-    are kept in the plan's operator cache per (mu, max_degree) of the
-    expansion's basis.  The matrix products round differently from the
-    pointwise ``f(grid.nodes)``; the routes use these values only as an
-    intermediate.  Any other input, an expansion of another dimension
-    included, goes through ``grid.values``.
-    """
+    """f's values on the plan grid (``QuadGrid.values``) as a complex tensor:
+    the input of ``hermite_expand``'s quadrature, and of the kernel routes'
+    for every input but a Hermite expansion (see ``_kernel_transform``)."""
     grid = plan.grid
-    if not (isinstance(f, HermiteExpansion) and f.basis.dim == grid.dim):
-        return grid.to_tensor(np.asarray(grid.values(f), dtype=complex))
-    basis = f.basis
-    tables = plan._operators.get(
-        ("synthesis", basis.mult.mu, basis.max_degree),
-        lambda: [basis.axis_matrix(j, grid.axes_nodes[j]).T for j in range(grid.dim)],
-    )
-    block = f.coefficient_block()
-    return _contract_grid([t[:, :d] for t, d in zip(tables, block.shape)], block)
+    return grid.to_tensor(np.asarray(grid.values(f), dtype=complex))
+
+
+def _in_plan_basis(f, plan):
+    return isinstance(f, HermiteExpansion) and f.basis.mult.mu_exact == plan.mult.mu_exact
 
 
 def hermite_expand(f, plan):
-    """Coefficients <f, h_nu> for |nu| <= plan.M by tensor quadrature of
-    ``_grid_tensor(f, plan)``; the weighted analysis matrices are kept in
-    the plan's operator cache."""
-    grid = plan.grid
+    """Coefficients <f, h_nu> for |nu| <= plan.M.  An expansion in the plan's
+    multiplicity has them: the basis order is graded, so they are copied,
+    truncated or zero-padded.  Any other input is analysed by quadrature of
+    ``_grid_tensor(f, plan)``, with the plan caching the analysis matrices."""
     basis = plan.basis
-    tensor = _grid_tensor(f, plan)
+    if _in_plan_basis(f, plan):
+        coeffs = np.zeros(basis.size, dtype=complex)
+        coeffs[: f.basis.size] = f.coeffs[: basis.size]
+        return HermiteExpansion(basis, coeffs)
+    grid = plan.grid
 
     def build():
         return [
@@ -462,7 +450,7 @@ def hermite_expand(f, plan):
             for j in range(grid.dim)
         ]
 
-    full = _contract_grid(plan._operators.get(("analysis",), build), tensor)
+    full = _contract_grid(plan._operators.get(("analysis",), build), _grid_tensor(f, plan))
     return HermiteExpansion(basis, full[tuple(basis._index_array.T)])
 
 
@@ -473,13 +461,19 @@ def _degree_phases(plan, r):
 
 def fdt_spectral(f, plan, r=1.0):
     """Spectral fractional Dunkl transform: coefficients e^{i|nu|a} <f, h_nu>
-    times r^|nu|, 0 < r <= 1, plus the reconstructing expansion.
-    f's grid values, which give both the expansion and the input norm, come
-    from ``_grid_tensor``."""
+    times r^|nu|, 0 < r <= 1, plus the reconstructing expansion.  The input
+    norm of an expansion in the plan's multiplicity is sum |c_nu|^2, so its
+    ``parseval_slack`` is minus the mass dropped above plan.M (0.0 if none);
+    any other input's grid values give both the expansion and the norm."""
     r = _smoothing(r, "fdt_spectral", upto_one=True)
-    fvals = _grid_tensor(f, plan).ravel()
-    base = hermite_expand(fvals, plan)
-    norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
+    if _in_plan_basis(f, plan):
+        base = hermite_expand(f, plan)
+        dropped = np.sum(np.abs(f.coeffs[base.coeffs.size :]) ** 2)
+        norm_sq = float(np.sum(np.abs(base.coeffs) ** 2) + dropped)
+    else:
+        fvals = _grid_tensor(f, plan).ravel()
+        base = hermite_expand(fvals, plan)
+        norm_sq = float(plan.grid.norm_l2(fvals) ** 2)
     phased = base.scale_degrees(_degree_phases(plan, r))
     return SpectralTransform(
         expansion=phased,

@@ -918,6 +918,17 @@ def test_n3_integral_job_builds_no_mesh(tmp_path):
     assert peak_mb < 150.0, peak_mb
 
 
+def test_n3_spectral_job_builds_no_mesh(tmp_path):
+    # The spectral route of an expansion in the plan's multiplicity is its
+    # coefficients times the phases: no grid values and no mesh weights.
+    cfg = {"command": "transform", "mu": [0.2, 0.5, 0.4], "alpha": 1.0, "route": "spectral",
+           "function": {"kind": "hermite_combo", "terms": [{"nu": [1, 0, 2], "re": 1.0}]},
+           "outputs": [[0.5, 0.0, -1.0]]}
+    body = f"from dunkl_frft.cli import run\nassert run({cfg!r}, out_dir=sys.argv[1]) == 0\n"
+    peak_mb = _fresh_peak_mb(tmp_path, "job", body)
+    assert peak_mb < 150.0, peak_mb
+
+
 def test_grid_json_job_holds_one_block_of_text(tmp_path):
     # The default N = 2 grid writes 25,600 rows (3.2 MB of JSON).  Streamed
     # in blocks, the job peaks a few MB above the bare import; holding the
@@ -972,6 +983,20 @@ def test_nonfinite_value_in_last_block_refused_before_any_write(tmp_path, fmt, a
         cli._emit(cfg, tmp_path / "out", fmt, ["x0", "re", "im"], rows if as_array else rows.tolist())
     assert str(info.value) == f"result row {2 * cli._BLOCK_ROWS}, column 'im': -inf is not a finite number"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._BLOCK_ROWS + 1])
+def test_csv_array_rows_match_per_value_text(extra):
+    # A float array is written one "%" format per row; its text equals the
+    # per-value format of list rows, on signed zeros, the smallest
+    # subnormal, the ends of the double range and integral floats.
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+              3.0, -7.0, 2.0**53, 0.1, -2.5e-300]
+    rows = np.random.default_rng(3).choice(values, size=(cli._BLOCK_ROWS + extra, 4))
+    cols = ["x0", "x1", "re", "im"]
+    got = "".join(cli._csv_chunks(cols, rows, {"mu": [0.5]}))
+    assert got == "".join(cli._csv_chunks(cols, rows.tolist(), {"mu": [0.5]}))
+    assert got.count("-0.000000000000000e+00") > 0 and "4.940656458412465e-324" in got
 
 
 @pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])

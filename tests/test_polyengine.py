@@ -566,8 +566,8 @@ class TestFactorizedSum:
 class TestTensorValues:
     """``QuadGrid.values`` of an expansion is its pointwise ``__call__`` on
     the flattened nodes, bit for bit, on every grid shape; the routes read
-    an expansion through the synthesis products of ``transform._grid_tensor``
-    instead (see ``test_transform.TestExpansionInput``)."""
+    an expansion through its coefficients instead (see
+    ``test_transform.TestExpansionInput``)."""
 
     @staticmethod
     def expansion(basis, seed):

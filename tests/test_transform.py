@@ -546,9 +546,10 @@ class TestTensorGridInput:
         assert "nodes" not in vars(plan.grid) and "weights" not in vars(plan.grid)
 
     def test_routes_never_evaluate_expansions_pointwise(self, monkeypatch):
-        # Every route, hermite_expand included, reads a Hermite-expansion
-        # input through the synthesis products of _grid_tensor; none falls
-        # back to the pointwise __call__.
+        # Every route reads a Hermite-expansion input through its
+        # coefficients: the kernel routes by products with the synthesis
+        # tables, the spectral route and hermite_expand by a copy into the
+        # plan's basis; none falls back to the pointwise __call__.
         mult = Multiplicity([0.3, 0.7])
         plan = TransformPlan(mult, math.pi / 3, grid=build_grid(mult, n=32), M=6)
         f = HermiteExpansion.from_terms(plan.basis, {(0, 0): 0.6, (1, 2): -0.8j})
@@ -576,10 +577,11 @@ class TestTensorGridInput:
 
 
 class TestExpansionInput:
-    """A Hermite-expansion input reaches every route, the spectral route and
-    hermite_expand included, as per-axis synthesis products on its trimmed
-    coefficient block, with the tables kept in the plan's operator cache,
-    instead of through grid.values."""
+    """A Hermite-expansion input reaches the kernel routes as per-axis
+    synthesis products on its trimmed coefficient block, with the tables kept
+    in the plan's operator cache, instead of through grid.values.  The
+    spectral route and hermite_expand take an expansion in the plan's
+    multiplicity as its own coefficients of degree <= plan.M, exactly."""
 
     MUS = ([0.5], [0.3, 0.7], [0.2, 0.5, 0.4])
 
@@ -596,6 +598,16 @@ class TestExpansionInput:
         # nothing at degree max_degree on axis 0, so its block is trimmed there
         coeffs[basis._index_array[:, 0] == basis.max_degree] = 0.0
         return HermiteExpansion(basis, coeffs)
+
+    @staticmethod
+    def _exact(plan, f):
+        """The spectral and expand keys' values for an expansion in the plan's
+        multiplicity: its terms of degree <= plan.M, with and without the
+        phases."""
+        terms = {nu: c for nu, c in zip(f.basis.indices, f.coeffs) if sum(nu) <= plan.M}
+        base = HermiteExpansion.from_terms(plan.basis, terms)
+        phased = base.scale_degrees(transform._degree_phases(plan, 1.0))
+        return {"spectral": phased.coeffs, "expand": base.coeffs}
 
     @staticmethod
     def _points(dim):
@@ -621,8 +633,12 @@ class TestExpansionInput:
         xs = self._points(len(mu))
         f = self._expansion(plan.basis, 11)
         values = plan.grid.values(f)
+        exact = self._exact(plan, f)
         for key, call in self._entries(plan, xs).items():
             got, want = call(f), call(values)
+            if key in exact:
+                assert got.tobytes() == exact[key].tobytes(), key
+                continue
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), key
             if key.endswith("points"):
                 # signed zeros and a repeated point share their rows
@@ -655,12 +671,60 @@ class TestExpansionInput:
         own = self._expansion(plan.basis, 13)
         for degree in (plan.M - 2, plan.M + 2):
             f = self._expansion(HermiteBasis(plan.mult, degree), 14)
+            exact, own_exact = self._exact(plan, f), self._exact(plan, own)
             for key, call in self._entries(plan, xs).items():
+                if key in exact:
+                    assert call(f).tobytes() == exact[key].tobytes(), (degree, key)
+                    assert call(own).tobytes() == own_exact[key].tobytes(), key
+                    continue
                 got, want = call(f), call(plan.grid.values(f))
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (degree, key)
                 # the plan's own basis keeps its own tables
                 want = call(plan.grid.values(own))
                 assert np.max(np.abs(call(own) - want)) <= 1e-14 * np.max(np.abs(want)), key
+
+    @pytest.mark.parametrize("r", [1.0, 0.6])
+    @pytest.mark.parametrize("mu", MUS)
+    def test_spectral_route_is_coefficients_times_phases(self, mu, r):
+        # On the default plans (M = 24 at N = 1, 16 above): the input's
+        # basis is the plan's, zero-padded from degree M - 2, or truncated
+        # from M + 2, whose dropped mass the Parseval slack reports.
+        from dunkl_frft.polyengine import HermiteBasis
+
+        plan = TransformPlan(Multiplicity(mu), 2.0)
+        phases = transform._degree_phases(plan, r)
+        size = plan.basis.size
+        for degree in (plan.M, plan.M - 2, plan.M + 2):
+            basis = plan.basis if degree == plan.M else HermiteBasis(plan.mult, degree)
+            rng = np.random.default_rng(degree)
+            f = HermiteExpansion(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+            kept = min(size, basis.size)
+            # graded order: the smaller basis is a prefix of the larger
+            assert basis.indices[:kept] == plan.basis.indices[:kept]
+            coeffs = np.zeros(size, dtype=complex)
+            coeffs[:kept] = f.coeffs[:kept]
+            want = HermiteExpansion(plan.basis, coeffs).scale_degrees(phases).coeffs
+            out = fdt_spectral(f, plan, r)
+            assert out.coefficients.tobytes() == want.tobytes(), degree
+            if degree <= plan.M:
+                assert out.coefficients[:kept].tobytes() == f.scale_degrees(phases).coeffs.tobytes()
+                assert out.parseval_slack == 0.0
+            else:
+                dropped = float(np.sum(np.abs(f.coeffs[size:]) ** 2))
+                assert dropped > 1.0
+                assert out.parseval_slack == pytest.approx(-dropped, rel=1e-12)
+
+    def test_other_multiplicity_goes_through_grid_values(self):
+        from dunkl_frft.polyengine import HermiteBasis
+
+        plan = self._plan([0.3, 0.7])
+        f = self._expansion(HermiteBasis(Multiplicity([0.3, 0.5]), 4), 16)
+        values = plan.grid.values(f)
+        got, want = fdt_spectral(f, plan), fdt_spectral(values, plan)
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.parseval_slack == want.parseval_slack
+        expanded = transform.hermite_expand(f, plan).coeffs
+        assert expanded.tobytes() == transform.hermite_expand(values, plan).coeffs.tobytes()
 
     @pytest.mark.parametrize("mu", MUS)
     def test_zero_expansion_gives_zeros(self, mu):

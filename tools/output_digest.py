@@ -60,9 +60,13 @@ and for the repeat, which the plan's operator cache serves.  Then
 the pair kernels on 40 (x, y) pairs with repeats and signed zeros:
 ``kernel_alpha``, ``kernel_smoothed`` at r = 0.7 and ``kernel_spectral``
 at r = 1 and 0.6, each as one batch call and pair by pair (input
-``pairs``, outputs ``points``, call ``batch`` or ``single``).  All
-runs of one mu share one plan, so sampled and expansion inputs meet in
-its cache.  Then come the special functions, one
+``pairs``, outputs ``points``, call ``batch`` or ``single``).  Then the
+spectral side, outputs ``coefficients``: ``fdt_spectral`` at r = 1 and
+0.6 and ``hermite_expand`` (r = 1), each first and repeat, of the
+degree-6 expansion, its grid values as an array, and expansions in bases
+of degree M - 2 and M + 2 (``expansion-deg<degree>``; M = 24 at N = 1,
+16 above).  All runs of one mu share one plan, so sampled and expansion
+inputs meet in its cache.  Then come the special functions, one
 ``lib/<function>/<N>/<parameter>/<points>`` line each:
 ``normalized_ibessel`` at nu = -1/2, -0.2, 0 and 0.7 on 101 points of the
 imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
@@ -191,6 +195,18 @@ def _library_runs():
             yield f"lib/{entry}/{dim}/pairs/points/{r:g}/batch", result(lambda: kernel(plan, x, y, *extra))
             yield f"lib/{entry}/{dim}/pairs/points/{r:g}/single", result(
                 lambda: [kernel(plan, a, b, *extra) for a, b in zip(x, y)])
+        spectral_inputs = {"expansion": expansion, "array": inputs["array"]}
+        for degree in (plan.M - 2, plan.M + 2):
+            other = dk.HermiteBasis(mult, degree)
+            spectral_inputs[f"expansion-deg{degree}"] = dk.HermiteExpansion(
+                other, rng.standard_normal(other.size) + 1j * rng.standard_normal(other.size))
+        spectral = (("fdt_spectral", 1.0, lambda f: dk.fdt_spectral(f, plan).coefficients),
+                    ("fdt_spectral", 0.6, lambda f: dk.fdt_spectral(f, plan, 0.6).coefficients),
+                    ("hermite_expand", 1.0, lambda f: dk.transform.hermite_expand(f, plan).coeffs))
+        for name, f in spectral_inputs.items():
+            for entry, r, run in spectral:
+                for call in ("first", "repeat"):
+                    yield f"lib/{entry}/{dim}/{name}/coefficients/{r:g}/{call}", result(lambda: run(f))
 
     axis = 1j * np.linspace(0.0, 80.0, 101)
     spiral = np.linspace(0.3, 79.0, 37) * np.exp(1j * np.linspace(0.05, 6.2, 37))
