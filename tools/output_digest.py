@@ -46,7 +46,7 @@ or has no partner on the other side, or changed its gate.
 
     python3 tools/output_digest.py --library [--compare FILE]
 
-runs the kernel routes in this process instead of the CLI, with every BLAS
+runs the library routes in this process instead of the CLI, with every BLAS
 thread variable at 1, and prints one ``lib/<entry>/<N>/<input>/<outputs>/<r>/<call>``
 line per result: the integral route (r = 1) and the smoothed one
 (r = 0.7) at 40 scattered points with repeats and signed zeros and at a
