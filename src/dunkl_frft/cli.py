@@ -348,13 +348,9 @@ def _linspace(spec):
 
 def _csv_chunks(header_cols, rows, config):
     yield f"# dunkl-frft {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n# {','.join(header_cols)}\n"
-    line = ",".join(["%.15e"] * len(header_cols)) + "\n"
     for block in _blocks(rows):
-        if isinstance(rows, np.ndarray):
-            yield "".join([line % tuple(row) for row in block])
-        else:
-            yield "".join(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row) + "\n"
-                          for row in block)
+        yield "".join(",".join(f"{v:.15e}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                      for row in block)
 
 
 def _complex_rows(points, values):

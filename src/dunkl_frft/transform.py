@@ -414,7 +414,9 @@ class SpectralTransform:
     @property
     def gram_residual(self):
         """How far the grid's rule is from keeping the basis orthonormal: the
-        plan's ``HermiteBasis.gram_residual``, kept in its operator cache."""
+        plan's ``HermiteBasis.gram_residual``, kept in its operator cache.  It
+        bounds the analysis of a sampled input only; an expansion in the
+        plan's multiplicity is copied exactly."""
         plan = self.plan
         entry = plan._operators.get(("gram",), lambda: [np.array(plan.basis.gram_residual(plan.grid))])
         return float(entry[0])
@@ -468,8 +470,8 @@ def fdt_spectral(f, plan, r=1.0):
     r = _smoothing(r, "fdt_spectral", upto_one=True)
     if _in_plan_basis(f, plan):
         base = hermite_expand(f, plan)
-        dropped = np.sum(np.abs(f.coeffs[base.coeffs.size :]) ** 2)
-        norm_sq = float(np.sum(np.abs(base.coeffs) ** 2) + dropped)
+        above = f.coeffs[f.basis.degrees > plan.M]
+        norm_sq = float(np.sum(np.abs(base.coeffs) ** 2) + np.sum(np.abs(above) ** 2))
     else:
         fvals = _grid_tensor(f, plan).ravel()
         base = hermite_expand(fvals, plan)

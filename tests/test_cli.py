@@ -985,20 +985,6 @@ def test_nonfinite_value_in_last_block_refused_before_any_write(tmp_path, fmt, a
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, cli._BLOCK_ROWS + 1])
-def test_csv_array_rows_match_per_value_text(extra):
-    # A float array is written one "%" format per row; its text equals the
-    # per-value format of list rows, on signed zeros, the smallest
-    # subnormal, the ends of the double range and integral floats.
-    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
-              3.0, -7.0, 2.0**53, 0.1, -2.5e-300]
-    rows = np.random.default_rng(3).choice(values, size=(cli._BLOCK_ROWS + extra, 4))
-    cols = ["x0", "x1", "re", "im"]
-    got = "".join(cli._csv_chunks(cols, rows, {"mu": [0.5]}))
-    assert got == "".join(cli._csv_chunks(cols, rows.tolist(), {"mu": [0.5]}))
-    assert got.count("-0.000000000000000e+00") > 0 and "4.940656458412465e-324" in got
-
-
 @pytest.mark.parametrize("workload", ["repeat_orders", "cli_jobs"])
 def test_traced_benchmark_boundaries(workload):
     # The benchmark's tracer wraps library functions by name and reads their

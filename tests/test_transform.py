@@ -600,13 +600,13 @@ class TestExpansionInput:
         return HermiteExpansion(basis, coeffs)
 
     @staticmethod
-    def _exact(plan, f):
+    def _exact(plan, f, r=1.0):
         """The spectral and expand keys' values for an expansion in the plan's
         multiplicity: its terms of degree <= plan.M, with and without the
         phases."""
         terms = {nu: c for nu, c in zip(f.basis.indices, f.coeffs) if sum(nu) <= plan.M}
         base = HermiteExpansion.from_terms(plan.basis, terms)
-        phased = base.scale_degrees(transform._degree_phases(plan, 1.0))
+        phased = base.scale_degrees(transform._degree_phases(plan, r))
         return {"spectral": phased.coeffs, "expand": base.coeffs}
 
     @staticmethod
@@ -635,10 +635,11 @@ class TestExpansionInput:
         values = plan.grid.values(f)
         exact = self._exact(plan, f)
         for key, call in self._entries(plan, xs).items():
-            got, want = call(f), call(values)
+            got = call(f)
             if key in exact:
                 assert got.tobytes() == exact[key].tobytes(), key
                 continue
+            want = call(values)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), key
             if key.endswith("points"):
                 # signed zeros and a repeated point share their rows
@@ -664,6 +665,8 @@ class TestExpansionInput:
 
     @pytest.mark.parametrize("mu", MUS)
     def test_basis_degree_other_than_plan_M(self, mu):
+        # The spectral and expand keys are the input's own coefficients,
+        # zero-padded from degree M - 2 or truncated from M + 2, bit for bit.
         from dunkl_frft.polyengine import HermiteBasis
 
         plan = self._plan(mu)
@@ -682,37 +685,14 @@ class TestExpansionInput:
                 # the plan's own basis keeps its own tables
                 want = call(plan.grid.values(own))
                 assert np.max(np.abs(call(own) - want)) <= 1e-14 * np.max(np.abs(want)), key
-
-    @pytest.mark.parametrize("r", [1.0, 0.6])
-    @pytest.mark.parametrize("mu", MUS)
-    def test_spectral_route_is_coefficients_times_phases(self, mu, r):
-        # On the default plans (M = 24 at N = 1, 16 above): the input's
-        # basis is the plan's, zero-padded from degree M - 2, or truncated
-        # from M + 2, whose dropped mass the Parseval slack reports.
-        from dunkl_frft.polyengine import HermiteBasis
-
-        plan = TransformPlan(Multiplicity(mu), 2.0)
-        phases = transform._degree_phases(plan, r)
-        size = plan.basis.size
-        for degree in (plan.M, plan.M - 2, plan.M + 2):
-            basis = plan.basis if degree == plan.M else HermiteBasis(plan.mult, degree)
-            rng = np.random.default_rng(degree)
-            f = HermiteExpansion(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
-            kept = min(size, basis.size)
-            # graded order: the smaller basis is a prefix of the larger
-            assert basis.indices[:kept] == plan.basis.indices[:kept]
-            coeffs = np.zeros(size, dtype=complex)
-            coeffs[:kept] = f.coeffs[:kept]
-            want = HermiteExpansion(plan.basis, coeffs).scale_degrees(phases).coeffs
-            out = fdt_spectral(f, plan, r)
-            assert out.coefficients.tobytes() == want.tobytes(), degree
-            if degree <= plan.M:
-                assert out.coefficients[:kept].tobytes() == f.scale_degrees(phases).coeffs.tobytes()
-                assert out.parseval_slack == 0.0
-            else:
-                dropped = float(np.sum(np.abs(f.coeffs[size:]) ** 2))
-                assert dropped > 1.0
-                assert out.parseval_slack == pytest.approx(-dropped, rel=1e-12)
+            # so at r < 1 too; the Parseval slack is minus the mass dropped
+            # above plan.M, 0.0 exactly when nothing is dropped
+            dropped = sum(f.degree_mass(n) for n in range(plan.M + 1, degree + 1))
+            assert (dropped > 0.0) == (degree > plan.M)
+            for g, mass in ((f, dropped), (own, 0.0)):
+                out = fdt_spectral(g, plan, 0.6)
+                assert out.coefficients.tobytes() == self._exact(plan, g, 0.6)["spectral"].tobytes(), degree
+                assert out.parseval_slack == pytest.approx(-mass, rel=1e-12, abs=0.0), degree
 
     def test_other_multiplicity_goes_through_grid_values(self):
         from dunkl_frft.polyengine import HermiteBasis
