@@ -127,12 +127,17 @@ def check_basis_integrity(seed=DEFAULT_SEED):
         basis = HermiteBasis(mult, 12)
         gram_err = basis.gram_residual(build_grid(mult))
         out.append(CheckResult(f"basis-gram mu={mu}", gram_err, 1e-9))
+        # the exact heat-exponential ladder and the float recurrence, each
+        # against the independent Laguerre closed form
         t = np.linspace(-3.0, 3.0, 21)
-        worst = 0.0
-        for n, heat in enumerate(basis.axis_matrix(0, t)):
+        heat_worst = recurrence_worst = 0.0
+        for n, recurrence in enumerate(basis.axis_matrix(0, t)):
             closed = hermite_closed_form_1d(n, mu, t)
-            worst = max(worst, float(np.max(np.abs(heat - closed))))
-        out.append(CheckResult(f"basis-laguerre-vs-heat mu={mu}", worst, 1e-12))
+            heat = basis.function((n,))(t[:, None])
+            heat_worst = max(heat_worst, float(np.max(np.abs(heat - closed))))
+            recurrence_worst = max(recurrence_worst, float(np.max(np.abs(recurrence - closed))))
+        out.append(CheckResult(f"basis-laguerre-vs-heat mu={mu}", heat_worst, 1e-12))
+        out.append(CheckResult(f"basis-recurrence-vs-laguerre mu={mu}", recurrence_worst, 1e-12))
     return out
 
 

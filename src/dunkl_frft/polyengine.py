@@ -418,8 +418,8 @@ def hermite_operator(f, mult):
 
 
 def _hermite_family_1d(mu_exact, max_degree):
-    """(integer ladder, norms, normalized float coefficients) of the 1-D
-    family at multiplicity mu for degrees 0..max_degree.
+    """(integer ladder, norms) of the 1-D family at multiplicity mu for
+    degrees 0..max_degree.
 
     The polynomial parts p_n = exp(-Delta_k/4) t^n come from the exact ladder
     p_0 = 1, p_(n+1) = t p_n - T p_n / 2: for Z2, [Delta_k, t] = 2T and
@@ -434,8 +434,8 @@ def _hermite_family_1d(mu_exact, max_degree):
     Gaussian moments Gamma(mu + 1/2) (mu + 1/2)_s.  With mu + 1/2 = b_p/b_q
     the sum is one integer over (2Q)^n b_q^n, taken exactly, so the heavy
     sign cancellation at high degree costs no precision.  Python's integer
-    true division rounds correctly, so every float here equals the one taken
-    from the reduced fraction.
+    true division rounds correctly, so each norm equals the one taken from
+    the reduced fraction.
     """
     two_mu = 2 * Fraction(mu_exact)
     p, q = two_mu.numerator, two_mu.denominator
@@ -448,7 +448,7 @@ def _hermite_family_1d(mu_exact, max_degree):
         poch.append(poch[-1] * (bp + i * bq))
     two_q = 2 * q
     nums = [1]
-    ladder, norms, floats = [], [], []
+    ladder, norms = [], []
     for n in range(max_degree + 1):
         if n:
             raised = [0] * (n + 1)
@@ -469,8 +469,7 @@ def _hermite_family_1d(mu_exact, max_degree):
                              f"overflows double precision; max_degree must stay below {n}")
         ladder.append((nums, den))
         norms.append(norm)
-        floats.append(np.array([c / den for c in nums]) / norm)
-    return ladder, norms, floats
+    return ladder, norms
 
 
 class HermiteBasis:
@@ -479,12 +478,12 @@ class HermiteBasis:
     One-dimensional families are built once per distinct mu_j: the heat
     regularized monomials exp(-Delta_k/4) t^n, raised by the integer ladder of
     ``_hermite_family_1d``, normalized in L^2(|t|^(2 mu_j) dt); the leading
-    coefficient stays positive; each family's float coefficients are kept as
-    one zero-padded square matrix, row n holding degree n.  The
-    N-dimensional h_nu are tensor products, orthonormal under w_k and
-    eigenfunctions of the Dunkl transform with eigenvalue (-i)^|nu|.  Only the float rows are made up front; the exact
-    polynomial of an h_nu is made from the ladder on its first request and
-    kept.  Instances are immutable after construction.
+    coefficient stays positive.  The N-dimensional h_nu are tensor products,
+    orthonormal under w_k and eigenfunctions of the Dunkl transform with
+    eigenvalue (-i)^|nu|.  Float values come from the recurrence of
+    ``axis_matrix``; the exact polynomial of an h_nu is made from the ladder
+    on its first request and kept.  Instances are immutable after
+    construction.
     """
 
     def __init__(self, mult, max_degree):
@@ -495,10 +494,8 @@ class HermiteBasis:
         families = {
             mu: _hermite_family_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
         }
-        rows = {mu: _padded_rows(family[2]) for mu, family in families.items()}
         self._axis_ladders = [families[mu][0] for mu in mult.mu_exact]
         self._axis_norms = [families[mu][1] for mu in mult.mu_exact]
-        self._axis_float = [rows[mu] for mu in mult.mu_exact]
         self.indices = tuple(
             sorted(_graded_indices(mult.dim, self.max_degree), key=lambda nu: (sum(nu), nu))
         )
@@ -546,12 +543,39 @@ class HermiteBasis:
 
     def axis_matrix(self, j, t, rows=None):
         """Matrix (rows, len(t)) of normalized 1-D values on axis j; row n
-        holds the degree-n function.  ``rows`` defaults to max_degree + 1;
-        fewer rows give the same leading rows, bit for bit."""
-        coeffs = self._axis_float[j]
-        if rows is not None:
-            coeffs = coeffs[:rows, :rows]
-        return _gauss_rows(coeffs, t)
+        holds the degree-n function.  ``rows`` defaults to max_degree + 1.
+
+        The rows are the orthonormal polynomials of |t|^(2 mu) e^(-t^2)
+        times e^(-t^2/2), raised by their three-term recurrence (Rosenblum
+        1994; Rosler 1998):
+
+            h_0 = e^(-t^2/2) / sqrt(Gamma(mu + 1/2)),
+            sqrt(b_(n+1)) h_(n+1) = t h_n - sqrt(b_n) h_(n-1),
+            b_n = (n + 2 mu [n odd]) / 2.
+
+        No terms cancel, so no precision is lost as the degree grows.  Row n
+        is made from rows n - 1 and n - 2 only, so fewer rows give the same
+        leading rows, bit for bit.  Where t^2 overflows, h_0 is exactly 0.0,
+        and so is every row above it.
+        """
+        mu = float(self.mult.mu_exact[j])
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        out = np.empty((self.max_degree + 1 if rows is None else rows, flat.size))
+        prev, cur, root = None, out[0], 0.0
+        with np.errstate(over="ignore"):
+            np.exp(-0.5 * flat * flat, out=cur)
+        cur *= 1.0 / self._axis_norms[j][0]
+        scratch = np.empty_like(flat)
+        for n, row in enumerate(out[1:], 1):
+            np.multiply(flat, cur, out=row)
+            if prev is not None:
+                np.multiply(prev, root, out=scratch)
+                row -= scratch
+            root = math.sqrt(n / 2 + mu * (n & 1))
+            row /= root
+            prev, cur = cur, row
+        return out.reshape(out.shape[:1] + t.shape)
 
     def gram_residual(self, grid):
         """Largest |G - I| entry over the per-axis Gram matrices of the 1-D
@@ -562,50 +586,6 @@ class HermiteBasis:
             gram = (mat * grid.axes_weights[j][None, :]) @ mat.T
             worst = max(worst, float(np.max(np.abs(gram - np.eye(self.max_degree + 1)))))
         return worst
-
-
-# exp(-t^2/2) rounds to exactly 0.0 in double precision for |t| >= 40.
-_GAUSS_REACH = 40.0
-
-
-def _padded_rows(floats):
-    """The float rows of a 1-D family as one read-only square matrix, row n
-    holding the degree-n coefficients followed by zeros."""
-    rows = np.zeros((len(floats), len(floats)))
-    for n, coeffs in enumerate(floats):
-        rows[n, : n + 1] = coeffs
-    rows.flags.writeable = False
-    return rows
-
-
-def _gauss_rows(coeffs, t):
-    """polyval(t, coeffs[n]) * exp(-t^2/2) for every row n of the square
-    matrix ``coeffs`` (row n of degree <= n), stacked.
-
-    One Horner pass runs on all rows at once, in place, starting from
-    ``c[-1] + t*0`` as ``polyval`` does.  Row n's leading zeros keep it at
-    +0, and c + (+-0) * t = c for its first nonzero c = coeffs[n, n], so
-    every row is bitwise equal to ``polyval`` on its own n + 1 coefficients.
-    Rows below k are still +0 at the step for coefficient k and would stay
-    so, which is why that step touches rows k.. only.
-
-    Points beyond _GAUSS_REACH are clipped to it first: the Gaussian is
-    already exactly 0.0 there, so the value stays 0.0, and the polynomial at
-    +-40 stays finite for degrees below about 190, where at a huge t it would
-    overflow into inf * 0 = nan.  When every point lies inside the reach, t
-    is used as given and no array is copied.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.size and max(-t.min(), t.max()) >= _GAUSS_REACH:
-        t = np.clip(t, -_GAUSS_REACH, _GAUSS_REACH)
-    column = (-1,) + (1,) * t.ndim
-    out = coeffs[:, -1].reshape(column) + t * 0
-    for k in range(len(coeffs) - 2, -1, -1):
-        active = out[k:]
-        active *= t
-        active += coeffs[k:, k].reshape(column)
-    out *= np.exp(-0.5 * t * t)
-    return out
 
 
 def _graded_indices(dim, max_degree):

@@ -30,7 +30,7 @@ def test_run_suite_scales_pinned_gates(pinned, scale, monkeypatch):
 
 
 def test_env_scale_applies_only_without_tol_scale(pinned, monkeypatch):
-    assert [p.tolerance for p in pinned] == [1e-9, 1e-12] * 3
+    assert [p.tolerance for p in pinned] == [1e-9, 1e-12, 1e-12] * 3
     monkeypatch.setenv("DUNKL_FRFT_TOL", "1e-30")
     # a suite states its pinned gates whatever the environment says
     assert [r.tolerance for r in checks.SUITES["basis"]()] == [p.tolerance for p in pinned]

@@ -456,7 +456,9 @@ def test_panel_size_past_512_exits_2_naming_grid_fields(tmp_path, capsys, mu):
 
 def test_spectral_transform_reports_gram_residual(tmp_path):
     # at mu = 1/2 the default box (L = 8, n = 120) keeps the M = 24 basis
-    # orthonormal to 1e-4, and M = 100 not at all
+    # orthonormal to 1e-4, and M = 100 not at all.  The tables are exact to
+    # rounding, so the M = 100 residual (0.62) measures the grid alone: an
+    # 8-wide box cannot hold degree-100 functions, which turn at sqrt(201).
     config = {"command": "transform", "mu": [0.5], "route": "spectral",
               "function": {"kind": "gaussian"}, "outputs": [[0.5]]}
     summaries = {}
@@ -465,7 +467,7 @@ def test_spectral_transform_reports_gram_residual(tmp_path):
         assert run(dict(config, M=M), out_dir=str(out), fmt="json") == 0
         summaries[M] = json.loads((out / "result.json").read_text())["summary"]
     assert summaries[None]["gram_residual"] < 1e-3
-    assert summaries[100]["gram_residual"] > 1.0
+    assert summaries[100]["gram_residual"] > 0.5
     assert set(summaries[None]) == {"tail_mass", "parseval_slack", "gram_residual"}
 
 

@@ -1,7 +1,9 @@
 """Exact Dunkl algebra: derivatives, Laplacian, heat exponential, Hermite
 basis and the Hermite operator."""
 
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -146,9 +148,9 @@ def pairwise_norm_sq(poly_1d, mu_exact):
 
 
 def fraction_ladder_family(mu_exact, max_degree):
-    """Reference for ``_hermite_family_1d``: the same ladder, norms and float
-    rows on exact MultiPoly/Fraction objects, as the family was first built.
-    Returns (polynomials, norms, float rows)."""
+    """Reference for ``_hermite_family_1d``: the same ladder and norms on
+    exact MultiPoly/Fraction objects, as the family was first built.
+    Returns (polynomials, norms)."""
     axis = Multiplicity([mu_exact])
     base = mu_exact + Fraction(1, 2)
     gamma_base = gamma_fn(float(base))
@@ -156,19 +158,14 @@ def fraction_ladder_family(mu_exact, max_degree):
     for i in range(max_degree):
         pochhammer.append(pochhammer[-1] * (base + i))
     poly = MultiPoly.constant(1, 1)
-    polys, norms, floats = [], [], []
+    polys, norms = [], []
     for n in range(max_degree + 1):
         if n:
             poly = poly.times_coordinate(0) - dunkl_derivative(poly, 0, axis) * Fraction(1, 2)
         moment = sum(c.re * pochhammer[(a + n) // 2] for (a,), c in poly.terms.items())
-        norm = math.sqrt(float(moment) * gamma_base)
-        coeffs = np.zeros(n + 1)
-        for (a,), c in poly.terms.items():
-            coeffs[a] = float(c.re) / norm
         polys.append(poly)
-        norms.append(norm)
-        floats.append(coeffs)
-    return polys, norms, floats
+        norms.append(math.sqrt(float(moment) * gamma_base))
+    return polys, norms
 
 
 def family_poly(basis, n):
@@ -195,25 +192,19 @@ class TestHermiteLadder:
     def test_norms_equal_pairwise_sum(self, mu):
         mu_exact = Multiplicity([mu]).mu_exact[0]
         basis = HermiteBasis(Multiplicity([mu]), 30)
-        _, norms, floats = polyengine._hermite_family_1d(mu_exact, 30)
-        for n, (norm, coeffs) in enumerate(zip(norms, floats)):
+        _, norms = polyengine._hermite_family_1d(mu_exact, 30)
+        for n, norm in enumerate(norms):
             poly = family_poly(basis, n)
-            want = math.sqrt(pairwise_norm_sq(poly, mu_exact))
-            assert norm == want, n
-            want_coeffs = np.zeros(n + 1)
-            for (a,), c in poly.terms.items():
-                want_coeffs[a] = float(c.re) / want
-            assert coeffs.tobytes() == want_coeffs.tobytes(), n
+            assert norm == math.sqrt(pairwise_norm_sq(poly, mu_exact)), n
 
     @pytest.mark.parametrize("mu", MUS + (0.7, Fraction(1, 3)))
     def test_integer_ladder_equals_fraction_ladder(self, mu):
         mu_exact = Multiplicity([mu]).mu_exact[0]
-        ladder, norms, floats = polyengine._hermite_family_1d(mu_exact, 40)
-        ref_polys, ref_norms, ref_floats = fraction_ladder_family(mu_exact, 40)
+        _, norms = polyengine._hermite_family_1d(mu_exact, 40)
+        ref_polys, ref_norms = fraction_ladder_family(mu_exact, 40)
         basis = HermiteBasis(Multiplicity([mu]), 40)
         for n in range(41):
             assert norms[n] == ref_norms[n], n
-            assert floats[n].tobytes() == ref_floats[n].tobytes(), n
             assert family_poly(basis, n) == ref_polys[n], n
 
     def test_exact_polynomials_are_built_on_request(self):
@@ -283,10 +274,10 @@ class TestHermiteBasis:
         assert len(builds) == 3
         monkeypatch.undo()
         single = HermiteBasis(Multiplicity([0.5]), 16)
+        t = np.linspace(-6.0, 6.0, 25)
         for j in range(2):
-            for n in range(17):
-                assert basis._axis_norms[j][n] == single._axis_norms[0][n]
-                assert basis._axis_float[j][n].tobytes() == single._axis_float[0][n].tobytes()
+            assert basis._axis_norms[j] == single._axis_norms[0]
+            assert basis.axis_matrix(j, t).tobytes() == single.axis_matrix(0, t).tobytes()
 
     def test_even_degree_closed_form(self):
         # heat construction against the Laguerre closed form, degrees <= 8
@@ -297,6 +288,12 @@ class TestHermiteBasis:
                 got = basis.axis_matrix(0, t)[n]
                 ref = hermite_closed_form_1d(n, mu, t)
                 assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_gram_residual_on_a_wide_box(self):
+        # L = 12 holds the degree-32 functions (turning point sqrt(65)), so
+        # the residual is rounding only; monomial Horner tables gave 1.4e-10
+        mult = Multiplicity([0.5])
+        assert HermiteBasis(mult, 32).gram_residual(build_grid(mult, L=12.0)) <= 1e-12
 
     def test_orthonormality_2d(self):
         mult = Multiplicity([0.5, 1.0])
@@ -432,17 +429,6 @@ class TestHermiteExpansion:
         assert np.max(np.abs(f(x) - g(x))) <= 1e-13
 
 
-def polyval_rows(floats, t):
-    """Reference for ``_gauss_rows``: ``polyval`` row by row on each row's
-    own n + 1 coefficients, clipped at the Gaussian's reach, as the rows
-    were first evaluated."""
-    t = np.asarray(t, dtype=float)
-    if t.size and max(-t.min(), t.max()) >= polyengine._GAUSS_REACH:
-        t = np.clip(t, -polyengine._GAUSS_REACH, polyengine._GAUSS_REACH)
-    gauss = np.exp(-0.5 * t * t)
-    return np.array([np.polynomial.polynomial.polyval(t, c) * gauss for c in floats])
-
-
 def termwise_sum(expansion, x):
     """Reference for the factorized sum: sum_nu c_nu prod_j T_j[nu_j](x_j)
     with one full-length term per nonzero coefficient, as expansions were
@@ -459,10 +445,32 @@ def termwise_sum(expansion, x):
     return out
 
 
-class TestGaussRows:
-    """All rows of an axis come from one Horner pass over the zero-padded
-    coefficient matrix; each row must equal ``polyval`` on its own
-    coefficients bit for bit."""
+@functools.lru_cache(maxsize=None)
+def mpmath_recurrence(mu, max_degree=100):
+    """Reference for ``axis_matrix``: its recurrence run in 60-digit mpmath
+    at the points ``TestRecurrenceRows.MPMATH_POINTS``, rounded once."""
+    import mpmath
+
+    mu_exact = Multiplicity([mu]).mu_exact[0]
+    with mpmath.workdps(60):
+        m = mpmath.mpf(mu_exact.numerator) / mu_exact.denominator
+        roots = [mpmath.sqrt(mpmath.mpf(n) / 2 + m * (n & 1)) for n in range(max_degree + 1)]
+        out = np.empty((max_degree + 1, TestRecurrenceRows.MPMATH_POINTS.size))
+        for i, x in enumerate(TestRecurrenceRows.MPMATH_POINTS):
+            x = mpmath.mpf(float(x))
+            rows = [mpmath.exp(-x * x / 2) / mpmath.sqrt(mpmath.gamma(m + mpmath.mpf(1) / 2))]
+            rows.append(x * rows[0] / roots[1])
+            for n in range(1, max_degree):
+                rows.append((x * rows[n] - roots[n] * rows[n - 1]) / roots[n + 1])
+            out[:, i] = [float(v) for v in rows]
+    return out
+
+
+class TestRecurrenceRows:
+    """The rows of an axis come from the normalized three-term recurrence:
+    within a few ulps of the same recurrence in 60 digits, each point's
+    column made from that point alone, fewer rows giving the leading rows
+    bit for bit, and exactly 0.0 where e^(-t^2/2) underflows."""
 
     TINY = np.nextafter(0.0, 1.0)
     POINTS = {
@@ -471,24 +479,35 @@ class TestGaussRows:
                                           2.2250738585072014e-308, -1e-160]),
         "past_reach": np.array([-1e300, -45.0, -40.0, -39.999, 0.5, 39.5, 40.0, 41.0, 1e200]),
     }
+    MPMATH_POINTS = np.concatenate([np.linspace(-12.0, 12.0, 97),
+                                    np.random.default_rng(29).uniform(-12.0, 12.0, 32)])
+
+    @pytest.mark.parametrize("mu", [0, 0.3, 0.5, 1.7])
+    def test_matches_mpmath_recurrence(self, mu):
+        # 1e-14 absolute where |h| <= 1 and relative above (at mu = 1.7 the
+        # even rows reach 9.6 at t = 0); measured worst 4.1e-15, while
+        # monomial Horner tables lose 3.5e-12 already at degree 24
+        ref = mpmath_recurrence(mu)
+        for max_degree in (24, 64, 100):
+            got = HermiteBasis(Multiplicity([mu]), max_degree).axis_matrix(0, self.MPMATH_POINTS)
+            want = ref[: max_degree + 1]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), max_degree
 
     @pytest.mark.parametrize("mu", [0, 0.3, 0.5, 0.7, 1.7, Fraction(4, 7), 2.5])
     @pytest.mark.parametrize("max_degree", [0, 1, 2, 7, 16, 40])
-    def test_bitwise_equal_to_polyval(self, mu, max_degree):
-        mu_exact = Multiplicity([mu]).mu_exact[0]
-        floats = polyengine._hermite_family_1d(mu_exact, max_degree)[2]
+    def test_prefix_rows_and_far_points(self, mu, max_degree):
         basis = HermiteBasis(Multiplicity([mu]), max_degree)
-        for name, t in self.POINTS.items():
-            want = polyval_rows(floats, t)
-            assert basis.axis_matrix(0, t).tobytes() == want.tobytes(), name
-            rows = max_degree // 2 + 1
-            assert basis.axis_matrix(0, t, rows).tobytes() == want[:rows].tobytes(), name
-
-    def test_rows_are_padded_and_read_only(self):
-        basis = HermiteBasis(Multiplicity([0.3]), 5)
-        rows = basis._axis_float[0]
-        assert rows.shape == (6, 6) and not rows.flags.writeable
-        assert np.all(np.triu(rows, 1) == 0.0)
+        rows = max_degree // 2 + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, t in self.POINTS.items():
+                table = basis.axis_matrix(0, t)
+                assert table.shape == (max_degree + 1, t.size) and np.all(np.isfinite(table)), name
+                assert basis.axis_matrix(0, t, rows).tobytes() == table[:rows].tobytes(), name
+                for i in range(t.size):
+                    assert basis.axis_matrix(0, t[i:i + 1]).tobytes() == table[:, i:i + 1].tobytes()
+            far = np.abs(self.POINTS["past_reach"]) >= 40.0
+            assert np.all(basis.axis_matrix(0, self.POINTS["past_reach"])[:, far] == 0.0)
 
 
 class TestFactorizedSum:
@@ -597,11 +616,11 @@ class TestTensorValues:
             assert got.tobytes() == f(grid.nodes).tobytes()
 
     def test_bitwise_equal_past_gauss_reach(self):
-        # Nodes beyond |t| = 40 take the clipped branch of _gauss_rows.
+        # Nodes beyond |t| = 40, where e^(-t^2/2) and every row are 0.0.
         for mu in ([0.5], [0.3, 0.7]):
             mult = Multiplicity(mu)
             grid = build_grid(mult, L=48.0, n=64)
-            assert max(np.max(np.abs(t)) for t in grid.axes_nodes) >= polyengine._GAUSS_REACH
+            assert max(np.max(np.abs(t)) for t in grid.axes_nodes) >= 40.0
             f = self.expansion(HermiteBasis(mult, 16), 3)
             assert grid.values(f).tobytes() == f(grid.nodes).tobytes()
 

@@ -88,6 +88,8 @@ def test_library_digest_repeats_in_documented_format(capsys):
                          r"funk_hecke_radial/2/mu=(0,0|0\.3,0\.7)/circle4096|"
                          r"circle_identity_residual/2/mu=(0,0|0\.3,0\.7)/circle(4096|1000)) [0-9a-f]{40}")
     grid = re.compile(r"lib/build_grid/[123]/(default|L=6,n=24)/(nodes|weights|points_per_axis) [0-9a-f]{40}")
+    table = re.compile(r"lib/axis_matrix/1/mu=(0|0\.3|0\.5|1\.7)/M=(24|100)/(grid|past_reach|subnormal) "
+                       r"[0-9a-f]{40}")
     spectral = re.compile(r"lib/(fdt_spectral/[123]/[^/]+/coefficients/(1|0\.6)|"
                           r"hermite_expand/[123]/[^/]+/coefficients/1)/(first|repeat) [0-9a-f]{40}")
     routes = [text for text in outputs[0] if route.fullmatch(text)]
@@ -96,13 +98,16 @@ def test_library_digest_repeats_in_documented_format(capsys):
     specials = [text for text in outputs[0] if special.fullmatch(text)]
     grids = [text for text in outputs[0] if grid.fullmatch(text)]
     spectrals = [text for text in outputs[0] if spectral.fullmatch(text)]
-    matched = len(routes) + len(edges) + len(pairs) + len(specials) + len(grids) + len(spectrals)
+    tables = [text for text in outputs[0] if table.fullmatch(text)]
+    matched = (len(routes) + len(edges) + len(pairs) + len(specials) + len(grids) + len(spectrals)
+               + len(tables))
     assert matched == len(outputs[0]), outputs[0]
     labels = [text.split()[0] for text in outputs[0]]
     assert len(set(labels)) == len(labels)
     assert len(routes) == 2 * 3 * 3 * 3 * 2 and len(pairs) == 3 * 4 * 2
     assert len(edges) == 2 * 4 * 3 * 2
     assert len(specials) == 4 * 2 + 2 * (1 + 2) and len(grids) == 3 * 2 * 3
+    assert len(tables) == 4 * 2 * 3
     # four inputs: the expansion, its grid values, bases of degree M - 2 and M + 2
     inputs = {text.split("/")[3] for text in spectrals}
     assert inputs == {"expansion", "array", "expansion-deg22", "expansion-deg26",

@@ -72,11 +72,16 @@ inputs meet in its cache.  Then come the special functions, one
 imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
 |u| < 80 (``complex``); ``funk_hecke_radial`` on ``circle_grid(2^12)``
 at nine x for mu = (0, 0) and (0.3, 0.7); and ``circle_identity_residual``
-for both mu at n = 2^12 and 1000.  Last, one
+for both mu at n = 2^12 and 1000.  Then one
 ``lib/build_grid/<N>/<grid>/<attribute>`` line each for the ``nodes``,
 ``weights`` and ``points_per_axis`` of ``build_grid`` for the three mu
-above, at the default (L, n) (``default``) and at L = 6, n = 24.  A run
-that raises digests its exception's type and message.  ``--compare``
+above, at the default (L, n) (``default``) and at L = 6, n = 24.  Last,
+the Hermite tables themselves, one ``lib/axis_matrix/1/<mu>/<M>/<points>``
+line each: ``HermiteBasis.axis_matrix`` at mu = 0, 0.3, 0.5 and 1.7 and
+M = 24 and 100, on the default grid's axis (``grid``), on points at and
+past |t| = 40 up to 1e300 (``past_reach``), and on signed zeros and
+subnormals (``subnormal``).  A run that raises digests its exception's
+type and message.  ``--compare``
 reads these lines like the CLI ones.
 
     python3 tools/output_digest.py --library --keep old/   # in the parent checkout
@@ -232,6 +237,16 @@ def _library_runs():
             grid = dk.build_grid(mult, **grid_args)
             for name in ("nodes", "weights", "points_per_axis"):
                 yield f"lib/build_grid/{mult.dim}/{label}/{name}", result(lambda: getattr(grid, name))
+    tiny = np.nextafter(0.0, 1.0)
+    far = np.array([-1e300, -45.0, -40.0, -39.999, 0.5, 39.5, 40.0, 41.0, 1e200])
+    small = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -3e-320, 1e-300, 2.2250738585072014e-308, -1e-160])
+    for mu in (0.0, 0.3, 0.5, 1.7):
+        mult = dk.Multiplicity([mu])
+        points = {"grid": dk.build_grid(mult).axes_nodes[0], "past_reach": far, "subnormal": small}
+        for M in (24, 100):
+            basis = dk.HermiteBasis(mult, M)
+            for name, t in points.items():
+                yield f"lib/axis_matrix/1/mu={mu:g}/M={M}/{name}", result(lambda: basis.axis_matrix(0, t))
 
 
 def _edge_expansions(dk, basis):
