@@ -556,11 +556,13 @@ class HermiteBasis:
         No terms cancel, so no precision is lost as the degree grows.  Row n
         is made from rows n - 1 and n - 2 only, so fewer rows give the same
         leading rows, bit for bit.  Where t^2 overflows, h_0 is exactly 0.0,
-        and so is every row above it.
+        and so is every row above it; t = +-inf counts as the largest float,
+        so that inf * 0.0 never makes a NaN.
         """
         mu = float(self.mult.mu_exact[j])
         t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
+        big = np.finfo(float).max
+        flat = np.clip(t.reshape(-1), -big, big)
         out = np.empty((self.max_degree + 1 if rows is None else rows, flat.size))
         prev, cur, root = None, out[0], 0.0
         with np.errstate(over="ignore"):

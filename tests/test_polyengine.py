@@ -291,7 +291,7 @@ class TestHermiteBasis:
 
     def test_gram_residual_on_a_wide_box(self):
         # L = 12 holds the degree-32 functions (turning point sqrt(65)), so
-        # the residual is rounding only; monomial Horner tables gave 1.4e-10
+        # the residual is rounding only
         mult = Multiplicity([0.5])
         assert HermiteBasis(mult, 32).gram_residual(build_grid(mult, L=12.0)) <= 1e-12
 
@@ -484,9 +484,8 @@ class TestRecurrenceRows:
 
     @pytest.mark.parametrize("mu", [0, 0.3, 0.5, 1.7])
     def test_matches_mpmath_recurrence(self, mu):
-        # 1e-14 absolute where |h| <= 1 and relative above (at mu = 1.7 the
-        # even rows reach 9.6 at t = 0); measured worst 4.1e-15, while
-        # monomial Horner tables lose 3.5e-12 already at degree 24
+        # 1e-14 absolute where |h| <= 1 and relative above: at mu = 1.7 the
+        # even rows reach 9.6 at t = 0 (worst measured error 4.1e-15)
         ref = mpmath_recurrence(mu)
         for max_degree in (24, 64, 100):
             got = HermiteBasis(Multiplicity([mu]), max_degree).axis_matrix(0, self.MPMATH_POINTS)
@@ -508,6 +507,7 @@ class TestRecurrenceRows:
                     assert basis.axis_matrix(0, t[i:i + 1]).tobytes() == table[:, i:i + 1].tobytes()
             far = np.abs(self.POINTS["past_reach"]) >= 40.0
             assert np.all(basis.axis_matrix(0, self.POINTS["past_reach"])[:, far] == 0.0)
+            assert np.all(basis.axis_matrix(0, np.array([-np.inf, np.inf])) == 0.0)
 
 
 class TestFactorizedSum:
