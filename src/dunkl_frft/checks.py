@@ -27,7 +27,7 @@ from .polyengine import (
     hermite_closed_form_1d,
     hermite_operator,
 )
-from .quadrature import build_grid, circle_grid, circle_identity_residual
+from .quadrature import build_grid, sphere_rule
 from .semigroup import (
     GroupSampler,
     difference_quotient,
@@ -39,7 +39,7 @@ from .semigroup import (
     resolvent_apply,
     spectral_projection,
 )
-from .specfun import Multiplicity, laguerre_eval
+from .specfun import Multiplicity, gamma_fn, laguerre_eval
 from .transform import (
     REGIME_GENERIC,
     TransformPlan,
@@ -416,20 +416,27 @@ def check_eigenbasis_2d(seed=DEFAULT_SEED):
 
 
 def check_funk_hecke(seed=DEFAULT_SEED):
+    """Radial Funk-Hecke and c_k^-1 = pi^(N/2) Gamma(lambda+1) d_k / Gamma(N/2),
+    d_k the mass of ``sphere_rule``, at N = 2 and 3."""
     results = []
-    circle = circle_grid(1 << 20)
-    for mu in ((0.0, 0.0), (0.3, 0.7)):
+    plane = [np.array([math.cos(theta), math.sin(theta)]) for theta in (0.0, 0.7, 2.1)]
+    space = [np.array([1.0, 0.0, 0.0]), np.array([2.0, -1.0, 2.0]) / 3.0, np.array([-0.48, 0.6, 0.64])]
+    cases = [(mu, plane) for mu in ((0.0, 0.0), (0.3, 0.7))]
+    cases += [(mu, space) for mu in ((0.0, 0.0, 0.0), (0.3, 0.7, 0.2), (1.7, 0.2, 0.5))]
+    for mu, directions in cases:
         mult = Multiplicity(mu)
         worst = 0.0
         for radius in (0.0, 0.5, 2.0, 5.0, 10.0):
-            for theta in (0.0, 0.7, 2.1):
-                x = radius * np.array([math.cos(theta), math.sin(theta)])
-                lhs = funk_hecke_radial(mult, x, circle)
+            for unit in directions:
+                lhs = funk_hecke_radial(mult, radius * unit)
                 rhs = complex(radial_bessel(mult, radius))
                 worst = max(worst, abs(lhs - rhs))
         results.append(CheckResult(f"funk-hecke radial mu={mu}", worst, 1e-8))
-        residual = circle_identity_residual(mult, n=1 << 20)
-        results.append(CheckResult(f"c_k/d_k relation mu={mu}", residual, 1e-8))
+        d_k = float(np.sum(sphere_rule(mult)[1]))
+        half = 0.5 * mult.dim
+        lhs = 1.0 / mult.mehta_constant
+        rhs = math.pi**half * gamma_fn(mult.lambda_index + 1.0) * d_k / gamma_fn(half)
+        results.append(CheckResult(f"c_k/d_k relation mu={mu}", abs(lhs - rhs) / abs(lhs), 1e-8))
     return results
 
 

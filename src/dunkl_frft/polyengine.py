@@ -706,6 +706,8 @@ class HermiteExpansion:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.basis.dim:
             raise UsageError(f"points have dim {x.shape[-1]}, expansion has dim {self.basis.dim}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("HermiteExpansion: points must be finite")
         block = self.coefficient_block()
         parts = np.stack([block.real, block.imag])
         coords = [x[..., j].ravel() for j in range(self.basis.dim)]

@@ -4,14 +4,17 @@ Grids are tensor products of half-axis Gauss-Jacobi rules (the weight
 |y|^(2 mu_j) is folded into the node weights exactly, and the two half-axis
 panels meet at the cusp without placing a node on it); a grid stores these
 axes and builds its mesh on first use.  Every grid is validated at
-construction against the Mehta integral.  The Funk-Hecke checks integrate
-over the unit circle with the uniform-angle points of ``circle_grid``, each
-of weight 1/n under the normalized surface measure.
+construction against the Mehta integral.  The Funk-Hecke identity
+integrates over the unit sphere with ``sphere_rule``, a product of
+Gauss-Jacobi rules exact for w_k(y) dsigma(y) at every N.  ``circle_grid``,
+the uniform-angle points of S^1 each of weight 1/n, stays as an independent
+N = 2 reference, which converges only algebraically at the cusps of w_k.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,39 +38,42 @@ def gauss_legendre(n):
     return np.polynomial.legendre.leggauss(int(n))
 
 
-def _gauss_jacobi(n, b):
-    """Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b, b > -1.
+def _gauss_jacobi(n, b, a=0.0):
+    """Gauss-Jacobi rule on [-1, 1] for the weight (1 - x)^a (1 + x)^b, a, b > -1.
 
-    The same Golub-Welsch computation as ``scipy.special.roots_jacobi(n, 0,
-    b)``, step for step: scipy's three-term recurrence at alpha = 0 (the
-    dropped alpha terms add an exact 0.0), the eigenvalues of the symmetric
-    tridiagonal Jacobi matrix, one Newton step on P_n and scipy's
+    The same Golub-Welsch computation as ``scipy.special.roots_jacobi(n, a,
+    b)``, step for step: scipy's three-term recurrence, the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix, one Newton step on P_n and scipy's
     log-normalised weight formula.  The eigenvalues come from numpy's
     symmetric solver instead of ``scipy.linalg`` (both end in LAPACK's
     dsterf), so the rule costs no scipy.linalg import and equals scipy's bit
-    for bit.  At n = 1 scipy's banded solver returns 0 for the 1x1 matrix
-    and the Newton step on the linear P_1 starts there; so does this one
-    (starting from the matrix entry instead moves the node by up to 65 ulp).
+    for bit wherever a != b (at a == b scipy takes its Gegenbauer routine).
+    At n = 1 scipy's banded solver returns 0 for the 1x1 matrix and the
+    Newton step on the linear P_1 starts there; so does this one (starting
+    from the matrix entry instead moves the node by up to 65 ulp).
     """
-    if b <= 1000:
-        mu0 = 2.0 ** (b + 1) * _sp.beta(1.0, b + 1)
+    if a + b <= 1000:
+        mu0 = 2.0 ** (a + b + 1) * _sp.beta(a + 1, b + 1)
     else:
-        mu0 = np.exp((b + 1) * np.log(2.0) + _sp.betaln(1.0, b + 1))
+        mu0 = np.exp((a + b + 1) * np.log(2.0) + _sp.betaln(a + 1, b + 1))
     k = np.arange(n, dtype=float)
-    diag = np.where(k == 0, b / (2 + b), (b * b) / ((2.0 * k + b) * (2.0 * k + b + 2)))
-    k = k[1:]
-    off = (
-        2.0 / (2.0 * k + b)
-        * np.sqrt(k * (k + b) / (2 * k + b + 1))
-        * np.where(k == 1, 1.0, np.sqrt(k * (k + b) / (2.0 * k + b - 1)))
-    )
+    # np.where drops the 0/0 of the branch it does not take: at a + b = 0 for
+    # diag at k = 0, at a + b = -1 for off's last factor at k = 1.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diag = np.where(k == 0, (b - a) / (2 + a + b), (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)))
+        k = k[1:]
+        off = (
+            2.0 / (2.0 * k + a + b)
+            * np.sqrt((k + a) * (k + b) / (2 * k + a + b + 1))
+            * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (2.0 * k + a + b - 1)))
+        )
     if n == 1:
         x = np.zeros(1)
     else:
         x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    dy = 0.5 * (n + b + 1) * _sp.eval_jacobi(n - 1, 1.0, b + 1, x)
-    x -= _sp.eval_jacobi(n, 0.0, b, x) / dy
-    fm = _sp.eval_jacobi(n - 1, 0.0, b, x)
+    dy = 0.5 * (n + a + b + 1) * _sp.eval_jacobi(n - 1, a + 1, b + 1, x)
+    x -= _sp.eval_jacobi(n, a, b, x) / dy
+    fm = _sp.eval_jacobi(n - 1, a, b, x)
     log_fm = np.log(np.abs(fm))
     log_dy = np.log(np.abs(dy))
     fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
@@ -202,6 +208,35 @@ def build_grid(mult, L=8.0, n=None):
             f"(L={L}, n={n}, mu={mult.mu})"
         )
     return QuadGrid(mult=mult, box=float(L), axes_nodes=tuple(axes_nodes), axes_weights=tuple(axes_weights))
+
+
+SPHERE_NODES = 32
+
+
+def sphere_rule(mult):
+    """Points (m, N) and weights (m,) of an exact rule for w_k(y) dsigma(y) on
+    S^(N-1), sigma normalized; the weights sum to d_k = Gamma(N/2) prod
+    Gamma(mu_j + 1/2) / (pi^(N/2) Gamma(gamma + N/2)).  t_j = y_j^2 carries
+    the Dirichlet weight prod t_j^(mu_j - 1/2) on the simplex; stick-breaking
+    makes it a product of Beta weights s^(mu_j - 1/2) (1 - s)^(sum_(i>j)
+    (mu_i + 1/2) - 1), one Gauss-Jacobi rule per stick.  Every node comes
+    with its 2^N sign flips, sharing its weight, so odd parts are summed too.
+    At N = 1 the rule is the two points +-1."""
+    mu = mult.mu
+    dim = len(mu)
+    cols, rest = [], np.ones(1)
+    weights = np.full(1, gamma_fn(0.5 * dim) / math.pi ** (0.5 * dim))
+    for j in range(dim - 1):
+        b = mu[j] - 0.5
+        a = sum(m + 0.5 for m in mu[j + 1:]) - 1.0
+        x, w = _gauss_jacobi(SPHERE_NODES, b, a)
+        cols = [np.repeat(c, SPHERE_NODES) for c in cols] + [np.outer(rest, 0.5 * (1.0 + x)).ravel()]
+        rest = np.outer(rest, 0.5 * (1.0 - x)).ravel()
+        weights = np.outer(weights, w / 2.0 ** (a + b + 1.0)).ravel()
+    orthant = np.sqrt(np.stack(cols + [rest], axis=-1))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+    points = (signs[:, None, :] * orthant).reshape(-1, dim)
+    return points, np.tile(weights / len(signs), len(signs))
 
 
 def circle_grid(n):

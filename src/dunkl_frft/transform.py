@@ -31,7 +31,7 @@ from .polyengine import (
     dunkl_laplacian,
     heat_exp_poly,
 )
-from .quadrature import build_grid, jacobi_halfline
+from .quadrature import build_grid, jacobi_halfline, sphere_rule
 from .specfun import (
     BesselOrder,
     _kernel_even_odd,
@@ -235,6 +235,12 @@ def _as_points(xs, dim):
     return xs
 
 
+def _require_finite(op, *points):
+    """Refuse a NaN or infinite coordinate before any table or Bessel value."""
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise DomainError(f"{op}: points must be finite")
+
+
 # ---------------------------------------------------------------------------
 # kernels
 
@@ -277,6 +283,7 @@ def _kernel_value(plan, x, y, r):
     Gaussian, or a Bessel value overflows where the Gaussian underflows) is
     refused with a RangeError naming the pair's largest coordinate.
     """
+    _require_finite("kernel_alpha" if r == 1.0 else "kernel_smoothed", x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     zscale, gcoef, pref = _mehler_form(plan, r)
@@ -335,6 +342,7 @@ def kernel_smoothed_bound(plan, x, y, r):
     value (see ``_kernel_value``).
     """
     r = _smoothing(r, "kernel_smoothed_bound")
+    _require_finite("kernel_smoothed_bound", x, y)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = plan.alpha
@@ -355,6 +363,7 @@ def kernel_spectral(plan, x, y, r=1.0):
     like ``HermiteExpansion.__call__``: ``_pointwise_sum`` of the phased block over the
     per-axis tables h_k(x_j) h_k(y_j) of the broadcast pairs, each pair on its own."""
     r = _smoothing(r, "kernel_spectral", upto_one=True)
+    _require_finite("kernel_spectral", x, y)
     basis = plan.basis
     x, y = np.broadcast_arrays(x, y)
     block = HermiteExpansion(basis, np.ones(basis.size)).scale_degrees(_degree_phases(plan, r))
@@ -811,23 +820,20 @@ def master_formula_lhs_input(p, mult):
     return GaussPoly(heat_exp_poly(p, Fraction(-1, 4), mult))
 
 
-def funk_hecke_radial(mult, x, circle):
-    """Circle average (1/d_k) * integral_{S^1} K(ix, y) w_k(y) dsigma(y) for
-    N = 2; equals j_lambda(|x|) with lambda = gamma + N/2 - 1.
+def funk_hecke_radial(mult, x):
+    """Sphere average (1/d_k) * integral_{S^(N-1)} K(ix, y) w_k(y) dsigma(y);
+    equals j_lambda(|x|) with lambda = gamma + N/2 - 1.
 
-    ``circle`` holds the n points of ``circle_grid``, each of weight 1/n; the
-    same rule for d_k and the numerator cancels the cusp of w_k to first order.
+    Summed over ``sphere_rule``, exact for w_k dsigma at every N, as
+    sum W K(ix, y) / sum W.
     """
-    if mult.dim != 2:
-        raise UsageError("funk_hecke_radial is the N = 2 radial case")
     x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise UsageError(f"x must be a 2-vector, got shape {x.shape}")
-    weight = 1.0 / len(circle)
-    wk = mult.weight(circle)
-    d_k = float(np.sum(weight * wk))
-    kern = dunkl_kernel_prod(mult, 1j * x, circle)
-    return complex(np.sum(weight * wk * kern) / d_k)
+    if x.shape != (mult.dim,):
+        raise UsageError(f"x must be a {mult.dim}-vector, got shape {x.shape}")
+    _require_finite("funk_hecke_radial", x)
+    points, weights = sphere_rule(mult)
+    kern = dunkl_kernel_prod(mult, 1j * x, points)
+    return complex(np.sum(weights * kern) / np.sum(weights))
 
 
 def radial_bessel(mult, radius):

@@ -1,6 +1,7 @@
 """Reference identities used only by the tests: the grid inner product, the
-literal eigen-decomposition sum of the transform group, and the bilinear /
-moment Gaussian identities that validate the kernel machinery."""
+literal eigen-decomposition sum of the transform group, the bilinear /
+moment Gaussian identities that validate the kernel machinery, and the
+uniform circle average that checks the Funk-Hecke rule independently."""
 
 import cmath
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from dunkl_frft.errors import DomainError, UsageError
 from dunkl_frft.polyengine import MultiPoly, heat_exp_poly
+from dunkl_frft.quadrature import circle_grid
 from dunkl_frft.semigroup import spectral_projection
 from dunkl_frft.specfun import dunkl_kernel_prod
 
@@ -92,3 +94,21 @@ def gaussian_moment_check(p, mult, omega, xs, grid):
         * complex(heated(xs[None, :])[0])
     )
     return abs(lhs - rhs)
+
+
+def circle_average(mult, x, n):
+    """Circle average (1/d_k) * integral_{S^1} K(ix, y) w_k(y) dsigma(y) for
+    N = 2 on the n uniform points of ``circle_grid``, each of weight 1/n; the
+    same rule for d_k and the numerator cancels the cusp of w_k to first
+    order.  It converges only algebraically there."""
+    if mult.dim != 2:
+        raise UsageError("circle_average is the N = 2 radial case")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise UsageError(f"x must be a 2-vector, got shape {x.shape}")
+    circle = circle_grid(n)
+    weight = 1.0 / len(circle)
+    wk = mult.weight(circle)
+    d_k = float(np.sum(weight * wk))
+    kern = dunkl_kernel_prod(mult, 1j * x, circle)
+    return complex(np.sum(weight * wk * kern) / d_k)

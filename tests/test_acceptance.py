@@ -20,7 +20,7 @@ CRITERIA = [
     ("criterion-05 Mehler limit and bound", "mehler", None),
     ("criterion-06 Master formula + Hecke identity", "master_formula", None),
     ("criterion-07 eigenbasis psi_{m,n,j}", "eigenbasis", None),
-    ("criterion-08 Funk-Hecke radial + c_k/d_k", "funk_hecke", None),
+    ("criterion-08 Funk-Hecke radial + c_k/d_k", "funk_hecke", 3.0),
     ("criterion-09 generator consistency", "generator", None),
     ("criterion-10 spectral theory", "spectral_theory", None),
     ("criterion-11 classical reductions", "classical", None),

@@ -472,8 +472,9 @@ def test_spectral_transform_reports_gram_residual(tmp_path):
 
 
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
-    # The Gauss-Jacobi rules and the basis avoid scipy.linalg, whose import
-    # costs a fresh job about 50 ms; run in a clean interpreter.
+    # The Gauss-Jacobi rules (the sphere rule's included) and the basis avoid
+    # scipy.linalg, whose import costs a fresh job about 50 ms; run in a clean
+    # interpreter.
     jobs = [
         {"command": "transform", "mu": [0.3, 0.7], "alpha": 1.0, "route": "spectral",
          "function": {"kind": "gaussian", "a": 0.5}},
@@ -481,6 +482,7 @@ def test_jobs_do_not_import_scipy_linalg(tmp_path):
          "function": {"kind": "gaussian", "a": 0.5}},
         {"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.7,
          "function": {"kind": "gaussian"}},
+        {"command": "check", "mu": [0.5], "suite": "funk_hecke"},
     ]
     code = (
         "import json, sys\n"
@@ -494,7 +496,8 @@ def test_jobs_do_not_import_scipy_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # the check job prints its rows first; the probe's answer is the last line
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_missing_config_file(tmp_path, capsys):

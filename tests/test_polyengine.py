@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dunkl_frft import polyengine
-from dunkl_frft.errors import RangeError, UsageError
+from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import (
     GaussPoly,
     HermiteBasis,
@@ -427,6 +427,19 @@ class TestHermiteExpansion:
         g = f.to_gauss_poly()
         x = np.linspace(-2, 2, 9)[:, None]
         assert np.max(np.abs(f(x) - g(x))) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_refused(self, bad, monkeypatch):
+        # a NaN used to give nan+nanj and an infinity 0; refused before any
+        # table is built
+        monkeypatch.setattr(HermiteBasis, "axis_matrix", None)
+        for mu in ([0.5], [0.3, 0.7]):
+            basis = HermiteBasis(Multiplicity(mu), 4)
+            f = HermiteExpansion(basis, np.ones(basis.size))
+            x = np.ones((3, len(mu)))
+            x[1, -1] = bad
+            with pytest.raises(DomainError, match="HermiteExpansion: points must be finite"):
+                f(x)
 
 
 def termwise_sum(expansion, x):

@@ -1,4 +1,5 @@
-"""Quadrature layer: Gauss-Legendre, weighted tensor grids, circle rule."""
+"""Quadrature layer: Gauss-Legendre, Gauss-Jacobi, weighted tensor grids, the
+sphere rule and the uniform circle rule."""
 
 import dataclasses
 import math
@@ -18,6 +19,7 @@ from dunkl_frft.quadrature import (
     circle_identity_residual,
     gauss_legendre,
     jacobi_halfline,
+    sphere_rule,
 )
 from dunkl_frft.specfun import Multiplicity, gamma_fn
 from dunkl_frft.transform import TransformPlan, fdt_integral_on_grid
@@ -254,6 +256,101 @@ class TestJacobiHalflineMatchesScipy:
                     assert a.tobytes() == b.tobytes(), (mu, n, name)
             assert got.nodes.tobytes() == want.nodes.tobytes()
             assert got.weights.tobytes() == want.weights.tobytes()
+
+
+# The stick exponents (a, b) = (sum_{i>j} (mu_i + 1/2) - 1, mu_j - 1/2) that
+# sphere_rule takes for every mu the Funk-Hecke tests and check suite use.
+SPHERE_MUS = ((0.0, 0.0), (0.3, 0.7), (0.5, 1.0), (0.0, 0.0, 0.0), (0.3, 0.7, 0.2),
+              (1.7, 0.2, 0.5), (0.2, 0.5, 0.4))
+STICK_EXPONENTS = sorted({(sum(m + 0.5 for m in mu[j + 1:]) - 1.0, mu[j] - 0.5)
+                          for mu in SPHERE_MUS for j in range(len(mu) - 1)})
+
+
+class TestGaussJacobiTwoExponents:
+    """``_gauss_jacobi(n, b, a)`` is scipy's roots_jacobi(n, a, b) for the
+    weight (1 - x)^a (1 + x)^b; where a == b scipy takes its Gegenbauer
+    routine instead, so there the rule is held to the nodes and the moments."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24, 32, 120])
+    def test_bitwise_equal_when_exponents_differ(self, n):
+        pairs = [(a, b) for a, b in STICK_EXPONENTS if a != b]
+        assert len(pairs) >= 6
+        for a, b in pairs:
+            got = quadrature._gauss_jacobi(n, b, a)
+            want = scipy_special.roots_jacobi(n, a, b)
+            for u, v in zip(got, want):
+                assert u.tobytes() == v.tobytes(), (n, a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 24, 32, 120])
+    def test_equal_exponents_nodes_and_moments(self, n):
+        equal = {a for a, b in STICK_EXPONENTS if a == b}
+        assert equal == {-0.5}
+        for a in sorted(equal | {-0.3, 0.0, 0.2, 1.0}):
+            x, w = quadrature._gauss_jacobi(n, a, a)
+            assert np.max(np.abs(x - scipy_special.roots_jacobi(n, a, a)[0])) <= 1e-15, (n, a)
+            # integral_{-1}^{1} x^k (1 - x^2)^a dx = B((k + 1)/2, a + 1) for even k
+            mass = scipy_special.beta(0.5, a + 1.0)
+            for k in range(2 * n):
+                want = 0.0 if k % 2 else scipy_special.beta(0.5 * (k + 1), a + 1.0)
+                assert abs(np.sum(w * x**k) - want) <= 1e-12 * mass, (n, a, k)
+
+    def test_default_is_the_one_sided_weight(self):
+        for b in (-0.5, 0.4, 1.5):
+            got = quadrature._gauss_jacobi(24, b)
+            want = quadrature._gauss_jacobi(24, b, 0.0)
+            for u, v in zip(got, want):
+                assert u.tobytes() == v.tobytes()
+
+
+def closed_form_mass(mu):
+    """d_k = Gamma(N/2) prod Gamma(mu_j + 1/2) / (pi^(N/2) Gamma(gamma + N/2))."""
+    dim = len(mu)
+    top = gamma_fn(0.5 * dim) * math.prod(gamma_fn(m + 0.5) for m in mu)
+    return top / (math.pi ** (0.5 * dim) * gamma_fn(sum(mu) + 0.5 * dim))
+
+
+class TestSphereRule:
+    @pytest.mark.parametrize("mu", [(0.0,), (0.7,)] + list(SPHERE_MUS))
+    def test_mass_and_sign_flips(self, mu):
+        points, weights = sphere_rule(Multiplicity(mu))
+        dim = len(mu)
+        nodes = quadrature.SPHERE_NODES ** (dim - 1)
+        assert points.shape == (2**dim * nodes, dim) and weights.shape == (2**dim * nodes,)
+        assert np.sum(weights) == pytest.approx(closed_form_mass(mu), rel=2e-15)
+        assert np.max(np.abs(np.sum(points * points, axis=-1) - 1.0)) <= 1e-15
+        assert np.all(weights > 0)
+        # 2^N blocks, each the first with its own signs
+        blocks = points.reshape(2**dim, nodes, dim)
+        assert np.all(np.abs(blocks) == np.abs(blocks[0])) and np.all(blocks[0] > 0)
+        signs = np.sign(blocks[:, 0, :])
+        assert len({tuple(s) for s in signs}) == 2**dim
+        assert np.all(weights.reshape(2**dim, nodes) == weights[:nodes])
+
+    def test_one_dimension(self):
+        points, weights = sphere_rule(Multiplicity([0.7]))
+        assert points.tolist() == [[1.0], [-1.0]] and weights.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("mu", [(0.3, 0.7), (0.0, 0.0, 0.0), (1.7, 0.2, 0.5)])
+    def test_monomial_moments(self, mu):
+        # integral of y^(2 alpha) w_k dsigma is d_k at mu + alpha, since
+        # y^(2 alpha) w_k is w_k at the shifted multiplicity; odd monomials
+        # cancel over the sign flips
+        points, weights = sphere_rule(Multiplicity(mu))
+        dim = len(mu)
+        for alpha in [(0,) * dim, (1,) + (0,) * (dim - 1), (2,) * dim, tuple(range(dim, 0, -1)),
+                      (7,) + (3,) * (dim - 1)]:
+            want = closed_form_mass(tuple(m + k for m, k in zip(mu, alpha)))
+            got = np.sum(weights * np.prod(points ** (2 * np.array(alpha)), axis=-1))
+            assert got == pytest.approx(want, rel=1e-13), (mu, alpha)
+            odd = np.sum(weights * points[:, 0] * np.prod(points[:, 1:] ** 2, axis=-1))
+            assert abs(odd) <= 1e-16
+
+    def test_mass_agrees_with_uniform_circle(self):
+        # the independent N = 2 reference: the circle rule's mean of w_k
+        for mu in ((0.0, 0.0), (0.3, 0.7)):
+            mult = Multiplicity(mu)
+            d_k = np.mean(mult.weight(circle_grid(1 << 16)))
+            assert np.sum(sphere_rule(mult)[1]) == pytest.approx(d_k, rel=1e-6)
 
 
 class TestCircleGrid:

@@ -15,13 +15,13 @@ import pytest
 from dunkl_frft import transform
 from dunkl_frft.errors import DomainError, RangeError, UsageError
 from dunkl_frft.polyengine import GaussPoly, HermiteExpansion, MultiPoly, heat_exp_poly
-from dunkl_frft.quadrature import build_grid, circle_grid
+from dunkl_frft.quadrature import build_grid
 from dunkl_frft.specfun import (
     BesselOrder,
     Multiplicity,
     dunkl_kernel_1d,
-    dunkl_kernel_prod,
     laguerre_eval,
+    normalized_ibessel,
 )
 from dunkl_frft.transform import (
     REGIME_GENERIC,
@@ -46,7 +46,7 @@ from dunkl_frft.transform import (
     normalize_alpha,
     radial_bessel,
 )
-from frft_helpers import gaussian_bilinear_check, gaussian_moment_check
+from frft_helpers import circle_average, gaussian_bilinear_check, gaussian_moment_check
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +215,23 @@ class TestKernelAlpha:
             with pytest.raises(RangeError, match=r"integral route: kernel coordinate y0 = -1e\+200"):
                 kernel_alpha(plan, np.stack([one, one]), np.stack([one, -1e200 * one]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_refused(self, bad, monkeypatch):
+        # named as a coordinate, before any Bessel value is evaluated
+        monkeypatch.setattr(transform, "dunkl_kernel_prod", None)
+        for mu in ([0.5], [0.3, 0.7]):
+            mult = Multiplicity(mu)
+            plan = TransformPlan(mult, 1.0, grid=build_grid(mult, n=24))
+            one = np.ones(mult.dim)
+            odd = np.array([1.0] * (mult.dim - 1) + [bad])
+            for x, y in ((odd, one), (one, odd), (np.stack([one, one]), np.stack([one, odd]))):
+                with pytest.raises(DomainError, match="kernel_alpha: points must be finite"):
+                    kernel_alpha(plan, x, y)
+                with pytest.raises(DomainError, match="kernel_smoothed: points must be finite"):
+                    kernel_smoothed(plan, x, y, 0.7)
+                with pytest.raises(DomainError, match="kernel_smoothed_bound: points must be finite"):
+                    kernel_smoothed_bound(plan, x, y, 0.7)
+
 
 class TestKernelSmoothed:
     def test_small_r_limit(self):
@@ -361,6 +378,21 @@ class TestKernelSpectral:
             batch = kernel_spectral(plan, x, y, r=r)
             single = np.array([kernel_spectral(plan, a, b, r=r) for a, b in zip(x, y)])
             assert batch.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinates_refused(self, bad, monkeypatch):
+        # a NaN used to give nan+nanj and an infinity 0; refused before any
+        # table is built
+        for mu in ([0.5], [0.3, 0.7]):
+            plan = TransformPlan(Multiplicity(mu), 1.0, M=4)
+            one = np.ones(len(mu))
+            odd = np.array([1.0] * (len(mu) - 1) + [bad])
+            with monkeypatch.context() as patch:
+                patch.setattr(type(plan.basis), "axis_matrix", None)
+                for x, y in ((odd, one), (one, odd), (np.stack([one, one]), np.stack([one, odd]))):
+                    for r in (1.0, 0.6):
+                        with pytest.raises(DomainError, match="kernel_spectral: points must be finite"):
+                            kernel_spectral(plan, x, y, r=r)
 
     def test_mehler_limit_monotone(self):
         mult = Multiplicity([0.5])
@@ -1589,53 +1621,71 @@ class TestMasterFormula:
 
 
 class TestFunkHecke:
+    # Each value is checked twice: on the uniform circle rule (the independent
+    # N = 2 reference, ``circle_average``) at its own tolerance, and on the
+    # sphere rule of ``funk_hecke_radial`` within 1e-13.
     def test_at_origin(self):
         mult = Multiplicity([0.3, 0.7])
-        circle = circle_grid(4096)
-        got = funk_hecke_radial(mult, np.zeros(2), circle)
+        got = circle_average(mult, np.zeros(2), 4096)
         assert got == pytest.approx(1.0 + 0.0j, abs=1e-14)
+        assert funk_hecke_radial(mult, np.zeros(2)) == pytest.approx(1.0 + 0.0j, abs=1e-13)
 
     def test_classical_plane_wave_average(self):
         # mu = 0, |x| = 1: average of e^{i<x,y>} over the circle is J_0(1)
         mult = Multiplicity([0.0, 0.0])
-        circle = circle_grid(1 << 12)
-        got = funk_hecke_radial(mult, np.array([1.0, 0.0]), circle)
+        x = np.array([1.0, 0.0])
+        got = circle_average(mult, x, 1 << 12)
         with mpmath.workdps(30):
             ref = float(mpmath.besselj(0, 1))
         assert got.real == pytest.approx(ref, abs=1e-12)
         assert abs(got.imag) <= 1e-12
+        assert funk_hecke_radial(mult, x) == pytest.approx(ref, abs=1e-13)
 
     def test_weighted_radial_identity(self):
         # lambda = 1 for mu = (0.3, 0.7): value is j_1(|x|) at |x| = 2
         mult = Multiplicity([0.3, 0.7])
-        circle = circle_grid(1 << 18)
         x = 2.0 * np.array([math.cos(0.4), math.sin(0.4)])
-        got = funk_hecke_radial(mult, x, circle)
+        got = circle_average(mult, x, 1 << 18)
         ref = complex(radial_bessel(mult, 2.0))
         with mpmath.workdps(30):
             direct = complex(mpmath.gamma(2) * (mpmath.mpf(1)) ** (-1) * mpmath.besselj(1, 2))
         assert ref == pytest.approx(direct, rel=1e-12)
         assert got == pytest.approx(ref, abs=2e-8)
+        assert funk_hecke_radial(mult, x) == pytest.approx(ref, abs=1e-13)
 
     def test_dimension_guard(self):
-        with pytest.raises(UsageError):
-            funk_hecke_radial(Multiplicity([0.5]), np.array([1.0, 0.0]), circle_grid(64))
+        # x must have one coordinate per axis of the multiplicity
+        for mu, x in (([0.5], [1.0, 0.0]), ([0.3, 0.7], [1.0]), ([0.3, 0.7], [[1.0, 0.0]]),
+                      ([0.3, 0.7, 0.2], [1.0, 0.0])):
+            with pytest.raises(UsageError, match="vector"):
+                funk_hecke_radial(Multiplicity(mu), np.array(x))
 
-    @pytest.mark.parametrize("n", [1 << 12, 1000])
-    def test_bit_equal_to_weight_array_rule(self, n):
-        # reference: the rule with an array of n weights 1/n, whose products
-        # the scalar weight 1/n forms too, so the average matches bit for bit
-        circle = circle_grid(n)
-        weights = np.full(n, 1.0 / n)
-        for mu in ((0.0, 0.0), (0.3, 0.7)):
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 0.7, 1.7])
+    def test_one_dimension_is_the_even_part(self, mu):
+        # N = 1: the sphere is +-1, so the average is the even part of the
+        # kernel, j_(mu - 1/2)(|x|), exactly
+        mult = Multiplicity([mu])
+        for x in (0.0, 0.3, -1.3, 2.5, -20.0):
+            want = complex(normalized_ibessel(mu - 0.5, 1j * abs(x)))
+            got = funk_hecke_radial(mult, np.array([x]))
+            assert (got.real, got.imag) == (want.real, want.imag), (mu, x)
+
+    def test_three_dimensions(self):
+        # lambda = gamma + 1/2; radii up to 20 in a direction off every axis
+        for mu in ((0.0, 0.0, 0.0), (0.3, 0.7, 0.2), (1.7, 0.2, 0.5)):
             mult = Multiplicity(mu)
-            for x in ([0.0, 0.0], [1.3, -2.1], [-7.0, 4.5]):
-                x = np.array(x)
-                wk = mult.weight(circle)
-                kern = dunkl_kernel_prod(mult, 1j * x, circle)
-                want = complex(np.sum(weights * wk * kern) / float(np.sum(weights * wk)))
-                got = funk_hecke_radial(mult, x, circle)
-                assert (got.real, got.imag) == (want.real, want.imag), (mu, x)
+            for radius in (0.0, 3.0, 20.0):
+                x = radius * np.array([0.36, -0.48, 0.8])
+                want = complex(radial_bessel(mult, radius))
+                assert funk_hecke_radial(mult, x) == pytest.approx(want, abs=1e-13), (mu, radius)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        for mu in ([0.5], [0.3, 0.7]):
+            x = np.zeros(len(mu))
+            x[-1] = bad
+            with pytest.raises(DomainError, match="points must be finite"):
+                funk_hecke_radial(Multiplicity(mu), x)
 
 
 class TestGaussianIdentities:
@@ -1740,19 +1790,19 @@ class TestEvenExtensionEquivalence:
 class TestFunkHeckeRange:
     def test_radius_twenty_unweighted(self):
         mult = Multiplicity([0.0, 0.0])
-        circle = circle_grid(1 << 12)
         x = 20.0 * np.array([math.cos(1.1), math.sin(1.1)])
-        got = funk_hecke_radial(mult, x, circle)
+        got = circle_average(mult, x, 1 << 12)
         ref = complex(radial_bessel(mult, 20.0))
         assert got == pytest.approx(ref, abs=1e-10)
+        assert funk_hecke_radial(mult, x) == pytest.approx(ref, abs=1e-13)
 
     def test_radius_twenty_weighted(self):
         mult = Multiplicity([0.3, 0.7])
-        circle = circle_grid(1 << 20)
         x = 20.0 * np.array([math.cos(0.3), math.sin(0.3)])
-        got = funk_hecke_radial(mult, x, circle)
+        got = circle_average(mult, x, 1 << 20)
         ref = complex(radial_bessel(mult, 20.0))
         assert got == pytest.approx(ref, abs=1e-8)
+        assert funk_hecke_radial(mult, x) == pytest.approx(ref, abs=1e-13)
 
 
 class TestUnitarityBoundary:

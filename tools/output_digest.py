@@ -70,9 +70,11 @@ inputs meet in its cache.  Then come the special functions, one
 ``lib/<function>/<N>/<parameter>/<points>`` line each:
 ``normalized_ibessel`` at nu = -1/2, -0.2, 0 and 0.7 on 101 points of the
 imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
-|u| < 80 (``complex``); ``funk_hecke_radial`` on ``circle_grid(2^12)``
-at nine x for mu = (0, 0) and (0.3, 0.7); and ``circle_identity_residual``
-for both mu at n = 2^12 and 1000.  Then one
+|u| < 80 (``complex``); ``funk_hecke_radial`` (on its sphere rule,
+input ``sphere``) at nine x, radius 0 to 20, for mu = (0), (0.5), (0, 0),
+(0.3, 0.7), (0, 0, 0) and (0.3, 0.7, 0.2); and ``circle_identity_residual``
+on the uniform circle for mu = (0, 0) and (0.3, 0.7) at n = 2^12 and 1000.
+Then one
 ``lib/build_grid/<N>/<grid>/<attribute>`` line each for the ``nodes``,
 ``weights`` and ``points_per_axis`` of ``build_grid`` for the three mu
 above, at the default (L, n) (``default``) and at L = 6, n = 24.  Last,
@@ -219,15 +221,21 @@ def _library_runs():
         for points, u in (("axis", axis), ("complex", spiral)):
             yield f"lib/normalized_ibessel/1/nu={nu:g}/{points}", result(
                 lambda: dk.normalized_ibessel(nu, u))
-    circle = dk.circle_grid(1 << 12)
-    xs = [radius * np.array([math.cos(theta), math.sin(theta)])
-          for radius, theta in zip((0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 10.0, 20.0),
-                                   np.linspace(0.0, 2.8, 9))]
+    radii = (0.0, 0.5, 1.0, 2.0, 3.5, 5.0, 8.0, 10.0, 20.0)
+    angles = np.linspace(0.0, 2.8, 9)
+    units = {1: [np.array([(-1.0) ** k]) for k in range(9)],
+             2: [np.array([math.cos(t), math.sin(t)]) for t in angles],
+             3: [np.array([math.cos(t), math.sin(t) * math.cos(2 * t), math.sin(t) * math.sin(2 * t)])
+                 for t in angles]}
+    for mu in ((0.0,), (0.5,), (0.0, 0.0), (0.3, 0.7), (0.0, 0.0, 0.0), (0.3, 0.7, 0.2)):
+        mult = dk.Multiplicity(mu)
+        label = "mu=" + ",".join(f"{m:g}" for m in mu)
+        xs = [radius * unit for radius, unit in zip(radii, units[mult.dim])]
+        yield f"lib/funk_hecke_radial/{mult.dim}/{label}/sphere", result(
+            lambda: [dk.funk_hecke_radial(mult, x) for x in xs])
     for mu in ((0.0, 0.0), (0.3, 0.7)):
         mult = dk.Multiplicity(mu)
         label = "mu=" + ",".join(f"{m:g}" for m in mu)
-        yield f"lib/funk_hecke_radial/2/{label}/circle{1 << 12}", result(
-            lambda: [dk.funk_hecke_radial(mult, x, circle) for x in xs])
         for n in (1 << 12, 1000):
             yield f"lib/circle_identity_residual/2/{label}/circle{n}", result(
                 lambda: dk.quadrature.circle_identity_residual(mult, n))
