@@ -249,11 +249,12 @@ def circle_grid(n):
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def circle_identity_residual(mult, n=1 << 20):
+def circle_identity_residual(mult, n):
     """Relative residual of c_k^-1 = pi^(N/2) Gamma(lambda+1) d_k / Gamma(N/2).
 
     Relates the Mehta constant to the circle mass d_k (the mean of w_k over
-    ``circle_grid(n)``) for N = 2; the default n overcomes the cusp of w_k.
+    ``circle_grid(n)``) for N = 2; it converges only algebraically in n at the
+    cusps of w_k (``sphere_rule`` gives d_k exactly at every N).
     """
     if mult.dim != 2:
         raise UsageError("the c_k/d_k relation is exercised for N = 2 only")
