@@ -475,8 +475,9 @@ def _cmd_transform(cfg, out_dir, fmt):
     if cfg.route == "spectral":
         result = fdt_spectral(f, plan, cfg.r)
         values = plan.grid.values(result) if on_grid else result(points)
-        extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack,
-                 "gram_residual": result.gram_residual}
+        extra = {"tail_mass": result.tail_mass, "parseval_slack": result.parseval_slack}
+        if not isinstance(f, HermiteExpansion):  # an expansion's coefficients are copied exactly
+            extra["gram_residual"] = result.gram_residual
     elif cfg.route == "smoothed":
         values = fdt_smoothed_on_grid(f, plan, cfg.r) if on_grid else fdt_smoothed(f, plan, points, cfg.r)
     else:

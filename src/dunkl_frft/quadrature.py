@@ -161,10 +161,6 @@ class QuadGrid:
             raise UsageError(f"value array has shape {vals.shape}, grid has {npts} nodes")
         return vals
 
-    def integrate(self, f):
-        """Integral of f against w_k(y) dy over the box."""
-        return np.sum(self.weights * self.values(f))
-
     def norm_l2(self, f):
         vals = self.values(f)
         return math.sqrt(float(np.sum(self.weights * np.abs(vals) ** 2).real))

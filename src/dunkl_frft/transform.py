@@ -31,12 +31,12 @@ from .polyengine import (
     dunkl_laplacian,
     heat_exp_poly,
 )
-from .quadrature import build_grid, jacobi_halfline, sphere_rule
+from .quadrature import QuadGrid, build_grid, sphere_rule
 from .specfun import (
     BesselOrder,
+    Multiplicity,
     _kernel_even_odd,
     dunkl_kernel_prod,
-    gamma_fn,
     normalized_ibessel,
 )
 
@@ -46,6 +46,9 @@ REGIME_GENERIC = "generic"
 REGIME_NEAR_SINGULAR = "near-singular"
 
 DEFAULT_S_MIN = 0.05
+# Points per half-axis of the fractional Hankel transform's grid.  At the
+# N = 1 default of 120 the error at |sin a| = 0.3 and radius 4 is ~1e-8.
+HANKEL_NODES = 160
 _TWO_PI = 2.0 * math.pi
 
 # Bytes of prepared operators one plan keeps (keys included).  An operator
@@ -145,7 +148,8 @@ class TransformPlan:
       input, or those factors applied to the synthesis tables of an
       expansion's basis (see ``_kernel_transform``);
     - the Hermite analysis matrices of ``hermite_expand``'s quadrature;
-    - fractional Hankel rules per order, and the basis's Gram residual.
+    - the axis of each fractional Hankel grid per (nu, interval), and the
+      basis's Gram residual.
 
     Its bookkeeping is locked and the cached arrays are read-only, so a
     plan stays safe to share between threads.
@@ -182,29 +186,18 @@ class TransformPlan:
     def prefactor(self):
         """A_alpha = c_k exp(i (gamma+N/2)(sgn(sin a) pi/2 - a)) / (2|sin a|)^(gamma+N/2).
 
-        None in the identity/parity regimes where no integral kernel exists.
+        None in the identity/parity regimes where no integral kernel exists;
+        a scale that underflows to 0 is refused with a RangeError.
         """
-        if math.sin(self.alpha) == 0.0 or self.regime in (REGIME_IDENTITY, REGIME_PARITY):
-            return None
-        phase, scale = self._phase_scale(self.order_exponent, "A_alpha")
-        return self.mult.mehta_constant * phase / scale
-
-    def hankel_prefactor(self, order):
-        """B_nu = exp(i (nu+1)(sgn(sin a) pi/2 - a)) / (Gamma(nu+1) (2|sin a|)^(nu+1))."""
-        nu = order.nu if isinstance(order, BesselOrder) else float(order)
-        if math.sin(self.alpha) == 0.0:
-            raise UsageError("no integral kernel exists at alpha in {0, pi}")
-        phase, scale = self._phase_scale(nu + 1.0, "B_nu")
-        return phase / (gamma_fn(nu + 1.0) * scale)
-
-    def _phase_scale(self, g, name):
-        """(exp(i g (sgn(sin a) pi/2 - a)), (2|sin a|)^g) of a kernel prefactor;
-        a scale that underflows to 0 refuses the prefactor ``name``."""
         s = math.sin(self.alpha)
+        if s == 0.0 or self.regime in (REGIME_IDENTITY, REGIME_PARITY):
+            return None
+        g = self.order_exponent
         scale = (2.0 * abs(s)) ** g
         if scale == 0.0:
-            raise RangeError(f"prefactor {name} overflows at |sin alpha| = {abs(s):.3g}")
-        return cmath.exp(1j * g * (math.copysign(math.pi / 2.0, s) - self.alpha)), scale
+            raise RangeError(f"prefactor A_alpha overflows at |sin alpha| = {abs(s):.3g}")
+        phase = cmath.exp(1j * g * (math.copysign(math.pi / 2.0, s) - self.alpha))
+        return self.mult.mehta_constant * phase / scale
 
     def with_alpha(self, alpha):
         plan = TransformPlan(self.mult, alpha, grid=self.grid, M=self.M, s_min=self.s_min)
@@ -728,46 +721,31 @@ def fractional_hankel(psi, order, plan, x):
         H_nu^a psi(x) = 2 B_nu * integral_0^inf e^{-(i/2)(x^2+y^2) cot a}
                         j_nu(x y / sin a) psi(y) y^(2 nu + 1) dy,
 
-    evaluated at radii x >= 0.  The y^(2 nu + 1) factor is folded into a
-    220-node Gauss-Jacobi rule in t = y^2, so the rule is spectrally accurate
-    for Gaussian-dominated psi.  The interval [0, box + 4] runs past the grid
-    box because the radial integrand decays only like exp(-y^2/2).  The rule
-    is kept in the plan's operator cache per (nu, interval).  psi(y) must
-    give one value per node y, like ``QuadGrid.values``; any other shape is
-    refused.  A radius whose kernel row is not finite in double precision
-    is refused with a RangeError naming it.
+    at radii x >= 0: the rank-one integral route at mu = nu + 1/2, where
+    A_alpha is B_nu, on the even extension psi(|y|), exact on the mirrored
+    axis.  Its grid, HANKEL_NODES points per half-axis on [-(box + 4), box + 4],
+    runs past the plan's box because the radial integrand decays only like
+    exp(-y^2/2); the plan keeps its axis per (nu, interval).  psi must give
+    one value per node, as ``QuadGrid.values`` asks, and a radius whose
+    kernel row is not finite is refused with a RangeError naming it.
     """
     _require_kernel_regime(plan, "fractional_hankel")
-    if not isinstance(order, BesselOrder):
-        order = BesselOrder(order)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0):
+    nu = (order if isinstance(order, BesselOrder) else BesselOrder(order)).nu
+    radii = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(radii < 0):
         raise DomainError("fractional_hankel radii must be >= 0")
+    mult = Multiplicity([nu + 0.5])
     length = plan.grid.box + 4.0
-    t, wt = plan._operators.get(
-        ("hankel_rule", order.nu, length),
-        lambda: list(jacobi_halfline(220, order.nu, length * length)),
-    )
-    y = np.sqrt(t)
-    wt = 0.5 * wt
-    s = math.sin(plan.alpha)
-    cot = math.cos(plan.alpha) / s
-    psi_vals = np.asarray(psi(y), dtype=complex)
-    if psi_vals.shape != y.shape:
-        raise UsageError(f"psi(y) has shape {psi_vals.shape}, the radii y have {y.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        kern = normalized_ibessel(order, 1j * xs[:, None] * y[None, :] / s)
-        phase = np.exp(-0.5j * cot * (xs[:, None] ** 2 + y[None, :] ** 2))
-        rows = kern * phase
-    finite = np.all(np.isfinite(rows), axis=1)
-    if not finite.all():
-        raise _out_of_range("fractional Hankel", "radius x", float(xs[~finite][0]))
-    vals = 2.0 * plan.hankel_prefactor(order) * np.sum(
-        rows * (wt * psi_vals)[None, :], axis=1
-    )
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return complex(vals[0])
-    return vals
+
+    def build():
+        grid = build_grid(mult, length, n=HANKEL_NODES)
+        return [grid.axes_nodes[0], grid.axes_weights[0]]
+
+    nodes, weights = plan._operators.get(("hankel_grid", nu, length), build)
+    grid = QuadGrid(mult=mult, box=length, axes_nodes=(nodes,), axes_weights=(weights,))
+    radial = TransformPlan(mult, plan.alpha, grid, M=0, s_min=plan.s_min)
+    vals = fdt_integral(lambda p: psi(np.abs(p[:, 0])), radial, radii[:, None])
+    return complex(vals[0]) if np.ndim(x) == 0 else vals
 
 
 def bochner_fdt(p, psi, plan, xs):

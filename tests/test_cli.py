@@ -471,6 +471,18 @@ def test_spectral_transform_reports_gram_residual(tmp_path):
     assert set(summaries[None]) == {"tail_mass", "parseval_slack", "gram_residual"}
 
 
+def test_spectral_expansion_summary_has_no_gram_residual(tmp_path):
+    # a hermite_combo's coefficients are copied, not analysed on the grid,
+    # so the grid's Gram residual (0.072 at M = 32) does not bound them
+    config = {"command": "transform", "mu": [0.5], "alpha": 1.0, "route": "spectral", "M": 32,
+              "function": {"kind": "hermite_combo",
+                           "terms": [{"nu": [30], "re": 1.0}, {"nu": [2], "re": 0.5}]},
+              "outputs": [[0.5]]}
+    assert run(config, out_dir=str(tmp_path), fmt="json") == 0
+    summary = json.loads((tmp_path / "result.json").read_text())["summary"]
+    assert summary == {"tail_mass": 0.0, "parseval_slack": 0.0}
+
+
 def test_jobs_do_not_import_scipy_linalg(tmp_path):
     # The Gauss-Jacobi rules (the sphere rule's included) and the basis avoid
     # scipy.linalg, whose import costs a fresh job about 50 ms; run in a clean
@@ -692,7 +704,7 @@ def test_huge_kernel_and_hankel_coordinates(tmp_path, capsys):
           "outputs": {"pairs": [[1e20, 1.0]]}}, "smoothed route", "x0 = 1e+20"),
         ({"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5,
           "function": {"kind": "gaussian"}, "outputs": {"radii": [1e200]}},
-         "fractional Hankel route", "x = 1e+200"),
+         "integral route", "x0 = 1e+200"),
     ]
     for i, (cfg, route, coordinate) in enumerate(cases):
         out = tmp_path / f"out{i}"
@@ -701,6 +713,21 @@ def test_huge_kernel_and_hankel_coordinates(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and route in err[0] and coordinate in err[0]
         assert not (out / "result.csv").exists()
+
+
+def test_hankel_order_past_its_grid_refused(tmp_path, capsys):
+    # At order 100 the weight y^201 on [0, box + 4] fails the Mehta
+    # calibration of the Hankel grid: refused, not answered far off.
+    cfg = {"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 100,
+           "function": {"kind": "laguerre_gaussian", "m": 1, "order": 100},
+           "outputs": {"radii": [0.0, 3.0, 6.0]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "Mehta calibration" in err[0] and "L=12.0, n=160" in err[0], err
+    assert not (out / "result.csv").exists()
 
 
 @pytest.mark.parametrize("route, name", [("integral", "kernel_alpha"),

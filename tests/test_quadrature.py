@@ -58,18 +58,18 @@ class TestGaussLegendre:
 class TestBuildGrid:
     def test_gaussian_integral_mu_zero(self):
         grid = build_grid(Multiplicity([0.0]), L=8.0, n=80)
-        val = grid.integrate(lambda p: np.exp(-p[..., 0] ** 2))
+        val = np.sum(grid.weights * grid.values(lambda p: np.exp(-p[..., 0] ** 2)))
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_abs_weight_moment(self):
         # integral |y| e^{-y^2} dy = Gamma(1) = 1 (substitution t = y^2)
         grid = build_grid(Multiplicity([0.5]), L=8.0, n=80)
-        val = grid.integrate(lambda p: np.exp(-p[..., 0] ** 2))
+        val = np.sum(grid.weights * grid.values(lambda p: np.exp(-p[..., 0] ** 2)))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_two_dim_product_moment(self):
         grid = build_grid(Multiplicity([0.3, 0.7]), L=8.0, n=40)
-        val = grid.integrate(lambda p: np.exp(-np.sum(p**2, axis=-1)))
+        val = np.sum(grid.weights * grid.values(lambda p: np.exp(-np.sum(p**2, axis=-1))))
         assert val == pytest.approx(gamma_fn(0.8) * gamma_fn(1.2), rel=1e-12)
 
     def test_calibration_invariant(self):
@@ -154,7 +154,7 @@ class TestGridValues:
             "scalar": (lambda p: 1.0, ()),
         }
         readers = {
-            "integrate": grid.integrate,
+            "values": grid.values,
             "norm_l2": grid.norm_l2,
             "integral route": lambda f: fdt_integral_on_grid(f, plan),
         }

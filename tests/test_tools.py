@@ -87,7 +87,8 @@ def test_library_digest_repeats_in_documented_format(capsys):
     special = re.compile(r"lib/(normalized_ibessel/1/nu=(-0\.5|-0\.2|0|0\.7)/(axis|complex)|"
                          r"funk_hecke_radial/(1/mu=(0|0\.5)|2/mu=(0,0|0\.3,0\.7)|3/mu=(0,0,0|0\.3,0\.7,0\.2))/"
                          r"sphere|"
-                         r"circle_identity_residual/2/mu=(0,0|0\.3,0\.7)/circle(4096|1000)) [0-9a-f]{40}")
+                         r"circle_identity_residual/2/mu=(0,0|0\.3,0\.7)/circle(4096|1000)|"
+                         r"fractional_hankel/1/nu=(-0\.5|0\.5|1\.7)/radii) [0-9a-f]{40}")
     grid = re.compile(r"lib/build_grid/[123]/(default|L=6,n=24)/(nodes|weights|points_per_axis) [0-9a-f]{40}")
     table = re.compile(r"lib/axis_matrix/1/mu=(0|0\.3|0\.5|1\.7)/M=(24|100)/(grid|past_reach|subnormal) "
                        r"[0-9a-f]{40}")
@@ -107,7 +108,7 @@ def test_library_digest_repeats_in_documented_format(capsys):
     assert len(set(labels)) == len(labels)
     assert len(routes) == 2 * 3 * 3 * 3 * 2 and len(pairs) == 3 * 4 * 2
     assert len(edges) == 2 * 4 * 3 * 2
-    assert len(specials) == 4 * 2 + 6 + 2 * 2 and len(grids) == 3 * 2 * 3
+    assert len(specials) == 4 * 2 + 6 + 2 * 2 + 3 and len(grids) == 3 * 2 * 3
     assert len(tables) == 4 * 2 * 3
     # four inputs: the expansion, its grid values, bases of degree M - 2 and M + 2
     inputs = {text.split("/")[3] for text in spectrals}

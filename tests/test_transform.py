@@ -121,8 +121,6 @@ class TestTransformPlan:
         plan = TransformPlan(Multiplicity([1.5]), 1e-300)
         with pytest.raises(RangeError):
             _ = plan.prefactor
-        with pytest.raises(RangeError):
-            plan.hankel_prefactor(2.0)
 
     def test_periodic_plans_identical(self):
         mult = Multiplicity([0.5])
@@ -1440,15 +1438,18 @@ class TestOperatorCache:
 
 class TestFractionalHankel:
     def test_laguerre_eigenfunctions(self):
+        # psi_m = L_m^nu(y^2) e^{-y^2/2} has eigenvalue e^{2 i a m}; radii up
+        # to 4 at |sin a| down to 0.3 need the grid's HANKEL_NODES
         mult = Multiplicity([1.0])
-        plan = TransformPlan(mult, math.pi / 3, M=0)
-        nu = 0.5
-        radii = np.linspace(0.0, 2.5, 11)
-        for m in range(4):
-            psi = lambda y, _m=m: laguerre_eval(_m, nu, y * y) * np.exp(-0.5 * y * y)
-            got = fractional_hankel(psi, nu, plan, radii)
-            want = cmath.exp(2j * plan.alpha * m) * psi(radii)
-            assert np.max(np.abs(got - want)) <= 1e-9
+        radii = np.linspace(0.0, 4.0, 17)
+        for alpha in (math.pi / 3, 2.84, -0.31):
+            plan = TransformPlan(mult, alpha, M=0)
+            for nu in (-0.5, 0.5, 1.3, 2.0):
+                for m in range(4):
+                    psi = lambda y, _m=m, _nu=nu: laguerre_eval(_m, _nu, y * y) * np.exp(-0.5 * y * y)
+                    got = fractional_hankel(psi, nu, plan, radii)
+                    want = cmath.exp(2j * plan.alpha * m) * psi(radii)
+                    assert np.max(np.abs(got - want)) <= 1e-9, (alpha, nu, m)
 
     def test_ground_state_invariant(self):
         mult = Multiplicity([1.0])
@@ -1475,13 +1476,13 @@ class TestFractionalHankel:
         radii = np.linspace(0.0, 3.0, 7)
         first = fractional_hankel(psi, 0.7, plan, radii)
         calls = []
-        original = transform.jacobi_halfline
+        original = transform.build_grid
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return original(*args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(transform, "jacobi_halfline", counting)
+        monkeypatch.setattr(transform, "build_grid", counting)
         second = fractional_hankel(psi, 0.7, plan, radii)
         assert calls == []
         assert second.tobytes() == first.tobytes()
@@ -1493,7 +1494,7 @@ class TestFractionalHankel:
     def test_huge_radius_refused(self):
         mult = Multiplicity([0.5])
         plan = TransformPlan(mult, 1.0, M=0)
-        with pytest.raises(RangeError, match=r"fractional Hankel route: radius x = 1e\+200"):
+        with pytest.raises(RangeError, match=r"integral route: output coordinate x0 = 1e\+200"):
             fractional_hankel(lambda y: np.exp(-y * y), 0.5, plan, np.array([1.0, 1e200]))
 
     def test_negative_radius_rejected(self):
@@ -1503,20 +1504,20 @@ class TestFractionalHankel:
             fractional_hankel(lambda y: np.exp(-y * y), 0.5, plan, np.array([-1.0]))
 
     def test_profile_of_wrong_shape_refused(self):
-        # one value per node of the 220-node rule, like QuadGrid.values; a
-        # column used to come back as a (1, 220) result
+        # one value per node of the 320-node axis, as QuadGrid.values asks;
+        # a column would broadcast against the weights
         plan = TransformPlan(Multiplicity([0.5]), 0.9, M=0)
         profiles = {
-            "column": (lambda y: np.exp(-y * y)[:, None], r"\(220, 1\)"),
+            "column": (lambda y: np.exp(-y * y)[:, None], r"\(320, 1\)"),
             "scalar": (lambda y: 1.0, r"\(\)"),
-            "short": (lambda y: np.exp(-y[:-1] ** 2), r"\(219,\)"),
+            "short": (lambda y: np.exp(-y[:-1] ** 2), r"\(319,\)"),
         }
         for key, (psi, shape) in profiles.items():
             for radii in ([0.5], [0.5, 1.0, 2.0], 0.5):
-                with pytest.raises(UsageError, match=rf"psi\(y\) has shape {shape}, the radii y have \(220,\)"):
+                with pytest.raises(UsageError, match=rf"value array has shape {shape}, grid has 320 nodes"):
                     fractional_hankel(psi, 0.5, plan, radii)
         plan2 = TransformPlan(Multiplicity([0.3, 0.7]), 0.9, M=0)
-        with pytest.raises(UsageError, match=r"psi\(y\) has shape \(220, 1\)"):
+        with pytest.raises(UsageError, match=r"value array has shape \(320, 1\), grid has 320 nodes"):
             bochner_fdt(MultiPoly.variable(0, 2), profiles["column"][0], plan2, [[0.5, 1.0]])
 
 

@@ -66,7 +66,10 @@ spectral side, outputs ``coefficients``: ``fdt_spectral`` at r = 1 and
 degree-6 expansion, its grid values as an array, and expansions in bases
 of degree M - 2 and M + 2 (``expansion-deg<degree>``; M = 24 at N = 1,
 16 above).  All runs of one mu share one plan, so sampled and expansion
-inputs meet in its cache.  Then come the special functions, one
+inputs meet in its cache.  On the N = 1 plan, ``fractional_hankel`` of
+the profile (1 + 0.3i y^2) e^(-y^2/2) at nu = -1/2, 1/2 and 1.7, on nine
+radii from 0 to 4, one ``lib/fractional_hankel/1/nu=<nu>/radii`` line
+each.  Then come the special functions, one
 ``lib/<function>/<N>/<parameter>/<points>`` line each:
 ``normalized_ibessel`` at nu = -1/2, -0.2, 0 and 0.7 on 101 points of the
 imaginary axis up to |u| = 80 (``axis``) and on 37 complex points with
@@ -214,6 +217,12 @@ def _library_runs():
             for entry, r, run in spectral:
                 for call in ("first", "repeat"):
                     yield f"lib/{entry}/{dim}/{name}/coefficients/{r:g}/{call}", result(lambda: run(f))
+        if dim == 1:
+            radii = np.linspace(0.0, 4.0, 9)
+            for nu in (-0.5, 0.5, 1.7):
+                yield f"lib/fractional_hankel/1/nu={nu:g}/radii", result(
+                    lambda: dk.fractional_hankel(lambda y: np.exp(-0.5 * y * y) * (1.0 + 0.3j * y * y),
+                                                 nu, plan, radii))
 
     axis = 1j * np.linspace(0.0, 80.0, 101)
     spiral = np.linspace(0.3, 79.0, 37) * np.exp(1j * np.linspace(0.05, 6.2, 37))
