@@ -46,8 +46,8 @@ REGIME_GENERIC = "generic"
 REGIME_NEAR_SINGULAR = "near-singular"
 
 DEFAULT_S_MIN = 0.05
-# Points per half-axis of the fractional Hankel transform's grid.  At the
-# N = 1 default of 120 the error at |sin a| = 0.3 and radius 4 is ~1e-8.
+# Points per half-axis of the fractional Hankel grid: at 120 a Laguerre
+# eigenfunction at |sin a| = 0.3, radius 4 errs by 1.5e-9; at 160, 1.1e-12.
 HANKEL_NODES = 160
 _TWO_PI = 2.0 * math.pi
 
