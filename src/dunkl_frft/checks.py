@@ -127,8 +127,8 @@ def check_basis_integrity(seed=DEFAULT_SEED):
         basis = HermiteBasis(mult, 12)
         gram_err = basis.gram_residual(build_grid(mult))
         out.append(CheckResult(f"basis-gram mu={mu}", gram_err, 1e-9))
-        # the exact heat-exponential ladder and the float recurrence, each
-        # against the independent Laguerre closed form
+        # the exact heat exponential and the float recurrence, each against
+        # the independent Laguerre closed form
         t = np.linspace(-3.0, 3.0, 21)
         heat_worst = recurrence_worst = 0.0
         for n, recurrence in enumerate(basis.axis_matrix(0, t)):

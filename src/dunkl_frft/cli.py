@@ -35,6 +35,7 @@ from .semigroup import (
 )
 from .specfun import BesselOrder, Multiplicity, laguerre_eval
 from .transform import (
+    HANKEL_NODES,
     TransformPlan,
     fdt_integral,
     fdt_integral_on_grid,
@@ -517,6 +518,10 @@ def _cmd_basis(cfg, out_dir, fmt):
 
 
 def _cmd_hankel(cfg, out_dir, fmt):
+    for key in ("n", "M"):
+        if getattr(cfg, key) is not None:
+            raise UsageError(f"config field '{key}': the hankel command runs on its own rank-one grid "
+                             f"of {HANKEL_NODES} points per half-axis and does not read it")
     plan = _make_plan(cfg)
     if cfg.order is None:
         raise UsageError("config field 'order' is required for the hankel command")
@@ -592,7 +597,8 @@ def _cmd_convergence(cfg, out_dir, fmt):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     if cfg.vary == "r":
-        values = _parse(cfg.values or [1.0 - 2.0**-j for j in range(3, 13)], "values", _float_list)
+        values = [1.0 - 2.0**-j for j in range(3, 13)] if cfg.values is None else cfg.values
+        values = _parse(values, "values", _float_list)
         if not all(0.0 < r < 1.0 for r in values):
             raise UsageError(f"config field 'values': r must lie in (0, 1), got {values}")
         samples = rng.uniform(-2.0, 2.0, size=(12, 2, plan.mult.dim))
@@ -603,7 +609,8 @@ def _cmd_convergence(cfg, out_dir, fmt):
             rows.append([float(r), float(gaps.max())])
         cols = ["r", "kernel_residual"]
     else:
-        values = _parse(cfg.values or [0.4 * 2.0**-j for j in range(8)], "values", _float_list)
+        values = [0.4 * 2.0**-j for j in range(8)] if cfg.values is None else cfg.values
+        values = _parse(values, "values", _float_list)
         if not all(a != 0.0 and math.isfinite(a) for a in values):
             raise UsageError(f"config field 'values': orders must be finite and nonzero, got {values}")
         f = build_function(cfg.function, plan)

@@ -329,18 +329,15 @@ def heat_exp_poly(p, c, mult):
     their exact dyadic representation, so the arithmetic never rounds).
     """
     scale = RationalComplex.coerce(c)
-    out = p
-    term = p
+    out = term = p
+    coeff = RationalComplex(1)
     s = 0
     while True:
         term = dunkl_laplacian(term, mult)
         if term.is_zero:
             return out
         s += 1
-        coeff = RationalComplex(1)
-        for _ in range(s):
-            coeff = coeff * scale
-        coeff = coeff * Fraction(1, math.factorial(s))
+        coeff = coeff * scale * Fraction(1, s)
         out = out + term * coeff
         if s > p.degree:
             raise RangeError("heat exponential failed to terminate (non-nilpotent input?)")
@@ -417,72 +414,43 @@ def hermite_operator(f, mult):
     return GaussPoly(f.dunkl_laplacian(mult).poly - rsq * f.poly)
 
 
-def _hermite_family_1d(mu_exact, max_degree):
-    """(integer ladder, norms) of the 1-D family at multiplicity mu for
-    degrees 0..max_degree.
+def _hermite_norms_1d(mu_exact, max_degree):
+    """Norms of the 1-D family at multiplicity mu for degrees 0..max_degree.
 
-    The polynomial parts p_n = exp(-Delta_k/4) t^n come from the exact ladder
-    p_0 = 1, p_(n+1) = t p_n - T p_n / 2: for Z2, [Delta_k, t] = 2T and
-    [Delta_k, T] = 0, so exp(-Delta_k/4) t exp(Delta_k/4) = t - T/2.  With
-    2 mu = P/Q the ladder runs on integers: p_n = N_n / (2Q)^n, where
-
-        N_(n+1)[a+1] += 2Q N_n[a],   N_(n+1)[a-1] -= (aQ + P [a odd]) N_n[a],
-
-    and entry n of the ladder is the pair (N_n, (2Q)^n).  Since p_n is t^n
-    plus lower monomials, all orthogonal to it, its norm^2 in
-    L^2(|t|^(2 mu) dt) after the factor exp(-t^2/2) is <p_n, t^n>: one sum of
-    Gaussian moments Gamma(mu + 1/2) (mu + 1/2)_s.  With mu + 1/2 = b_p/b_q
-    the sum is one integer over (2Q)^n b_q^n, taken exactly, so the heavy
-    sign cancellation at high degree costs no precision.  Python's integer
-    true division rounds correctly, so each norm equals the one taken from
-    the reduced fraction.
+    The monic p_n = exp(-Delta_k/4) t^n obey p_(n+1) = t p_n - b_n p_(n-1)
+    with b_n = (n + 2 mu [n odd]) / 2 (Rosenblum 1994), so the norm^2 of
+    p_n exp(-t^2/2) in L^2(|t|^(2 mu) dt) is Gamma(mu + 1/2) b_1 ... b_n.  The
+    product is taken exactly and float() rounds it correctly.
     """
     two_mu = 2 * Fraction(mu_exact)
-    p, q = two_mu.numerator, two_mu.denominator
-    base = Fraction(mu_exact) + Fraction(1, 2)
-    bp, bq = base.numerator, base.denominator
-    gamma_base = gamma_fn(float(base))
-    # numerators of the Pochhammer symbols (mu + 1/2)_s = poch[s] / bq^s
-    poch = [1]
-    for i in range(max_degree):
-        poch.append(poch[-1] * (bp + i * bq))
-    two_q = 2 * q
-    nums = [1]
-    ladder, norms = [], []
+    gamma_base = gamma_fn(float(Fraction(mu_exact) + Fraction(1, 2)))
+    prod = Fraction(1)
+    norms = []
     for n in range(max_degree + 1):
         if n:
-            raised = [0] * (n + 1)
-            for a, c in enumerate(nums):
-                if c:
-                    raised[a + 1] += two_q * c
-                    raised[a - 1] -= (a * q + p * (a & 1)) * c  # 0 at a = 0
-            nums = raised
-        den = two_q**n
-        moment = sum(nums[a] * poch[(a + n) // 2] * bq ** ((n - a) // 2)
-                     for a in range(n % 2, n + 1, 2))
+            prod *= (n + two_mu * (n & 1)) / 2
         try:
-            norm = math.sqrt(moment / (den * bq**n) * gamma_base)
+            norm = math.sqrt(float(prod) * gamma_base)
         except OverflowError:
             norm = math.inf
         if norm == math.inf:
             raise RangeError(f"the Hermite norm of degree {n} at mu = {float(mu_exact):g} "
                              f"overflows double precision; max_degree must stay below {n}")
-        ladder.append((nums, den))
         norms.append(norm)
-    return ladder, norms
+    return norms
 
 
 class HermiteBasis:
     """Orthonormal generalized Hermite functions h_nu for |nu| <= max_degree.
 
-    One-dimensional families are built once per distinct mu_j: the heat
-    regularized monomials exp(-Delta_k/4) t^n, raised by the integer ladder of
-    ``_hermite_family_1d``, normalized in L^2(|t|^(2 mu_j) dt); the leading
-    coefficient stays positive.  The N-dimensional h_nu are tensor products,
-    orthonormal under w_k and eigenfunctions of the Dunkl transform with
-    eigenvalue (-i)^|nu|.  Float values come from the recurrence of
-    ``axis_matrix``; the exact polynomial of an h_nu is made from the ladder
-    on its first request and kept.  Instances are immutable after
+    h_nu is the heat-regularized monomial exp(-Delta_k/4) x^nu times
+    exp(-|x|^2/2), normalized in L^2(w_k); the leading coefficient stays
+    positive.  These are tensor products of 1-D functions, orthonormal under
+    w_k and eigenfunctions of the Dunkl transform with eigenvalue (-i)^|nu|.
+    The 1-D norms come from the recurrence product of ``_hermite_norms_1d``,
+    once per distinct mu_j.  Float values come from the recurrence of
+    ``axis_matrix``; the exact polynomial of an h_nu is the heat exponential,
+    taken on its first request and kept.  Instances are immutable after
     construction.
     """
 
@@ -492,10 +460,9 @@ class HermiteBasis:
         self.mult = mult
         self.max_degree = int(max_degree)
         families = {
-            mu: _hermite_family_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
+            mu: _hermite_norms_1d(mu, self.max_degree) for mu in dict.fromkeys(mult.mu_exact)
         }
-        self._axis_ladders = [families[mu][0] for mu in mult.mu_exact]
-        self._axis_norms = [families[mu][1] for mu in mult.mu_exact]
+        self._axis_norms = [families[mu] for mu in mult.mu_exact]
         self.indices = tuple(
             sorted(_graded_indices(mult.dim, self.max_degree), key=lambda nu: (sum(nu), nu))
         )
@@ -533,11 +500,10 @@ class HermiteBasis:
         if any(v < 0 for v in nu) or sum(nu) > self.max_degree:
             raise RangeError(f"multi-index {nu} outside basis range |nu| <= {self.max_degree}")
         if nu not in self._functions:
-            poly = MultiPoly.constant(1, self.dim)
             scale = Fraction(1)
             for j, n in enumerate(nu):
-                poly = poly * _ladder_poly(self._axis_ladders[j][n], j, self.dim)
                 scale *= Fraction(1.0 / self._axis_norms[j][n])
+            poly = heat_exp_poly(MultiPoly.monomial(nu), Fraction(-1, 4), self.mult)
             self._functions[nu] = GaussPoly(poly * scale)
         return self._functions[nu]
 
@@ -598,19 +564,6 @@ def _graded_indices(dim, max_degree):
         for rest in _graded_indices(dim - 1, max_degree - first):
             out.append((first,) + rest)
     return out
-
-
-def _ladder_poly(entry, j, dim):
-    """The exact p_n of a ladder entry (N_n, (2Q)^n) as a polynomial in
-    coordinate j of dim variables."""
-    nums, den = entry
-    terms = {}
-    for a, c in enumerate(nums):
-        if c:
-            key = [0] * dim
-            key[j] = a
-            terms[tuple(key)] = Fraction(c, den)
-    return MultiPoly(dim, terms)
 
 
 def hermite_closed_form_1d(n, mu, t):

@@ -730,6 +730,33 @@ def test_hankel_order_past_its_grid_refused(tmp_path, capsys):
     assert not (out / "result.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("n", 8), ("n", 40), ("n", 200), ("M", 0), ("M", 8)])
+def test_hankel_refuses_grid_fields(tmp_path, capsys, key, value):
+    # The hankel command runs on its own rank-one grid, so a set n or M
+    # would be recorded and ignored: it is refused by name instead.
+    cfg = {"command": "hankel", "mu": [0.5], "alpha": 1.0, "order": 0.5, key: value,
+           "function": {"kind": "gaussian"}, "outputs": {"radii": [0.0, 1.0, 2.0]}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"'{key}'" in err[0] and "160 points per half-axis" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [{"vary": "r"},
+                                   {"vary": "alpha", "M": 4, "function": {
+                                       "kind": "hermite_combo", "terms": [{"nu": [2], "re": 1.0}]}}],
+                         ids=["r", "alpha"])
+def test_convergence_empty_values_gives_empty_table(tmp_path, extra):
+    # An explicit empty list is a sweep over nothing, not the default sweep.
+    cfg = dict({"command": "convergence", "mu": [0.5], "alpha": 1.0, "values": []}, **extra)
+    assert run(cfg, out_dir=str(tmp_path), fmt="json") == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert payload["rows"] == [] and payload["config"]["values"] == []
+
+
 @pytest.mark.parametrize("route, name", [("integral", "kernel_alpha"),
                                          ("smoothed", "kernel_smoothed"),
                                          ("spectral", "kernel_spectral")])

@@ -2,6 +2,7 @@
 basis and the Hermite operator."""
 
 import functools
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -148,9 +149,10 @@ def pairwise_norm_sq(poly_1d, mu_exact):
 
 
 def fraction_ladder_family(mu_exact, max_degree):
-    """Reference for ``_hermite_family_1d``: the same ladder and norms on
-    exact MultiPoly/Fraction objects, as the family was first built.
-    Returns (polynomials, norms)."""
+    """Independent reference for the 1-D family: the polynomials raised by
+    the exact ladder p_(n+1) = t p_n - T p_n / 2 (for Z2, [Delta_k, t] = 2T
+    and [Delta_k, T] = 0, so exp(-Delta_k/4) t exp(Delta_k/4) = t - T/2), and
+    each norm from the moment sum <p_n, t^n>.  Returns (polynomials, norms)."""
     axis = Multiplicity([mu_exact])
     base = mu_exact + Fraction(1, 2)
     gamma_base = gamma_fn(float(base))
@@ -175,37 +177,44 @@ def family_poly(basis, n):
 
 
 class TestHermiteLadder:
-    """The family is raised by p_(n+1) = t p_n - T p_n / 2 on integers; the
-    heat exponential exp(-Delta_k/4) t^n stays the defining construction."""
+    """The exact polynomials are the heat exponential exp(-Delta_k/4) t^n and
+    the norms the recurrence product; both are checked against the ladder
+    and moment sums of ``fraction_ladder_family``."""
 
     MUS = (0, 0.3, 0.5, 1.7, Fraction(4, 7))
 
-    @pytest.mark.parametrize("mu", MUS)
-    def test_ladder_equals_heat_exponential(self, mu):
-        mult = Multiplicity([mu])
-        basis = HermiteBasis(mult, 30)
-        for n in range(31):
-            want = heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), mult)
-            assert basis.function((n,)).poly == want * Fraction(basis.norms[n]), n
-
-    @pytest.mark.parametrize("mu", MUS)
-    def test_norms_equal_pairwise_sum(self, mu):
-        mu_exact = Multiplicity([mu]).mu_exact[0]
-        basis = HermiteBasis(Multiplicity([mu]), 30)
-        _, norms = polyengine._hermite_family_1d(mu_exact, 30)
-        for n, norm in enumerate(norms):
-            poly = family_poly(basis, n)
-            assert norm == math.sqrt(pairwise_norm_sq(poly, mu_exact)), n
-
     @pytest.mark.parametrize("mu", MUS + (0.7, Fraction(1, 3)))
-    def test_integer_ladder_equals_fraction_ladder(self, mu):
+    def test_ladder_equals_heat_exponential(self, mu):
         mu_exact = Multiplicity([mu]).mu_exact[0]
-        _, norms = polyengine._hermite_family_1d(mu_exact, 40)
+        norms = polyengine._hermite_norms_1d(mu_exact, 40)
         ref_polys, ref_norms = fraction_ladder_family(mu_exact, 40)
         basis = HermiteBasis(Multiplicity([mu]), 40)
         for n in range(41):
             assert norms[n] == ref_norms[n], n
             assert family_poly(basis, n) == ref_polys[n], n
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_norms_equal_pairwise_sum(self, mu):
+        mu_exact = Multiplicity([mu]).mu_exact[0]
+        basis = HermiteBasis(Multiplicity([mu]), 30)
+        norms = polyengine._hermite_norms_1d(mu_exact, 30)
+        for n, norm in enumerate(norms):
+            poly = family_poly(basis, n)
+            assert norm == math.sqrt(pairwise_norm_sq(poly, mu_exact)), n
+
+    @pytest.mark.parametrize("mu, max_degree, prefix", [
+        (0, 196, "03aa09f0322e"),
+        (0.3, 196, "8dfc68460964"),
+        (0.5, 196, "66203baefc91"),
+        (Fraction(4, 7), 196, "e7c06b750b6b"),
+        (1.7, 194, "78adf11406e6"),
+    ])
+    def test_norms_pinned_bitwise(self, mu, max_degree, prefix):
+        # sha1 prefixes of the norms up to the last degree below the
+        # overflow, fixed from the Pochhammer moment sums of the ladder:
+        # the recurrence product must round to the same bits
+        norms = np.asarray(HermiteBasis(Multiplicity([mu]), max_degree).norms)
+        assert hashlib.sha1(norms.tobytes()).hexdigest()[:12] == prefix
 
     def test_exact_polynomials_are_built_on_request(self):
         basis = HermiteBasis(Multiplicity([0.3, 0.7]), 12)
@@ -261,13 +270,13 @@ class TestHermiteBasis:
 
     def test_one_family_per_distinct_mu(self, monkeypatch):
         builds = []
-        original = polyengine._hermite_family_1d
+        original = polyengine._hermite_norms_1d
 
         def counting(mu_exact, max_degree):
             builds.append(mu_exact)
             return original(mu_exact, max_degree)
 
-        monkeypatch.setattr(polyengine, "_hermite_family_1d", counting)
+        monkeypatch.setattr(polyengine, "_hermite_norms_1d", counting)
         basis = HermiteBasis(Multiplicity([0.5, 0.5]), 16)
         assert len(builds) == 1
         HermiteBasis(Multiplicity([0.3, 0.7]), 4)
