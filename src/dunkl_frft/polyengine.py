@@ -4,8 +4,9 @@ Gaussian-times-polynomial functions.
 Coefficients are exact complex rationals (pairs of Fractions), so Dunkl
 derivatives, the Dunkl Laplacian, the nilpotent heat exponential and the
 Hermite operator Delta_k - |x|^2 all run without rounding; floating point
-enters only at evaluation time.  The generalized Hermite basis is built as
-tensor products of one-dimensional heat-regularized monomials.
+enters only at evaluation time.  The generalized Hermite basis is the
+heat-regularized monomials exp(-Delta_k/4) x^nu, normalized by products of
+one-dimensional norms from the three-term recurrence.
 """
 
 from __future__ import annotations
