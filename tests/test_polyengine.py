@@ -183,8 +183,18 @@ class TestHermiteLadder:
 
     MUS = (0, 0.3, 0.5, 1.7, Fraction(4, 7))
 
-    @pytest.mark.parametrize("mu", MUS + (0.7, Fraction(1, 3)))
+    @pytest.mark.parametrize("mu", MUS)
     def test_ladder_equals_heat_exponential(self, mu):
+        mult = Multiplicity([mu])
+        ref_polys, _ = fraction_ladder_family(mult.mu_exact[0], 30)
+        for n in range(31):
+            want = heat_exp_poly(MultiPoly.monomial((n,)), Fraction(-1, 4), mult)
+            assert ref_polys[n] == want, n
+
+    @pytest.mark.parametrize("mu", MUS + (0.7, Fraction(1, 3)))
+    def test_integer_ladder_equals_fraction_ladder(self, mu):
+        # the name predates the recurrence-product norms; the basis is still
+        # compared degree by degree with the exact ladder
         mu_exact = Multiplicity([mu]).mu_exact[0]
         norms = polyengine._hermite_norms_1d(mu_exact, 40)
         ref_polys, ref_norms = fraction_ladder_family(mu_exact, 40)
