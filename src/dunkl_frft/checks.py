@@ -534,7 +534,7 @@ def check_spectral_theory(seed=DEFAULT_SEED):
     for f in combos[:2]:
         fvals = grid.values(f)
         for lam in lams:
-            res = resolvent_apply(f, lam, sampler)
+            res = resolvent_apply(f, lam, plan)
             t_res = expansion_generator(res, mult)
             back = lam * grid.values(res) - grid.values(t_res)
             worst = max(worst, grid.norm_l2(back - fvals))

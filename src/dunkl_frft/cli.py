@@ -564,10 +564,7 @@ def _cmd_resolvent(cfg, out_dir, fmt):
     lam = _parse(cfg.resolvent_lambda, "resolvent_lambda", lambda v: complex(*_float_list(v)))
     with _refused("resolvent_lambda"):
         lam = resolvent_lambda(lam)
-    f = build_function(cfg.function, plan)
-    with _refused("q_nodes"):
-        sampler = GroupSampler(plan, q=cfg.q_nodes)
-    res = resolvent_apply(f, lam, sampler)
+    res = resolvent_apply(build_function(cfg.function, plan), lam, plan)
     cols = [f"nu{j}" for j in range(plan.mult.dim)] + ["re", "im"]
     _emit(cfg, out_dir, fmt, cols, _coefficient_rows(res))
     return 0

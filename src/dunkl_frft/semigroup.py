@@ -103,16 +103,17 @@ def resolvent_lambda(lam):
     return lam
 
 
-def resolvent_apply(f, lam, sampler):
+def resolvent_apply(f, lam, plan):
     """Resolvent R(lam, T) f = (1 - e^{-2 pi lam})^{-1}
-    integral_0^{2pi} e^{-lam s} D_k^s f ds.
+    integral_0^{2pi} e^{-lam s} D_k^s f ds, by composite Gauss-Legendre in
+    s over the spectral route.
 
     Refuses lam as ``resolvent_lambda`` does.  On eigenfunctions the result
     is h_nu / (lam - i |nu|)."""
     lam = resolvent_lambda(lam)
-    integrals = _s_line_integral(lam, sampler.plan.M, 2.0 * math.pi)
+    integrals = _s_line_integral(lam, plan.M, 2.0 * math.pi)
     pref = 1.0 / (1.0 - cmath.exp(-2.0 * math.pi * lam))
-    return sampler.expand(f).scale_degrees([pref * v for v in integrals])
+    return hermite_expand(f, plan).scale_degrees([pref * v for v in integrals])
 
 
 def generator_exact(f, mult):

@@ -144,9 +144,9 @@ class TransformPlan:
     each one:
 
     - the kernel routes' entries, one per (r, input basis, outputs) under
-      "kernel": the kernel axis factors of ``_axis_factor`` for a sampled
-      input, or those factors applied to the synthesis tables of an
-      expansion's basis (see ``_kernel_transform``);
+      "kernel": each axis's kernel rows of ``_point_rows`` for a sampled
+      input, or those rows applied to the synthesis table of an
+      expansion's basis (see ``_kernel_tables``);
     - the Hermite analysis matrices of ``hermite_expand``'s quadrature;
     - the axis of each fractional Hankel grid per (nu, interval), and the
       basis's Gram residual.
@@ -494,18 +494,16 @@ def fdt_spectral(f, plan, r=1.0):
 
 
 def _contract_grid(mats, tensor):
-    """Apply per-axis matrices to a tensor: out[a1..aN] = sum M1[a1,b1]...F[b..].
+    """Apply one matrix per axis to a tensor: out[a1..aN] = sum M1[a1,b1]...F[b..].
 
-    With k matrices for the first k of its axes, the other axes pass
-    through in place.  Each step is the product ``np.tensordot(mat, out,
-    axes=(1, j))`` forms, bit for bit, without its argument handling.
+    Each step is the product ``np.tensordot(mat, out, axes=(1, j))`` forms,
+    bit for bit, without its argument handling.
     """
     out = tensor
-    k = len(mats)
     for j, mat in enumerate(mats):
         moved = out.transpose((j,) + tuple(i for i in range(out.ndim) if i != j))
         out = np.dot(mat, moved.reshape(mat.shape[1], -1)).reshape(mat.shape[:1] + moved.shape[1:])
-    return np.transpose(out, axes=tuple(reversed(range(k))) + tuple(range(k, out.ndim)))
+    return out.T
 
 
 def _contract_points(mats, tensor):
@@ -562,60 +560,27 @@ def _axis_factor(plan, j, x, r):
     return even, odd, rows
 
 
-def _fold_factors(plan, r, xs=None, basis=None):
+def _kernel_tables(plan, r, xs=None, basis=None):
     """The plan's kernel entry at smoothing r, for the output points xs (the
     grid when None) and an input in ``basis`` (a sampled one when None).  On
-    each axis the ``_axis_factor`` meets what the input contributes: the
-    identity for a sampled input, the synthesis table h_k(y_j) of the basis
-    (made here and dropped) for an expansion.  Grid outputs give the pairs
-    [E_0, O_0, E_1, O_1, ...], each n x n (a non-finite row is refused
-    naming its -x node, the first on the axis), or T_j, each pair applied
-    to its synthesis table by ``_contract_folded``.  Point outputs give the
-    ``_point_rows`` table of each axis (times the synthesis table), then
-    each axis's gather; at N = 1 an expansion's table comes gathered.
+    each axis the ``_point_rows`` table of the output coordinates (the
+    axis's own nodes for grid outputs) meets what the input contributes:
+    the identity for a sampled input, the synthesis table h_k(y_j) of the
+    basis (made here and dropped) for an expansion.  Grid outputs keep each
+    axis's table gathered into grid order, one matrix per axis; so does an
+    expansion at N = 1 at points.  Other point outputs keep each axis's
+    table, one row per distinct signed coordinate, then each axis's gather.
     """
     grid = plan.grid
     tables, gathers = [], []
     for j in range(plan.mult.dim):
-        synthesis = None if basis is None else basis.axis_matrix(j, grid.axes_nodes[j])
-        if xs is None:
-            pair = _axis_factor(plan, j, grid.axes_nodes[j], r)[:2]
-            tables += pair if synthesis is None else [_contract_folded(pair, synthesis)]
-        else:
-            table, rows = _point_rows(plan, j, xs[:, j], r)
-            tables.append(table if synthesis is None else table @ synthesis.T)
-            gathers.append(rows)
-    if basis is not None and xs is not None and plan.mult.dim == 1:
-        return [tables[0][gathers[0]]]
+        nodes = grid.axes_nodes[j]
+        table, rows = _point_rows(plan, j, nodes if xs is None else xs[:, j], r)
+        tables.append(table if basis is None else table @ basis.axis_matrix(j, nodes).T)
+        gathers.append(rows)
+    if xs is None or (basis is not None and plan.mult.dim == 1):
+        return [table[rows] for table, rows in zip(tables, gathers)]
     return tables + gathers
-
-
-def _contract_folded(factors, tensor):
-    """Apply the folded axis factors of ``_fold_factors`` to a grid tensor,
-    one axis at a time: the same result as ``_contract_grid`` with the full
-    axis factors, up to rounding.
-
-    On axis j the 2n input entries split into f+ (y > 0) and f- (its mirror
-    -y); the even factor acts on f+ + f- and the odd one on f+ - f-, two
-    n x n products through ``_contract_grid``.  The +x half of the output
-    is g_e + g_o and the -x half, mirrored, g_e - g_o.  The axes are taken
-    last to first and each result axis is put in front, so the output comes
-    out C-contiguous in the tensor's own axis order.  With one pair and a
-    two-axis tensor the grid axis is the last one, and it comes out first.
-    """
-    out = tensor
-    last_first = (tensor.ndim - 1,) + tuple(range(tensor.ndim - 1))
-    for j in reversed(range(len(factors) // 2)):
-        even, odd = factors[2 * j], factors[2 * j + 1]
-        n = even.shape[1]
-        axis = out.transpose(last_first)
-        pos, neg = axis[n:], axis[n - 1::-1]
-        ge = _contract_grid([even], pos + neg)
-        go = _contract_grid([odd], pos - neg)
-        out = np.empty((2 * n,) + ge.shape[1:], dtype=ge.dtype)
-        np.add(ge, go, out=out[n:])
-        np.subtract(ge[::-1], go[::-1], out=out[:n])
-    return out
 
 
 def _point_rows(plan, j, x, r):
@@ -634,25 +599,24 @@ def _point_rows(plan, j, x, r):
 def _kernel_transform(f, plan, xs, r):
     """pref * integral K(r, x, y) f(y) w_k(y) dy on the plan grid, at the
     points xs (shape (m, N)), or at every grid node (flattened) when xs is
-    None, from the kernel axis factors (E, O) of ``_axis_factor``.
+    None, from the full-axis kernel rows of ``_point_rows``.
 
     The input is decided once: a Hermite expansion of the grid's dimension
     is separable like the kernel and enters as its coefficient block, any
     other input as its grid tensor (``_grid_tensor``).  The plan keeps the
-    ``_fold_factors`` entry per (r, the expansion's (mu, max_degree) or
+    ``_kernel_tables`` entry per (r, the expansion's (mu, max_degree) or
     None, the bytes of each output axis or "grid"), and a call contracts it
-    with the input: ``_contract_folded`` of the even/odd pairs for a
-    sampled input on the grid (half the multiply-adds of a full-axis
-    contraction), ``_contract_grid`` of the trimmed T_j for an expansion on
-    the grid, ``_contract_points`` of the gathered rows for points.  Both
-    grid products run last axis first, so their result is C-contiguous in
-    the grid's axis order and the flattened output is written once, not
-    copied out of a transposed view.  At N = 1 the basis order is the
-    degree order: the block is the coefficients up to the last nonzero one,
-    the entry one (outputs x degrees) matrix, T_0 or the gathered point
-    rows, and a call one product, ``@`` (the contractions' zgemv, without
-    ``np.dot``'s copy of the columns), or ``np.dot`` as in ``_contract_grid``
-    for one term on the grid, where the two round differently.
+    with the input: ``_contract_grid`` of each axis's matrix, trimmed to the
+    block's degrees for an expansion, on the grid, ``_contract_points`` of
+    the gathered rows for points.  The grid product runs last axis first,
+    so its result is C-contiguous in the grid's axis order and the
+    flattened output is written once, not copied out of a transposed view.
+    At N = 1 the basis order is the degree order: the block is the
+    coefficients up to the last nonzero one, the entry one (outputs x
+    degrees) matrix, and a call one product, ``@`` (the contractions'
+    zgemv, without ``np.dot``'s copy of the columns), or ``np.dot`` as in
+    ``_contract_grid`` for one term on the grid, where the two round
+    differently.
     """
     dim = plan.mult.dim
     basis = f.basis if isinstance(f, HermiteExpansion) and f.basis.dim == dim else None
@@ -664,7 +628,7 @@ def _kernel_transform(f, plan, xs, r):
     source = None if basis is None else (basis.mult.mu, basis.max_degree)
     outputs = ("grid",) if xs is None else tuple(xs[:, j].tobytes() for j in range(dim))
     entry = plan._operators.get(
-        ("kernel", r, source) + outputs, lambda: _fold_factors(plan, r, xs, basis)
+        ("kernel", r, source) + outputs, lambda: _kernel_tables(plan, r, xs, basis)
     )
     if basis is not None and dim == 1:
         product = np.dot if xs is None and len(tensor) == 1 else np.matmul
@@ -672,8 +636,6 @@ def _kernel_transform(f, plan, xs, r):
     if xs is not None:
         rows = zip(entry[:dim], entry[dim:], tensor.shape)
         return _contract_points([t[gather, :d] for t, gather, d in rows], tensor)
-    if basis is None:
-        return _contract_folded(entry, tensor).ravel()
     mats = [t[:, :d] for t, d in zip(entry, tensor.shape)]
     return _contract_grid(mats[::-1], tensor.T).T.ravel()
 

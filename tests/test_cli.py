@@ -573,6 +573,26 @@ def test_resolvent_command(tmp_path):
     assert row[1] + 1j * row[2] == pytest.approx(1.0 / (1.0 + 1.0j - 2.0j), abs=1e-10)
 
 
+def test_resolvent_does_not_read_q_nodes(tmp_path):
+    # the resolvent's s-integral runs on Gauss-Legendre panels, not on the
+    # sampler's Q nodes: a q_nodes below the Nyquist bound 2M + 2 is no
+    # reason to refuse the job, and it does not change a row
+    cfg = {
+        "command": "resolvent",
+        "mu": [0.5],
+        "alpha": 1.0,
+        "function": {"kind": "gaussian"},
+        "resolvent_lambda": [0.5, 0.3],
+    }
+    results = []
+    for q in (8, 64):
+        path = tmp_path / f"q{q}.json"
+        path.write_text(json.dumps(dict(cfg, q_nodes=q)))
+        assert main(["--config", str(path), "--out", str(tmp_path / f"out{q}")]) == 0
+        results.append(read_csv(tmp_path / f"out{q}" / "result.csv"))
+    assert results[0].tobytes() == results[1].tobytes()
+
+
 def test_hankel_command_eigen_phase(tmp_path):
     alpha = math.pi / 3
     cfg = {

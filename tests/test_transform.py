@@ -792,8 +792,8 @@ class TestKernelThroughBasis:
         assert {key[0] for key in keys} == {"kernel"}
         assert {key[2] for key in keys} == {(plan.mult.mu, f.basis.max_degree)}
         # T_j on the default N = 2 grid (160 nodes per axis, 17 degrees) and
-        # 25 points, at two r: 198 KiB.  One cached even/odd fold at one r
-        # would add 400 KiB.
+        # 25 points, at two r: 198 KiB.  One cached sampled-input table pair
+        # at one r would add 800 KiB.
         info = plan.operator_cache_info()
         assert (info.misses, info.entries) == (4, 4)
         assert info.nbytes <= 256 << 10
@@ -904,8 +904,8 @@ class TestOneDimensionalExpansion:
         d = len(block)
         synthesis = f.basis.axis_matrix(0, plan.grid.axes_nodes[0])
         if xs is None:
-            even, odd, _ = transform._axis_factor(plan, 0, plan.grid.axes_nodes[0], r)
-            table = transform._contract_folded([even, odd], synthesis)
+            table, rows = transform._point_rows(plan, 0, plan.grid.axes_nodes[0], r)
+            table = (table @ synthesis.T)[rows]
             return transform._contract_grid([table[:, :d]], block.T).T.ravel()
         table, rows = transform._point_rows(plan, 0, xs[:, 0], r)
         return transform._contract_points([(table @ synthesis.T)[rows, :d]], block)
@@ -1112,8 +1112,9 @@ class TestHalfAxisKernel:
 
 
 class TestParityFold:
-    """Grid outputs contract the even and odd parts of each axis factor on
-    the y > 0 half of the grid and mirror the result onto the -x half."""
+    """Grid outputs contract the full-axis rows of the points path, taken at
+    the grid's own nodes: built from the even and odd parts of each axis
+    factor on the y > 0 half of the grid, mirrored onto the -x half."""
 
     @staticmethod
     def _f(pts):
@@ -1179,28 +1180,25 @@ class TestParityFold:
 
     @pytest.mark.parametrize("r", [1.0, 0.6])
     def test_point_rows_are_the_fold_factors(self, r):
-        # one definition of the axis factor: at the positive grid nodes the
-        # points path's rows are [reversed E - O | E + O] of the fold
+        # one definition of the axis factor: every grid row of the kernel
+        # tables is, bit for bit, the points path's row at that grid node
         mult = Multiplicity([0.3, 0.7])
         plan = TransformPlan(mult, 2.0, grid=build_grid(mult, L=6.0, n=16), M=4)
-        n = plan.grid.points_per_axis
-        xs = np.stack([nodes[n:] for nodes in plan.grid.axes_nodes], axis=1)
-        mats = _point_rows(plan, xs, r)
-        factors = transform._fold_factors(plan, r)
-        for j, mat in enumerate(mats):
-            even, odd = factors[2 * j], factors[2 * j + 1]
-            want = np.concatenate([(even - odd)[:, ::-1], even + odd], axis=1)
-            assert mat.tobytes() == want.tobytes(), (r, j)
+        mats = _point_rows(plan, np.stack(plan.grid.axes_nodes, axis=1), r)
+        tables = transform._kernel_tables(plan, r)
+        assert len(tables) == len(mats) == mult.dim
+        for j, (table, mat) in enumerate(zip(tables, mats)):
+            assert table.tobytes() == mat.tobytes(), (r, j)
 
     def test_contract_grid_is_tensordot_bit_for_bit(self):
-        # the fold sends one matrix at a time through _contract_grid, which
-        # forms tensordot's product without its argument handling
+        # _contract_grid applies one matrix per axis and forms tensordot's
+        # product without its argument handling
         rng = np.random.default_rng(3)
 
         def cplx(shape):
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        cases = (((24,), [7]), ((16, 12), [5, 9]), ((16, 12), [5]), ((6, 5, 4), [3, 2, 7]))
+        cases = (((24,), [7]), ((16, 12), [5, 9]), ((6, 5, 4), [3, 2, 7]))
         for shape, rows in cases:
             tensor = cplx(shape)
             for layout in (tensor, np.asfortranarray(tensor), tensor.transpose()[..., ::-1].T):
@@ -1208,8 +1206,7 @@ class TestParityFold:
                 want = layout
                 for j, mat in enumerate(mats):
                     want = np.tensordot(mat, want, axes=(1, j))
-                k = len(mats)
-                want = np.transpose(want, tuple(reversed(range(k))) + tuple(range(k, want.ndim)))
+                want = want.T
                 got = transform._contract_grid(mats, layout)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, rows)
 
